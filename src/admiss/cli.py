@@ -39,7 +39,7 @@ from admiss.laplace_oracle import (
     isometry_check,
     kernel_condition_sweep,
 )
-from admiss.report import CriterionReport
+from admiss.report import BOUNDED, INCONCLUSIVE, UNBOUNDED, CriterionReport
 from admiss.spaces import InputSpace, load_space
 from admiss.system_model import DiagonalSystem, load_system, spectral_measure
 from admiss.zen_weight import load_radial_measure
@@ -50,8 +50,8 @@ EXIT_UNBOUNDED = 2
 EXIT_INCONCLUSIVE = 3
 
 _VERDICT_EXIT = {
-    "bounded-evidence": EXIT_BOUNDED,
-    "unbounded-evidence": EXIT_UNBOUNDED,
+    BOUNDED: EXIT_BOUNDED,
+    UNBOUNDED: EXIT_UNBOUNDED,
 }
 
 
@@ -137,11 +137,11 @@ def _combined_verdict(reports: list[CriterionReport]) -> str:
         if r.criterion == "summary":
             return r.verdict
     verdicts = {r.verdict for r in reports}
-    if "unbounded-evidence" in verdicts:
-        return "unbounded-evidence"
-    if verdicts == {"bounded-evidence"}:
-        return "bounded-evidence"
-    return "inconclusive"
+    if UNBOUNDED in verdicts:
+        return UNBOUNDED
+    if verdicts == {BOUNDED}:
+        return BOUNDED
+    return INCONCLUSIVE
 
 
 def _manifest(args, inputs: dict, reports: list[CriterionReport], extra: dict | None = None) -> dict:
@@ -180,8 +180,13 @@ def _render_table(reports: list[CriterionReport]) -> str:
     return "\n".join(lines)
 
 
+def _to_json(manifest: dict) -> str:
+    """Strict JSON: a non-finite float raises instead of printing NaN/Infinity."""
+    return json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)
+
+
 def _emit(manifest: dict, reports: list[CriterionReport], fmt: str, out_path: str | None) -> None:
-    payload = json.dumps(manifest, sort_keys=True, indent=2)
+    payload = _to_json(manifest)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload + "\n")
@@ -277,20 +282,20 @@ def cmd_sweep(args) -> int:
             fh.write(csv_text)
         manifest_path = args.out + ".manifest.json"
         with open(manifest_path, "w") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+            fh.write(_to_json(manifest) + "\n")
     if args.format == "json":
-        print(json.dumps(manifest, sort_keys=True, indent=2))
+        print(_to_json(manifest))
     else:
         print(csv_text, end="")
 
     verdicts = {row[3] for row in rows}
     if any(v.startswith("error") for v in verdicts):
         return EXIT_INCONCLUSIVE
-    if "unbounded-evidence" in verdicts and "bounded-evidence" in verdicts:
+    if UNBOUNDED in verdicts and BOUNDED in verdicts:
         return EXIT_INCONCLUSIVE
-    if verdicts == {"bounded-evidence"}:
+    if verdicts == {BOUNDED}:
         return EXIT_BOUNDED
-    if "unbounded-evidence" in verdicts:
+    if UNBOUNDED in verdicts:
         return EXIT_UNBOUNDED
     return EXIT_INCONCLUSIVE
 
@@ -330,7 +335,7 @@ def cmd_oracle(args) -> int:
 def _emit_manifest_only(manifest: dict, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+            fh.write(_to_json(manifest) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

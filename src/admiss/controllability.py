@@ -12,13 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from admiss.halfplane import blaschke_products
-from admiss.report import CriterionReport, ladder_verdict
+from admiss.report import BOUNDED, INCONCLUSIVE, CriterionReport, ladder_verdict
 from admiss.system_model import AtomicMeasure, DiagonalSystem
 from admiss.criteria import DEFAULT_N_RANGE, _square_family_sup
 
 __all__ = ["controllability_measure", "interpolation_test", "sobolev_controllability"]
 
-INCONCLUSIVE = "inconclusive"
 TAIL_FACTOR_GATE = 0.5
 
 
@@ -28,8 +27,7 @@ def controllability_measure(sys: DiagonalSystem) -> tuple[AtomicMeasure, dict]:
     Refuses vanishing control coefficients and repeated eigenvalues: both make
     the mass formula singular and the underlying moment problem unsolvable.
     """
-    lam = np.asarray(sys.eigenvalues, dtype=complex)
-    b = np.asarray(sys.coeffs, dtype=complex)
+    lam, b = sys.eigenvalues, sys.coeffs
     if (np.abs(b) == 0).any():
         raise ValueError("controllability measure undefined: vanishing control coefficient")
     points = -lam
@@ -47,7 +45,7 @@ def _carleson_with_gate(m: AtomicMeasure, blaschke_diag: dict, name: str,
     verdict = ladder_verdict(levels)
     tail = float(np.min(blaschke_diag["tail_factor"]))
     gated = tail < TAIL_FACTOR_GATE
-    if gated and verdict == "bounded-evidence":
+    if gated and verdict == BOUNDED:
         # near-degenerate products inflate the masses faster than the grid
         # can witness, so a bounded reading is not trustworthy
         verdict = INCONCLUSIVE
@@ -72,9 +70,8 @@ def sobolev_controllability(sys: DiagonalSystem, beta: float, targets=None,
     limiting case with trivial smoothness factors."""
     if beta < 0:
         raise ValueError("smoothness beta must be nonnegative")
-    lam = np.asarray(sys.eigenvalues, dtype=complex)
-    z = -lam
-    g = np.asarray(sys.coeffs if targets is None else targets, dtype=complex)
+    z = -sys.eigenvalues
+    g = sys.coeffs if targets is None else np.asarray(targets, dtype=complex)
     if g.shape != z.shape:
         raise ValueError("one target value per eigenvalue required")
     if (np.abs(g) == 0).any():

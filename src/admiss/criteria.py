@@ -15,7 +15,14 @@ import numpy as np
 
 from admiss.halfplane import balayage_norm, strip_masses
 from admiss.laplace_oracle import kernel_condition_sweep  # noqa: F401  (re-export)
-from admiss.report import CriterionReport, ladder_cuts, ladder_verdict
+from admiss.report import (
+    BOUNDED,
+    INCONCLUSIVE,
+    UNBOUNDED,
+    CriterionReport,
+    ladder_cuts,
+    ladder_verdict,
+)
 from admiss.spaces import InputSpace, dual_space, load_space  # noqa: F401  (re-export)
 from admiss.system_model import (
     AtomicMeasure,
@@ -46,9 +53,9 @@ __all__ = [
 ]
 
 DEFAULT_N_RANGE = (-20, 40)
-BOUNDED = "bounded-evidence"
-UNBOUNDED = "unbounded-evidence"
-INCONCLUSIVE = "inconclusive"
+# entries of one (points x modes) block in the resolvent kernel sums: 2 MB
+# of float64 per temporary, which stays in cache (larger blocks measured slower)
+_KERNEL_BLOCK_ENTRIES = 1 << 18
 
 
 def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bool,
@@ -58,48 +65,16 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     Symmetric families test the single centred interval per dyadic length;
     otherwise two staggered phases of dyadic translates are tested (any
     interval is then contained in a tested one of at most 4x its length).
-    Returns (ladder levels, constant, witness, per-n best ratios).
+    Membership is half-open: 0 <= x < |I| (|I|/2 <= x for the right half) and
+    y_lo <= y < y_hi.  Returns (ladder levels, constant, witness, per-n best
+    ratios).
     """
     n_min, n_max = n_range
-    x = m.locations.real
-    y = m.locations.imag
-    masses = m.masses
-    per_n = []
-    witnesses = []
-    for n in range(n_min, n_max + 1):
-        length = 2.0**n
-        denom = denom_of_length(length)
-        x_lo = length / 2 if part == "right_half" else 0.0
-        in_depth = (x >= x_lo) & (x < length)
-        best = 0.0
-        best_witness = None
-        if symmetric:
-            inside = in_depth & (y >= -length / 2) & (y < length / 2)
-            mass = float(masses[inside].sum())
-            if mass > 0:
-                if denom == 0:
-                    best = math.inf
-                else:
-                    best = mass / denom
-                best_witness = {"n": n, "interval": [-length / 2, length / 2]}
-        else:
-            if in_depth.any():
-                ys = y[in_depth]
-                ms = masses[in_depth]
-                for phase in (0.0, 0.5):
-                    bins = np.floor(ys / length - phase).astype(np.int64)
-                    uniq, inv = np.unique(bins, return_inverse=True)
-                    sums = np.bincount(inv, weights=ms)
-                    k = int(np.argmax(sums))
-                    mass = float(sums[k])
-                    if mass > 0:
-                        ratio = math.inf if denom == 0 else mass / denom
-                        if ratio > best:
-                            best = ratio
-                            lo = (uniq[k] + phase) * length
-                            best_witness = {"n": n, "interval": [lo, lo + length]}
-        per_n.append(best)
-        witnesses.append(best_witness)
+    ns = range(n_min, n_max + 1)
+    lengths = [2.0**n for n in ns]
+    denoms = [denom_of_length(length) for length in lengths]
+    level_sups = _symmetric_level_sups if symmetric else _staggered_level_sups
+    per_n, witnesses = level_sups(m, ns, lengths, denoms, part)
     per_n_arr = np.asarray(per_n)
     cuts = ladder_cuts(n_min, n_max)
     levels = [float(per_n_arr[: cut - n_min + 1].max()) for cut in cuts]
@@ -107,6 +82,83 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     constant = float(per_n_arr[best_idx])
     witness = witnesses[best_idx] or {}
     return levels, constant, witness, per_n
+
+
+def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, part: str):
+    """Ratio and witness per dyadic length for the centred square (or its
+    right half).
+
+    Each atom is placed once at the index of the level it belongs to, found by
+    ``searchsorted`` on the exact powers of two: the full squares are nested,
+    so an atom lies in every square from its entry level on (a cumulative
+    sum); the right halves are disjoint in x, so an atom lies in at most one.
+    """
+    x = m.locations.real
+    y = m.locations.imag
+    halves = np.array(lengths) / 2
+    # first level with y < |I|/2 and first with -y <= |I|/2
+    y_entry = np.maximum(np.searchsorted(halves, y, side="right"),
+                         np.searchsorted(halves, -y, side="left"))
+    x_level = np.searchsorted(lengths, x, side="right")  # first level with x < |I|
+    if part == "right_half":
+        # x < |I| at x_level, and |I|/2 <= x there unless below the lowest level
+        inside = (y_entry <= x_level) & ((x_level > 0) | (x >= halves[0]))
+        level = np.where(inside, x_level, len(lengths))
+    else:
+        level = np.maximum(x_level, y_entry)
+    masses = np.bincount(level, weights=m.masses, minlength=len(lengths) + 1)[:-1]
+    if part != "right_half":
+        masses = np.cumsum(masses)
+    per_n, witnesses = [], []
+    for n, length, denom, mass in zip(ns, lengths, denoms, masses.tolist()):
+        positive = mass > 0
+        per_n.append((math.inf if denom == 0 else mass / denom) if positive else 0.0)
+        witnesses.append({"n": n, "interval": [-length / 2, length / 2]} if positive else None)
+    return per_n, witnesses
+
+
+def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, part: str):
+    """Best ratio and witness per dyadic length over two staggered phases of
+    dyadic translates.  Atoms are sorted by x once; the depth condition of
+    each level is then a contiguous slice found by ``searchsorted``."""
+    order = np.argsort(m.locations.real, kind="stable")
+    xs = m.locations.real[order]
+    ys = m.locations.imag[order]
+    ms = m.masses[order]
+    hi = np.searchsorted(xs, lengths, side="left").tolist()
+    lo = (np.searchsorted(xs, np.array(lengths) / 2, side="left").tolist()
+          if part == "right_half" else [0] * len(hi))
+    per_n, witnesses = [], []
+    for n, length, denom, a, b in zip(ns, lengths, denoms, lo, hi):
+        best = 0.0
+        best_witness = None
+        if b > a:
+            for phase in (0.0, 0.5):
+                bins = np.floor(ys[a:b] / length - phase).astype(np.int64)
+                k_bin, mass = _heaviest_bin(bins, ms[a:b])
+                if mass > 0:
+                    ratio = math.inf if denom == 0 else mass / denom
+                    if ratio > best:
+                        best = ratio
+                        lo_y = (k_bin + phase) * length
+                        best_witness = {"n": n, "interval": [lo_y, lo_y + length]}
+        per_n.append(best)
+        witnesses.append(best_witness)
+    return per_n, witnesses
+
+
+def _heaviest_bin(bins: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
+    """(bin, total weight) of the heaviest bin, the lowest bin on ties."""
+    b_min = int(bins.min())
+    span = int(bins.max()) - b_min + 1
+    if span <= 4 * bins.size + 64:
+        sums = np.bincount(bins - b_min, weights=weights, minlength=span)
+        k = int(np.argmax(sums))
+        return b_min + k, float(sums[k])
+    uniq, inv = np.unique(bins, return_inverse=True)
+    sums = np.bincount(inv, weights=weights)
+    k = int(np.argmax(sums))
+    return int(uniq[k]), float(sums[k])
 
 
 def c1_zen_carleson(m: AtomicMeasure, zen: RadialMeasure,
@@ -139,9 +191,7 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure, resolvent_power: int |
         if n_res < 1 or math.isinf(wf.poly_exp_moment(2 * n_res - 2, 1.0)):
             raise ValueError("kernel moment diverges for this weight: increase N")
 
-    lam_sys = np.asarray(sys.eigenvalues, dtype=complex)
-    b_sq = np.abs(np.asarray(sys.coeffs, dtype=complex)) ** 2
-    x = (-lam_sys).real
+    x = -sys.eigenvalues.real
     re_grid = _log_space(x.min() / 100, x.max() * 100, points_per_decade)
     im_mag = np.concatenate(([0.0], re_grid[:: max(1, len(re_grid) // 12)]))
     im_grid = np.unique(np.concatenate((-im_mag, im_mag)))
@@ -149,7 +199,7 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure, resolvent_power: int |
     lam_im = np.tile(im_grid, re_grid.size)
     lam = lam_re + 1j * lam_im
 
-    num = (np.abs(lam[:, None] - lam_sys[None, :]) ** (-2 * n_res) @ b_sq)
+    num = _kernel_sums(lam, sys, -n_res)
     den = np.array([wf.poly_exp_moment(2 * n_res - 2, 2 * r) for r in re_grid])
     den = np.repeat(den, im_grid.size)
     ratios = num / den
@@ -170,9 +220,7 @@ def resolvent_ratio(sys: DiagonalSystem, zen: RadialMeasure, lam: complex,
     if lam.real <= 0:
         raise ValueError("lambda must lie in the open right half-plane")
     wf = weight(zen)
-    lam_sys = np.asarray(sys.eigenvalues, dtype=complex)
-    b_sq = np.abs(np.asarray(sys.coeffs, dtype=complex)) ** 2
-    num = float((np.abs(lam - lam_sys) ** (-2 * resolvent_power) * b_sq).sum())
+    num = float(_kernel_sums(np.array([lam]), sys, -resolvent_power)[0])
     den = wf.poly_exp_moment(2 * resolvent_power - 2, 2 * lam.real)
     if math.isinf(den):
         raise ValueError("kernel moment diverges for this weight: increase N")
@@ -185,10 +233,32 @@ def fractional_resolvent_ratio(sys: DiagonalSystem, alpha: float, lam: float) ->
         raise ValueError("resolvent criterion R7 is stated for q = 2")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    lam_sys = np.asarray(sys.eigenvalues, dtype=complex)
-    b_sq = np.abs(np.asarray(sys.coeffs, dtype=complex)) ** 2
-    num = math.sqrt(float((np.abs(lam - lam_sys) ** (2 * alpha - 2) * b_sq).sum()))
+    num = math.sqrt(float(_kernel_sums(np.array([lam], dtype=complex), sys, alpha - 1)[0]))
     return num / lam ** ((alpha - 1) / 2)
+
+
+def _kernel_sums(points: np.ndarray, sys: DiagonalSystem, power: float) -> np.ndarray:
+    """sum_k |lambda - lambda_k|^(2 power) |b_k|^2 at every point lambda.
+
+    The squared distances are formed in real arithmetic, one block of points
+    at a time, so memory stays O(_KERNEL_BLOCK_ENTRIES) whatever the number
+    of points and modes.
+    """
+    u, v = sys.eigenvalues.real, sys.eigenvalues.imag
+    b_sq = np.abs(sys.coeffs) ** 2
+    re, im = points.real, points.imag
+    rows = max(1, _KERNEL_BLOCK_ENTRIES // u.size)
+    out = np.empty(points.size)
+    for i in range(0, points.size, rows):
+        block = slice(i, i + rows)
+        dist2 = re[block, None] - u
+        dist2 *= dist2
+        dy = im[block, None] - v
+        dy *= dy
+        dist2 += dy
+        np.power(dist2, power, out=dist2)
+        out[block] = dist2 @ b_sq
+    return out
 
 
 def _log_space(lo: float, hi: float, per_decade: int) -> np.ndarray:
@@ -275,7 +345,8 @@ def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
 def _resolvent_norm(m: AtomicMeasure, lam: float, q: float) -> float:
     """||(lam - A)^(-1) B||_{ell^q} from the spectral measure:
     (integral of |lam + z|^(-q) d mu)^(1/q)."""
-    vals = np.abs(lam + m.locations) ** (-q)
+    x, y = m.locations.real, m.locations.imag
+    vals = ((lam + x) ** 2 + y**2) ** (-q / 2)
     return float((vals * m.masses).sum() ** (1 / q))
 
 
@@ -343,11 +414,9 @@ def r7_fractional_resolvent(sys: DiagonalSystem, alpha: float,
         raise ValueError("resolvent criterion R7 is stated for q = 2")
     if not 0 <= alpha < 1:
         raise ValueError("power exponent must lie in [0, 1)")
-    lam_sys = np.asarray(sys.eigenvalues, dtype=complex)
-    b_sq = np.abs(np.asarray(sys.coeffs, dtype=complex)) ** 2
-    x = (-lam_sys).real
+    x = -sys.eigenvalues.real
     grid = _log_space(x.min() / 100, x.max() * 100, points_per_decade)
-    num = np.sqrt(np.abs(grid[:, None] - lam_sys[None, :]) ** (2 * alpha - 2) @ b_sq)
+    num = np.sqrt(_kernel_sums(grid.astype(complex), sys, alpha - 1))
     ratios = num / grid ** ((alpha - 1) / 2)
     levels, constant, witness = _nested_log_sup(grid, ratios)
     return CriterionReport("R7", constant, {"lambda": float(grid[witness])},

@@ -290,14 +290,12 @@ def space_norm(f: TestFunction, space: InputSpace) -> float:
 def embedding_value(sys: DiagonalSystem, f: TestFunction) -> float:
     """Exact ell^q state norm of the input-to-state map applied to f:
     (sum_k |Lf(-lambda_k)|^q |b_k|^q)^(1/q)."""
-    z = -np.asarray(sys.eigenvalues, dtype=complex)
-    vals = np.abs(np.asarray(laplace_at(f, z)))
-    b = np.abs(np.asarray(sys.coeffs, dtype=complex))
-    return float(((vals * b) ** sys.q).sum() ** (1 / sys.q))
+    vals = np.abs(np.asarray(laplace_at(f, -sys.eigenvalues)))
+    return float(((vals * np.abs(sys.coeffs)) ** sys.q).sum() ** (1 / sys.q))
 
 
 def _log_grid(sys: DiagonalSystem, points_per_decade: int) -> np.ndarray:
-    x = -np.asarray(sys.eigenvalues, dtype=complex).real
+    x = -sys.eigenvalues.real
     lo, hi = x.min() / 100, x.max() * 100
     count = max(2, int(math.ceil(math.log10(hi / lo) * points_per_decade)) + 1)
     return np.exp(np.linspace(math.log(lo), math.log(hi), count))
@@ -359,7 +357,7 @@ def _dyadic_kernel_sequence(sys: DiagonalSystem, space: InputSpace) -> Criterion
     """Sequence condition for q < p: the ell^(qp/(p-q)) norm of
     2^(n/p) * ||L e^(-2^n t)||_{L^q_mu} over dyadic rates."""
     p, q = space.p, sys.q
-    x = -np.asarray(sys.eigenvalues, dtype=complex).real
+    x = -sys.eigenvalues.real
     n_lo = int(math.floor(math.log2(x.min()))) - 10
     n_hi = int(math.ceil(math.log2(x.max()))) + 10
     ns = np.arange(n_lo, n_hi + 1)
@@ -470,7 +468,7 @@ def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
     """
     if family_size < 1:
         raise ValueError("family size must be >= 1")
-    x = -np.asarray(sys.eigenvalues, dtype=complex).real
+    x = -sys.eigenvalues.real
     j_cap = int(math.ceil(math.log2(100 * float(x.max()))))
     best = 0.0
     for i in range(family_size):

@@ -18,7 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CriterionReport", "ladder_verdict", "ladder_cuts", "GROWTH_FACTOR", "RUN_LENGTH"]
+__all__ = [
+    "CriterionReport",
+    "ladder_verdict",
+    "ladder_cuts",
+    "GROWTH_FACTOR",
+    "RUN_LENGTH",
+    "BOUNDED",
+    "UNBOUNDED",
+    "INCONCLUSIVE",
+]
 
 GROWTH_FACTOR = 1.2
 RUN_LENGTH = 3
@@ -41,7 +50,7 @@ class CriterionReport:
     def to_json(self) -> dict:
         return {
             "criterion": self.criterion,
-            "constant": None if math.isinf(self.constant) else self.constant,
+            "constant": _jsonable(self.constant),
             "witness": _jsonable(self.witness),
             "verdict": self.verdict,
             "diagnostics": _jsonable(self.diagnostics),

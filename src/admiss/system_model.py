@@ -27,43 +27,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalSystem:
     """Finite truncation of a diagonal semigroup system on ell^q.
 
-    ``generator`` is an optional symbolic tag (e.g. ``"heat1d"``) allowing
-    criteria to rematerialize the system at a larger truncation for
-    convergence diagnostics.
+    ``eigenvalues`` and ``coeffs`` accept any sequence and are stored as
+    read-only 1-d complex arrays.  ``generator`` is an optional symbolic tag
+    (e.g. ``"heat1d"``) allowing criteria to rematerialize the system at a
+    larger truncation for convergence diagnostics.
     """
 
-    eigenvalues: tuple[complex, ...]
-    coeffs: tuple[complex, ...]
+    eigenvalues: np.ndarray
+    coeffs: np.ndarray
     q: float
     generator: str | None = None
 
     def __post_init__(self):
-        if len(self.eigenvalues) != len(self.coeffs):
+        lam = _frozen_complex(self.eigenvalues, "eigenvalues")
+        b = _frozen_complex(self.coeffs, "coeffs")
+        if lam.size != b.size:
             raise ValueError(
-                f"eigenvalues ({len(self.eigenvalues)}) and coeffs "
-                f"({len(self.coeffs)}) must have equal length"
+                f"eigenvalues ({lam.size}) and coeffs ({b.size}) must have equal length"
             )
-        if len(self.eigenvalues) == 0:
+        if lam.size == 0:
             raise ValueError("system must have at least one mode")
         if self.q < 1:
             raise ValueError(f"state exponent q must be >= 1, got {self.q}")
-        for k, lam in enumerate(self.eigenvalues):
-            if not complex(lam).real < 0:
-                raise ValueError(f"eigenvalue {k} has Re lambda = {complex(lam).real}, must be < 0")
+        if not (lam.real < 0).all():
+            k = int(np.argmax(~(lam.real < 0)))
+            raise ValueError(f"eigenvalue {k} has Re lambda = {lam[k].real}, must be < 0")
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "coeffs", b)
 
     @property
     def modes(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.size
 
     def with_modes(self, modes: int) -> "DiagonalSystem":
         """Rematerialize a tagged system at a different truncation."""
         if self.generator == "heat1d":
             return heat_system(modes)
         raise ValueError(f"cannot regenerate system without a known generator tag: {self.generator!r}")
+
+
+def _frozen_complex(values, name: str) -> np.ndarray:
+    """Read-only 1-d complex array; a writeable ndarray argument is copied so
+    the caller's array is neither frozen nor aliased."""
+    arr = np.asarray(values, dtype=complex)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    aliased = isinstance(values, np.ndarray) and np.may_share_memory(arr, values)
+    if arr.flags.writeable and aliased:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -129,9 +146,7 @@ def spectral_measure(sys: DiagonalSystem) -> AtomicMeasure:
     Duplicate eigenvalues keep separate atoms; geometric routines treat
     coincident atoms additively, so multiplicity is handled naturally.
     """
-    lam = np.asarray(sys.eigenvalues, dtype=complex)
-    b = np.asarray(sys.coeffs, dtype=complex)
-    return AtomicMeasure(-lam, np.abs(b) ** sys.q)
+    return AtomicMeasure(-sys.eigenvalues, np.abs(sys.coeffs) ** sys.q)
 
 
 def heat_system(modes: int) -> DiagonalSystem:
@@ -139,8 +154,13 @@ def heat_system(modes: int) -> DiagonalSystem:
     if modes < 1:
         raise ValueError(f"number of modes must be >= 1, got {modes}")
     n = np.arange(1, modes + 1, dtype=float)
-    eig = tuple(complex(-v) for v in (n * n * math.pi**2))
-    return DiagonalSystem(eig, (1.0 + 0.0j,) * modes, 2.0, generator="heat1d")
+    n *= n
+    n *= math.pi**2
+    eig = np.negative(n).astype(complex)
+    coeffs = np.ones(modes, dtype=complex)
+    eig.setflags(write=False)  # nothing else holds them: spare DiagonalSystem the copy
+    coeffs.setflags(write=False)
+    return DiagonalSystem(eig, coeffs, 2.0, generator="heat1d")
 
 
 def dual_system(sys: DiagonalSystem, obs_coeffs) -> DiagonalSystem:
@@ -149,9 +169,9 @@ def dual_system(sys: DiagonalSystem, obs_coeffs) -> DiagonalSystem:
     Observation admissibility questions reduce to control-side criteria run on
     this system together with the dual input space.
     """
-    obs = tuple(complex(c) for c in obs_coeffs)
-    if len(obs) != sys.modes:
-        raise ValueError(f"obs_coeffs length {len(obs)} != number of modes {sys.modes}")
+    obs = np.asarray(obs_coeffs, dtype=complex)
+    if obs.shape != sys.eigenvalues.shape:
+        raise ValueError(f"obs_coeffs length {obs.size} != number of modes {sys.modes}")
     if sys.q == 1:
         raise ValueError("q = 1 has infinite conjugate exponent; out of numeric scope")
     q_dual = sys.q / (sys.q - 1)
@@ -203,6 +223,15 @@ def load_system(config: dict | str) -> DiagonalSystem:
     for key in ("eigenvalues", "coeffs", "q"):
         if key not in config:
             raise ValueError(f"system config missing required field {key!r}")
-    eig = tuple(complex(re, im) for re, im in config["eigenvalues"])
-    coeffs = tuple(complex(re, im) for re, im in config["coeffs"])
-    return DiagonalSystem(eig, coeffs, float(config["q"]))
+    return DiagonalSystem(_complex_pairs(config["eigenvalues"], "eigenvalues"),
+                          _complex_pairs(config["coeffs"], "coeffs"), float(config["q"]))
+
+
+def _complex_pairs(pairs, name: str) -> np.ndarray:
+    """Complex array from a JSON list of [re, im] pairs."""
+    arr = np.asarray(pairs, dtype=float)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"system config field {name!r} must be a list of [re, im] pairs")
+    return arr[:, 0] + 1j * arr[:, 1]

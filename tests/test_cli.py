@@ -164,3 +164,33 @@ def test_bad_threads_env(heat_file, capsys, monkeypatch):
     code = main(["sweep", "--system", heat_file, "--space", '{"kind":"Lp","p":2}',
                  "--param", "p", "--values", "2", "--grid=-10:40"])
     assert code == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv, manifest_suffix, stdout_is_json", [
+    (["check", "--space", '{"kind":"Lp","p":1.5}', "--grid=-10:40"], "", True),
+    (["check", "--space", '{"kind":"Lp","p":1.2}', "--grid=-10:45", "--modes", "2000"], "", True),
+    (["check", "--space", '{"kind":"Lp","p":1.5}', "--criterion", "C3"], "", True),
+    (["check", "--space", '{"kind":"weightedL2","measure":"hardy"}', "--modes", "300"], "", True),
+    (["check", "--space", '{"kind":"Lp","p":3}', "--criterion", "C4"], "", True),
+    (["sweep", "--space", '{"kind":"Lp","p":2}', "--param", "p", "--values", "0.5,1.2,2",
+      "--grid=-10:40"], ".manifest.json", True),
+    (["oracle", "--isometry", "hardy"], "", False),
+    (["oracle", "--space", '{"kind":"Lp","p":1.2}', "--mix-size", "4", "--modes", "200"],
+     "", True),
+])
+def test_json_outputs_are_strict_json(argv, manifest_suffix, stdout_is_json, heat_file,
+                                      tmp_path, capsys):
+    out_path = tmp_path / "out"
+    main(argv[:1] + ["--system", heat_file] + argv[1:]
+         + ["--format", "json", "--out", str(out_path)])
+    stdout = capsys.readouterr().out
+    texts = [(tmp_path / f"out{manifest_suffix}").read_text()]
+    if stdout_is_json:
+        texts.append(stdout)
+    for text in texts:
+        manifest = json.loads(text, parse_constant=_reject_constant)
+        assert manifest["reports"]

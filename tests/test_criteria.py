@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from admiss import criteria
 from admiss.criteria import (
+    _log_space,
+    _nested_log_sup,
+    _square_family_sup,
     c1_zen_carleson,
     c2_power_square,
     c4_strip_summability,
@@ -25,7 +30,8 @@ from admiss.system_model import (
     heat_system,
     spectral_measure,
 )
-from admiss.zen_weight import bergman, hardy
+from admiss.report import ladder_cuts
+from admiss.zen_weight import bergman, hardy, weight
 
 DELTA_1 = AtomicMeasure(np.array([1 + 0j]), np.array([1.0]))
 SINGLE_MODE = DiagonalSystem((-1 + 0j,), (1 + 0j,), 2.0)
@@ -252,3 +258,121 @@ def test_report_json_serializable():
     report = c1_zen_carleson(DELTA_1, hardy())
     text = json.dumps(report.to_json())
     assert "bounded-evidence" in text
+
+
+def _square_family_sup_reference(m, denom_of_length, n_range, symmetric, part="full"):
+    """Per-level mask loop: every level scans every atom."""
+    n_min, n_max = n_range
+    x, y, masses = m.locations.real, m.locations.imag, m.masses
+    per_n, witnesses = [], []
+    for n in range(n_min, n_max + 1):
+        length = 2.0**n
+        denom = denom_of_length(length)
+        x_lo = length / 2 if part == "right_half" else 0.0
+        in_depth = (x >= x_lo) & (x < length)
+        best, best_witness = 0.0, None
+        if symmetric:
+            inside = in_depth & (y >= -length / 2) & (y < length / 2)
+            mass = float(masses[inside].sum())
+            if mass > 0:
+                best = math.inf if denom == 0 else mass / denom
+                best_witness = {"n": n, "interval": [-length / 2, length / 2]}
+        elif in_depth.any():
+            ys, ms = y[in_depth], masses[in_depth]
+            for phase in (0.0, 0.5):
+                bins = np.floor(ys / length - phase).astype(np.int64)
+                uniq, inv = np.unique(bins, return_inverse=True)
+                sums = np.bincount(inv, weights=ms)
+                k = int(np.argmax(sums))
+                mass = float(sums[k])
+                if mass > 0:
+                    ratio = math.inf if denom == 0 else mass / denom
+                    if ratio > best:
+                        best = ratio
+                        lo = (uniq[k] + phase) * length
+                        best_witness = {"n": n, "interval": [lo, lo + length]}
+        per_n.append(best)
+        witnesses.append(best_witness)
+    per_n_arr = np.asarray(per_n)
+    levels = [float(per_n_arr[: cut - n_min + 1].max()) for cut in ladder_cuts(n_min, n_max)]
+    best_idx = int(np.argmax(per_n_arr))
+    return levels, float(per_n_arr[best_idx]), witnesses[best_idx] or {}, per_n
+
+
+_DYADIC = st.integers(-8, 8).map(lambda n: 2.0**n)
+_ATOM_X = st.one_of(_DYADIC, st.just(0.0), st.floats(0.0, 300.0))
+_ATOM_Y = st.one_of(_DYADIC.map(lambda v: v / 2), _DYADIC.map(lambda v: -v / 2), st.just(0.0),
+                    st.floats(-300.0, 300.0))
+# integer masses (zero included) make every sum exact in any order
+_ATOMS = st.lists(st.tuples(_ATOM_X, _ATOM_Y, st.integers(0, 4)), min_size=1, max_size=40)
+_DENOMS = [lambda length: length**0.5, lambda length: length,
+           lambda length: length**1.5, lambda length: max(length - 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("symmetric, part",
+                         [(True, "full"), (True, "right_half"), (False, "full")])
+@given(atoms=_ATOMS, n_min=st.integers(-6, 3), span=st.integers(0, 12),
+       denom=st.sampled_from(_DENOMS))
+@settings(max_examples=150, deadline=None)
+def test_square_family_sup_matches_per_level_scan(symmetric, part, atoms, n_min, span, denom):
+    m = AtomicMeasure.from_atoms([(complex(x, y), mass) for x, y, mass in atoms])
+    n_range = (n_min, n_min + span)
+    got = _square_family_sup(m, denom, n_range, symmetric, part)
+    want = _square_family_sup_reference(m, denom, n_range, symmetric, part)
+    assert got == want
+
+
+def _dense_r1(sys, zen, n_res, points_per_decade=8):
+    """R1 with the whole (lambda grid x K) complex matrix at once."""
+    wf = weight(zen)
+    lam_sys = np.asarray(sys.eigenvalues, dtype=complex)
+    b_sq = np.abs(np.asarray(sys.coeffs, dtype=complex)) ** 2
+    x = (-lam_sys).real
+    re_grid = _log_space(x.min() / 100, x.max() * 100, points_per_decade)
+    im_mag = np.concatenate(([0.0], re_grid[:: max(1, len(re_grid) // 12)]))
+    im_grid = np.unique(np.concatenate((-im_mag, im_mag)))
+    lam_re = np.repeat(re_grid, im_grid.size)
+    lam = lam_re + 1j * np.tile(im_grid, re_grid.size)
+    num = np.abs(lam[:, None] - lam_sys[None, :]) ** (-2 * n_res) @ b_sq
+    den = np.repeat([wf.poly_exp_moment(2 * n_res - 2, 2 * r) for r in re_grid], im_grid.size)
+    levels, constant, best = _nested_log_sup(lam_re, num / den)
+    return levels, constant, [float(lam[best].real), float(lam[best].imag)]
+
+
+def _dense_r7(sys, alpha, points_per_decade=10):
+    lam_sys = np.asarray(sys.eigenvalues, dtype=complex)
+    b_sq = np.abs(np.asarray(sys.coeffs, dtype=complex)) ** 2
+    x = (-lam_sys).real
+    grid = _log_space(x.min() / 100, x.max() * 100, points_per_decade)
+    num = np.sqrt(np.abs(grid[:, None] - lam_sys[None, :]) ** (2 * alpha - 2) @ b_sq)
+    levels, constant, best = _nested_log_sup(grid, num / grid ** ((alpha - 1) / 2))
+    return levels, constant, float(grid[best])
+
+
+def _random_sectorial(modes, seed=11):
+    rng = np.random.default_rng(seed)
+    radii = np.exp(rng.uniform(math.log(0.5), math.log(50), modes))
+    lam = -radii * np.exp(1j * rng.uniform(-0.95 * math.pi / 6, 0.95 * math.pi / 6, modes))
+    b = rng.uniform(0.5, 2, modes) * np.exp(1j * rng.uniform(0, 2 * math.pi, modes))
+    return DiagonalSystem(lam, b, 2.0)
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+@pytest.mark.parametrize("make_system", [lambda: heat_system(2000),
+                                         lambda: _random_sectorial(150)])
+def test_blocked_resolvent_sums_match_dense(make_system, block_rows, monkeypatch):
+    sys_ = make_system()
+    if block_rows is not None:  # many blocks, the last one ragged
+        monkeypatch.setattr(criteria, "_KERNEL_BLOCK_ENTRIES", block_rows * sys_.modes)
+    for zen in (hardy(), bergman(0.5)):
+        report = r1_resolvent(sys_, zen)
+        levels, constant, witness = _dense_r1(sys_, zen, report.diagnostics["resolvent_power"])
+        assert report.diagnostics["levels"] == pytest.approx(levels, rel=1e-12)
+        assert report.constant == pytest.approx(constant, rel=1e-12)
+        assert report.witness["lambda"] == witness
+    for alpha in (0.0, 0.5):
+        report = r7_fractional_resolvent(sys_, alpha)
+        levels, constant, witness = _dense_r7(sys_, alpha)
+        assert report.diagnostics["levels"] == pytest.approx(levels, rel=1e-12)
+        assert report.constant == pytest.approx(constant, rel=1e-12)
+        assert report.witness["lambda"] == witness

@@ -22,7 +22,7 @@ def test_heat_eigenvalues():
     sys2 = heat_system(2)
     assert sys2.eigenvalues[0] == pytest.approx(-math.pi**2)
     assert sys2.eigenvalues[1] == pytest.approx(-4 * math.pi**2)
-    assert sys2.coeffs == (1.0, 1.0)
+    assert np.array_equal(sys2.coeffs, (1.0, 1.0))
     assert sys2.q == 2.0
 
 
@@ -47,6 +47,24 @@ def test_system_validation():
         DiagonalSystem((1 + 0j,), (1 + 0j,), 2.0)  # Re lambda must be < 0
     with pytest.raises(ValueError):
         DiagonalSystem((-1 + 0j,), (1 + 0j,), 0.5)
+
+
+def test_system_arrays_read_only():
+    lam = np.array([-1 + 0j, -2 + 1j])
+    sys2 = DiagonalSystem(lam, [1, 2j], 2.0)
+    for arr in (sys2.eigenvalues, sys2.coeffs, heat_system(3).eigenvalues):
+        assert arr.dtype == complex and arr.ndim == 1
+        with pytest.raises(ValueError):
+            arr[0] = -3.0
+    lam[0] = -5.0  # the caller's array stays writeable and is not aliased
+    assert sys2.eigenvalues[0] == -1
+
+
+def test_bad_eigenvalue_names_its_index():
+    with pytest.raises(ValueError, match="eigenvalue 2 "):
+        DiagonalSystem((-1, -2 + 1j, 0.5, 1), (1, 1, 1, 1), 2.0)
+    with pytest.raises(ValueError, match="eigenvalue 1 "):
+        DiagonalSystem(np.array([-1, np.nan]), (1, 1), 2.0)
 
 
 def test_spectral_measure_sign_flip_and_masses():
@@ -100,7 +118,7 @@ def test_dual_system_exponent():
     sys3 = DiagonalSystem((-1 + 0j, -2 + 0j), (1 + 0j, 1 + 0j), 3.0)
     dual = dual_system(sys3, [2 + 0j, 3 + 0j])
     assert dual.q == pytest.approx(1.5)
-    assert dual.coeffs == (2 + 0j, 3 + 0j)
+    assert np.array_equal(dual.coeffs, (2 + 0j, 3 + 0j))
     with pytest.raises(ValueError):
         dual_system(DiagonalSystem((-1 + 0j,), (1 + 0j,), 1.0), [1 + 0j])
     with pytest.raises(ValueError):
@@ -125,3 +143,5 @@ def test_load_system_explicit_and_generator(tmp_path):
         load_system({"generator": "wave"})
     with pytest.raises(ValueError):
         load_system({"eigenvalues": [[-1, 0]], "q": 2})
+    with pytest.raises(ValueError):
+        load_system({"eigenvalues": [[-1, 0, 1]], "coeffs": [[1, 0]], "q": 2})
