@@ -250,6 +250,8 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("empty sweep range")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"sweep values must be finite, got {args.values!r}")
     with concurrent.futures.ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         results = list(pool.map(
             lambda v: _sweep_row(system, space_config, args.param, v, args.criterion, args.grid),

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from admiss.halfplane import _BLOCK_ENTRIES as _KERNEL_BLOCK_ENTRIES
 from admiss.halfplane import balayage_norm, strip_masses
 from admiss.laplace_oracle import kernel_condition_sweep  # noqa: F401  (re-export)
 from admiss.report import (
@@ -22,6 +23,8 @@ from admiss.report import (
     CriterionReport,
     ladder_cuts,
     ladder_verdict,
+    log_space,
+    nested_log_sup,
 )
 from admiss.spaces import InputSpace, dual_space, load_space  # noqa: F401  (re-export)
 from admiss.system_model import (
@@ -53,9 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_N_RANGE = (-20, 40)
-# entries of one (points x modes) block in the resolvent kernel sums: 2 MB
-# of float64 per temporary, which stays in cache (larger blocks measured slower)
-_KERNEL_BLOCK_ENTRIES = 1 << 18
 
 
 def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bool,
@@ -192,7 +192,7 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure, resolvent_power: int |
             raise ValueError("kernel moment diverges for this weight: increase N")
 
     x = -sys.eigenvalues.real
-    re_grid = _log_space(x.min() / 100, x.max() * 100, points_per_decade)
+    re_grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
     im_mag = np.concatenate(([0.0], re_grid[:: max(1, len(re_grid) // 12)]))
     im_grid = np.unique(np.concatenate((-im_mag, im_mag)))
     lam_re = np.repeat(re_grid, im_grid.size)
@@ -203,7 +203,7 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure, resolvent_power: int |
     den = np.array([wf.poly_exp_moment(2 * n_res - 2, 2 * r) for r in re_grid])
     den = np.repeat(den, im_grid.size)
     ratios = num / den
-    levels, constant, witness = _nested_log_sup(lam_re, ratios)
+    levels, constant, witness = nested_log_sup(lam_re, ratios)
     return CriterionReport(
         "R1", constant, {"lambda": [float(lam[witness].real), float(lam[witness].imag)]},
         ladder_verdict(levels),
@@ -259,24 +259,6 @@ def _kernel_sums(points: np.ndarray, sys: DiagonalSystem, power: float) -> np.nd
         np.power(dist2, power, out=dist2)
         out[block] = dist2 @ b_sq
     return out
-
-
-def _log_space(lo: float, hi: float, per_decade: int) -> np.ndarray:
-    count = max(2, int(math.ceil(math.log10(hi / lo) * per_decade)) + 1)
-    return np.exp(np.linspace(math.log(lo), math.log(hi), count))
-
-
-def _nested_log_sup(positions: np.ndarray, values: np.ndarray, levels: int = 4
-                    ) -> tuple[list[float], float, int]:
-    logs = np.log(positions)
-    center = (logs.min() + logs.max()) / 2
-    half = (logs.max() - logs.min()) / 2 or 1.0
-    out = []
-    for j in range(1, levels + 1):
-        mask = np.abs(logs - center) <= half * j / levels
-        out.append(float(values[mask].max()) if mask.any() else 0.0)
-    best = int(np.argmax(values))
-    return out, float(values[best]), best
 
 
 def c2_power_square(m: AtomicMeasure, p: float, q: float, symmetric_only: bool,
@@ -380,7 +362,8 @@ def c5_sobolev_square(m: AtomicMeasure, p: float, q: float, beta: float,
 def c6_sobolev_balayage(m: AtomicMeasure, p: float, q: float, beta: float) -> CriterionReport:
     """Sufficient balayage test for Sobolev inputs with q < p: finite
     L^(p/(p-q)) balayage norm of the weighted measure certifies boundedness;
-    an infinite norm is inconclusive (the condition is one-sided)."""
+    an infinite norm is inconclusive (the condition is one-sided), and so is
+    a norm whose quadrature stopped at its panel cap unconverged."""
     if not 1 <= q < p:
         raise ValueError("hypothesis violated: balayage test needs 1 <= q < p")
     factors = _sobolev_factors(m, q, beta)
@@ -389,7 +372,7 @@ def c6_sobolev_balayage(m: AtomicMeasure, p: float, q: float, beta: float) -> Cr
                                {"note": "atom at the origin has infinite Sobolev factor"})
     s = p / (p - q)
     value, diag = balayage_norm(m.transformed(factors), 0.0, s)
-    verdict = BOUNDED if math.isfinite(value) else INCONCLUSIVE
+    verdict = BOUNDED if math.isfinite(value) and diag["converged"] else INCONCLUSIVE
     return CriterionReport("C6", value, {}, verdict,
                            {"balayage_diagnostics": diag, "beta": beta, "exponent": s,
                             "one_sided": "sufficient only; infinite norm is inconclusive"})
@@ -415,10 +398,10 @@ def r7_fractional_resolvent(sys: DiagonalSystem, alpha: float,
     if not 0 <= alpha < 1:
         raise ValueError("power exponent must lie in [0, 1)")
     x = -sys.eigenvalues.real
-    grid = _log_space(x.min() / 100, x.max() * 100, points_per_decade)
+    grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
     num = np.sqrt(_kernel_sums(grid.astype(complex), sys, alpha - 1))
     ratios = num / grid ** ((alpha - 1) / 2)
-    levels, constant, witness = _nested_log_sup(grid, ratios)
+    levels, constant, witness = nested_log_sup(grid, ratios)
     return CriterionReport("R7", constant, {"lambda": float(grid[witness])},
                            ladder_verdict(levels), {"levels": levels, "alpha": alpha})
 

@@ -17,7 +17,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import gamma
 
-from admiss.report import CriterionReport, ladder_verdict
+from admiss.report import (
+    CriterionReport,
+    ladder_cuts,
+    ladder_verdict,
+    log_space,
+    nested_log_sup,
+)
 from admiss.spaces import InputSpace
 from admiss.system_model import DiagonalSystem
 from admiss.zen_weight import RadialMeasure, WeightFunction, weight
@@ -294,27 +300,6 @@ def embedding_value(sys: DiagonalSystem, f: TestFunction) -> float:
     return float(((vals * np.abs(sys.coeffs)) ** sys.q).sum() ** (1 / sys.q))
 
 
-def _log_grid(sys: DiagonalSystem, points_per_decade: int) -> np.ndarray:
-    x = -sys.eigenvalues.real
-    lo, hi = x.min() / 100, x.max() * 100
-    count = max(2, int(math.ceil(math.log10(hi / lo) * points_per_decade)) + 1)
-    return np.exp(np.linspace(math.log(lo), math.log(hi), count))
-
-
-def _nested_sup_levels(grid: np.ndarray, values: np.ndarray, levels: int = 4
-                       ) -> tuple[list[float], float, float]:
-    """Running sup over nested log-span sub-grids expanding from the centre."""
-    logs = np.log(grid)
-    center = (logs.min() + logs.max()) / 2
-    half = (logs.max() - logs.min()) / 2 or 1.0
-    out = []
-    for j in range(1, levels + 1):
-        mask = np.abs(logs - center) <= half * j / levels
-        out.append(float(values[mask].max()) if mask.any() else 0.0)
-    best = int(np.argmax(values))
-    return out, float(values[best]), float(grid[best])
-
-
 def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
                            points_per_decade: int = 10) -> CriterionReport:
     """Reproducing-kernel condition for the embedding, using the kernel family
@@ -322,7 +307,8 @@ def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
     polynomial-exponentials for weighted L^2, power kernels for the power
     scale, and the dyadic kernel sequence when q < p."""
     q = sys.q
-    grid = _log_grid(sys, points_per_decade)
+    x = -sys.eigenvalues.real
+    grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
     if space.kind == "Lp" and space.p > q:
         return _dyadic_kernel_sequence(sys, space)
     if space.kind == "Lp" or space.kind == "sobolev":
@@ -341,7 +327,8 @@ def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
             ratios[i] = 0.0 if math.isinf(denom) else math.inf
         else:
             ratios[i] = embedding_value(sys, f) / denom
-    levels, constant, witness_z = _nested_sup_levels(grid, ratios)
+    levels, constant, best = nested_log_sup(grid, ratios)
+    witness_z = float(grid[best])
     interior = bool(grid[0] < witness_z < grid[-1])
     return CriterionReport(
         criterion=f"K-sweep[{space.describe()}]",
@@ -363,7 +350,7 @@ def _dyadic_kernel_sequence(sys: DiagonalSystem, space: InputSpace) -> Criterion
     ns = np.arange(n_lo, n_hi + 1)
     seq = np.array([2.0 ** (n / p) * embedding_value(sys, TestFunction.exp(2.0**n)) for n in ns])
     s = q * p / (p - q)
-    cuts = _range_cuts(n_lo, n_hi)
+    cuts = ladder_cuts(n_lo, n_hi)
     levels = [float((seq[ns <= cut] ** s).sum() ** (1 / s)) for cut in cuts]
     return CriterionReport(
         criterion=f"K-sweep[{space.describe()}]",
@@ -372,11 +359,6 @@ def _dyadic_kernel_sequence(sys: DiagonalSystem, space: InputSpace) -> Criterion
         verdict=ladder_verdict(levels),
         diagnostics={"levels": levels, "sequence_exponent": s},
     )
-
-
-def _range_cuts(n_lo: int, n_hi: int, levels: int = 8) -> list[int]:
-    span = n_hi - n_lo
-    return sorted({n_lo + math.ceil(k * span / levels) for k in range(1, levels + 1)})
 
 
 def _default_resolvent_power(m: RadialMeasure, minimum: int = 2) -> int:

@@ -22,6 +22,8 @@ __all__ = [
     "CriterionReport",
     "ladder_verdict",
     "ladder_cuts",
+    "log_space",
+    "nested_log_sup",
     "GROWTH_FACTOR",
     "RUN_LENGTH",
     "BOUNDED",
@@ -79,6 +81,29 @@ def ladder_cuts(n_min: int, n_max: int, levels: int = 8) -> list[int]:
     span = n_max - n_min
     cuts = sorted({n_min + math.ceil(k * span / levels) for k in range(1, levels + 1)})
     return cuts
+
+
+def log_space(lo: float, hi: float, per_decade: int) -> np.ndarray:
+    """Geometric grid from lo to hi with at least per_decade points per
+    decade (two points at least)."""
+    count = max(2, int(math.ceil(math.log10(hi / lo) * per_decade)) + 1)
+    return np.exp(np.linspace(math.log(lo), math.log(hi), count))
+
+
+def nested_log_sup(positions: np.ndarray, values: np.ndarray, levels: int = 4
+                   ) -> tuple[list[float], float, int]:
+    """Running sup of values over nested log-span windows of the positions,
+    expanding from the centre: (ladder levels, overall sup, index of the
+    sup)."""
+    logs = np.log(positions)
+    center = (logs.min() + logs.max()) / 2
+    half = (logs.max() - logs.min()) / 2 or 1.0
+    out = []
+    for j in range(1, levels + 1):
+        mask = np.abs(logs - center) <= half * j / levels
+        out.append(float(values[mask].max()) if mask.any() else 0.0)
+    best = int(np.argmax(values))
+    return out, float(values[best]), best
 
 
 def ladder_verdict(level_constants, growth_factor: float = GROWTH_FACTOR,

@@ -24,8 +24,9 @@ class InputSpace:
     beta: float | None = None
 
     def __post_init__(self):
+        # every range check is written so that NaN fails it
         if self.kind == "Lp":
-            if self.p is None or self.p <= 1:
+            if self.p is None or not self.p > 1:
                 raise ValueError(f"Lp space requires p > 1, got {self.p}")
         elif self.kind == "weightedL2":
             if self.measure is None:
@@ -35,9 +36,9 @@ class InputSpace:
             if self.alpha is None or not 0 <= self.alpha < 1:
                 raise ValueError(f"powerL2 weight exponent must lie in [0, 1), got {self.alpha}")
         elif self.kind == "sobolev":
-            if self.p is None or self.p <= 1:
+            if self.p is None or not self.p > 1:
                 raise ValueError(f"Sobolev space requires p > 1, got {self.p}")
-            if self.beta is None or self.beta <= 0:
+            if self.beta is None or not self.beta > 0:
                 raise ValueError(f"Sobolev smoothness must be positive, got {self.beta}")
         else:
             raise ValueError(f"unknown space kind {self.kind!r}")

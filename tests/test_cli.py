@@ -194,3 +194,26 @@ def test_json_outputs_are_strict_json(argv, manifest_suffix, stdout_is_json, hea
     for text in texts:
         manifest = json.loads(text, parse_constant=_reject_constant)
         assert manifest["reports"]
+
+
+@pytest.mark.parametrize("space", [
+    '{"kind":"Lp","p":NaN}',
+    '{"kind":"sobolev","p":3,"beta":NaN}',
+    '{"kind":"sobolev","p":NaN,"beta":0.5}',
+])
+def test_check_nan_exponent_is_usage_error(heat_file, capsys, space):
+    code = main(["check", "--system", heat_file, "--space", space, "--grid=-10:40"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "got nan" in err and "atom masses" not in err
+
+
+def test_sweep_nan_value_exits_before_any_row(heat_file, capsys, monkeypatch):
+    computed = []
+    monkeypatch.setattr("admiss.cli._sweep_row", lambda *args: computed.append(args))
+    code = main(["sweep", "--system", heat_file, "--space", '{"kind":"Lp","p":2}',
+                 "--param", "p", "--values", "nan,2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert computed == [] and captured.out == ""
+    assert "finite" in captured.err

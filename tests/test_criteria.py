@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from admiss import criteria
 from admiss.criteria import (
-    _log_space,
-    _nested_log_sup,
     _square_family_sup,
     c1_zen_carleson,
     c2_power_square,
@@ -30,7 +28,7 @@ from admiss.system_model import (
     heat_system,
     spectral_measure,
 )
-from admiss.report import ladder_cuts
+from admiss.report import ladder_cuts, log_space, nested_log_sup
 from admiss.zen_weight import bergman, hardy, weight
 
 DELTA_1 = AtomicMeasure(np.array([1 + 0j]), np.array([1.0]))
@@ -119,6 +117,7 @@ def test_c4_balayage_branch_present():
     assert "balayage_diagnostics" not in report.diagnostics
     report = c4_strip_summability(m, 4.0, 2.0)  # p' = 4/3 < 2: branch present
     assert "balayage_diagnostics" in report.diagnostics
+    assert {"abserr", "converged"} <= report.diagnostics["balayage_diagnostics"].keys()
     # the branch is diagnostics-only: the verdict comes from the strip sequence
     assert report.verdict == "bounded-evidence"
 
@@ -146,6 +145,53 @@ def test_c6_delta1_bounded():
     assert report.verdict == "bounded-evidence"
     expect = 2 * (math.sqrt(math.pi / 2) / math.pi)  # 2 * || (1/pi)/(1+t^2) ||_2
     assert report.constant == pytest.approx(expect, rel=1e-9)
+
+
+def test_c6_reports_quadrature_error():
+    report = c6_sobolev_balayage(DELTA_1, 4.0, 2.0, 1.0)
+    diag = report.diagnostics["balayage_diagnostics"]
+    assert diag["converged"] is True
+    assert 0 <= diag["abserr"] <= 1e-9 * report.constant
+
+
+def test_c6_unconverged_quadrature_is_inconclusive(monkeypatch):
+    from admiss import halfplane
+
+    # the narrow atom at 0.05 needs bisection beyond the first pass
+    m = AtomicMeasure(np.array([0.05 + 0j, 1 + 0.3j, 3 - 2j]), np.ones(3))
+    assert c6_sobolev_balayage(m, 4.0, 2.0, 1.0).verdict == "bounded-evidence"
+    monkeypatch.setattr(halfplane, "_GK_MAX_PANELS", 1)
+    report = c6_sobolev_balayage(m, 4.0, 2.0, 1.0)
+    assert report.diagnostics["balayage_diagnostics"]["converged"] is False
+    assert math.isfinite(report.constant)
+    assert report.verdict == "inconclusive"
+
+
+def test_c6_heat1d_matches_log_scale_reference():
+    # heat1d's 10^4 atoms share one height; the reference integrates
+    # S(e^u)^s e^u over u by scalar quad, with no breakpoints at all
+    from scipy.integrate import quad
+
+    from admiss.halfplane import balayage
+
+    mu = spectral_measure(heat_system(10_000))
+    report = c6_sobolev_balayage(mu, 3.0, 2.0, 0.5)
+    assert report.verdict == "bounded-evidence"
+    assert report.diagnostics["balayage_diagnostics"]["converged"] is True
+    m = mu.transformed(criteria._sobolev_factors(mu, 2.0, 0.5))
+    f = lambda u: balayage(m, math.exp(u)) ** 3 * math.exp(u)  # noqa: E731
+    half = sum(quad(f, u, u + 4, epsabs=0, epsrel=1e-12, limit=200)[0]
+               for u in range(-40, 60, 4))
+    half += balayage(m, 0.0) ** 3 * math.exp(-40)
+    assert report.constant == pytest.approx((2 * half) ** (1 / 3), rel=1e-9)
+
+
+def test_c6_p_near_q_does_not_raise():
+    # s = p / (p - q) = 4001: S^s underflows to 0 at every node
+    report = c6_sobolev_balayage(DELTA_1, 2.0005, 2.0, 1.0)
+    diag = report.diagnostics["balayage_diagnostics"]
+    assert math.isfinite(report.constant)
+    assert diag["converged"] is True and math.isfinite(diag["abserr"])
 
 
 def test_c6_is_one_sided():
@@ -328,14 +374,14 @@ def _dense_r1(sys, zen, n_res, points_per_decade=8):
     lam_sys = np.asarray(sys.eigenvalues, dtype=complex)
     b_sq = np.abs(np.asarray(sys.coeffs, dtype=complex)) ** 2
     x = (-lam_sys).real
-    re_grid = _log_space(x.min() / 100, x.max() * 100, points_per_decade)
+    re_grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
     im_mag = np.concatenate(([0.0], re_grid[:: max(1, len(re_grid) // 12)]))
     im_grid = np.unique(np.concatenate((-im_mag, im_mag)))
     lam_re = np.repeat(re_grid, im_grid.size)
     lam = lam_re + 1j * np.tile(im_grid, re_grid.size)
     num = np.abs(lam[:, None] - lam_sys[None, :]) ** (-2 * n_res) @ b_sq
     den = np.repeat([wf.poly_exp_moment(2 * n_res - 2, 2 * r) for r in re_grid], im_grid.size)
-    levels, constant, best = _nested_log_sup(lam_re, num / den)
+    levels, constant, best = nested_log_sup(lam_re, num / den)
     return levels, constant, [float(lam[best].real), float(lam[best].imag)]
 
 
@@ -343,9 +389,9 @@ def _dense_r7(sys, alpha, points_per_decade=10):
     lam_sys = np.asarray(sys.eigenvalues, dtype=complex)
     b_sq = np.abs(np.asarray(sys.coeffs, dtype=complex)) ** 2
     x = (-lam_sys).real
-    grid = _log_space(x.min() / 100, x.max() * 100, points_per_decade)
+    grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
     num = np.sqrt(np.abs(grid[:, None] - lam_sys[None, :]) ** (2 * alpha - 2) @ b_sq)
-    levels, constant, best = _nested_log_sup(grid, num / grid ** ((alpha - 1) / 2))
+    levels, constant, best = nested_log_sup(grid, num / grid ** ((alpha - 1) / 2))
     return levels, constant, float(grid[best])
 
 
@@ -376,3 +422,13 @@ def test_blocked_resolvent_sums_match_dense(make_system, block_rows, monkeypatch
         assert report.diagnostics["levels"] == pytest.approx(levels, rel=1e-12)
         assert report.constant == pytest.approx(constant, rel=1e-12)
         assert report.witness["lambda"] == witness
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "Lp", "p": math.nan},
+    {"kind": "sobolev", "p": math.nan, "beta": 0.5},
+    {"kind": "sobolev", "p": 3.0, "beta": math.nan},
+])
+def test_input_space_rejects_nan_exponents(kwargs):
+    with pytest.raises(ValueError):
+        InputSpace(**kwargs)

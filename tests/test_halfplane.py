@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
+from admiss import halfplane
 from admiss.halfplane import (
     CarlesonSquare,
     balayage,
@@ -93,6 +96,127 @@ def test_balayage_norm_scaling():
         m = AtomicMeasure(np.array([big_r + 0j]), np.array([1.0]))
         val, _ = balayage_norm(m, 0.0, 2.0)
         assert val == pytest.approx(base / math.sqrt(big_r), rel=1e-9)
+
+
+def test_gauss_kronrod_rule():
+    # K21 is exact to degree 31; the embedded rule is the 10-point Gauss rule
+    nodes, kronrod, gauss = halfplane._GK_NODES, *halfplane._GK_WEIGHTS.T
+    for degree in range(32):
+        exact = 0.0 if degree % 2 else 2 / (degree + 1)
+        assert (kronrod * nodes**degree).sum() == pytest.approx(exact, abs=1e-15)
+    g_nodes, g_weights = leggauss(10)
+    np.testing.assert_allclose(nodes[gauss > 0], g_nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(gauss[gauss > 0], g_weights, rtol=0, atol=1e-15)
+
+
+def _quad_with_breaks(f, lo, hi, breaks):
+    """Reference for _integrate_with_breaks: scalar quad on every panel
+    between the breakpoints, f called one node at a time."""
+    pts = np.unique(np.concatenate(([lo, hi], breaks[(breaks > lo) & (breaks < hi)])))
+    scalar = lambda t: float(f(np.array([t]))[0])  # noqa: E731
+    parts = [quad(scalar, a, b, epsabs=1e-15, epsrel=1e-13, limit=400)
+             for a, b in zip(pts[:-1], pts[1:])]
+    return sum(v for v, _ in parts), sum(e for _, e in parts), True
+
+
+def _random_measure(rng):
+    """Atoms on a coarse height lattice (shared heights, atoms at y = 0 on
+    the breakpoint there) with x over three decades; some masses are zero,
+    one of them on the boundary line."""
+    n = int(rng.integers(1, 12))
+    x = 10.0 ** rng.uniform(-2, 1, n)
+    y = rng.integers(-4, 5, n) * 0.5
+    masses = np.where(rng.random(n) < 0.25, 0.0, 10.0 ** rng.uniform(-1, 1, n))
+    masses[0] = 1.0
+    return AtomicMeasure(np.append(x + 1j * y, 0.5j), np.append(masses, 0.0))
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 0.3])
+@pytest.mark.parametrize("seed", range(6))
+def test_gauss_kronrod_matches_quad_reference(seed, a):
+    rng = np.random.default_rng(seed)
+    m = _random_measure(rng)
+    s = 1.5 if a < 0 else float(rng.choice([1.5, 2.0, 3.0]))
+    s0 = balayage(m, 0.0)
+    integrand = halfplane._norm_integrand(m, a, s, s0)
+    breaks = np.append(m.locations.imag, 0.0)
+    got, err, converged = halfplane._integrate_with_breaks(integrand, -40.0, 40.0, breaks)
+    want, _, _ = _quad_with_breaks(integrand, -40.0, 40.0, breaks)
+    assert converged and err >= 0
+    assert got == pytest.approx(want, rel=1e-10)
+    # the whole norm, with the quad reference swapped in for the integrator
+    value, diag = balayage_norm(m, a, s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halfplane, "_integrate_with_breaks", _quad_with_breaks)
+        reference, _ = balayage_norm(m, a, s)
+    assert diag["converged"]
+    assert value == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("x", 10.0 ** np.arange(-6, 7))
+def test_balayage_norm_single_atom_closed_form(x):
+    # || P_x ||_2^2 = integral of (x / (pi (x^2 + t^2)))^2 dt = 1 / (2 pi x)
+    m = AtomicMeasure(np.array([x + 0j]), np.array([1.0]))
+    val, diag = balayage_norm(m, 0.0, 2.0)
+    assert val == pytest.approx((2 * math.pi * x) ** -0.5, rel=1e-10)
+    assert diag["converged"] and diag["abserr"] <= 1e-10 * val
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, -0.5])
+def test_norm_integrand_matches_scalar_form(a):
+    # the scalar integrand the array form replaced, t = 0 branch included
+    m = AtomicMeasure(np.array([1 + 0j, 0.2 - 3j, 4 + 1j]), np.array([1.0, 0.5, 2.0]))
+    s = 1.5
+    s0 = balayage(m, 0.0)
+
+    def scalar(t):
+        if t == 0.0:
+            return s0**s if a == 0 else 0.0
+        return (abs(t) ** a * balayage(m, t)) ** s
+
+    t = np.array([0.0, -0.0, 0.7, -2.5, 1e-9, 1e6])
+    got = halfplane._norm_integrand(m, a, s, s0)(t)
+    np.testing.assert_allclose(got, [scalar(v) for v in t], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("x", [1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+@pytest.mark.parametrize("separation", [1.0, 1e1, 1e2, 1e3, 1e4])
+def test_balayage_narrow_far_apart_atoms(x, separation):
+    # a peak of width x at the end of a panel of length ~separation once
+    # fell between all 21 nodes, so the panel was accepted with K = G = 0
+    m = AtomicMeasure(np.array([x + 0j, x + 1j * separation]), np.array([1.0, 1.0]))
+    assert balayage_integral(m) == pytest.approx(2.0, rel=1e-8)
+    # ||P_x||^2 = 1/(2 pi x) each, cross term <P_x, P_x(. - d)> = P_2x(d)
+    cross = (2 * x / math.pi) / (4 * x * x + separation**2)
+    expect = math.sqrt(2 / (2 * math.pi * x) + 2 * cross)
+    assert balayage_norm(m, 0.0, 2.0)[0] == pytest.approx(expect, rel=1e-9)
+
+
+@pytest.mark.parametrize("separation", [1.0, 1e2, 1e4])
+def test_balayage_wide_and_narrow_atoms_at_one_height(separation):
+    # the seeds around a height follow its narrowest atom; the wider atom
+    # there must still be resolved
+    z = np.array([1e-4 + 0j, 1.0 + 0j, 3e-3 + 1j * separation])
+    w = np.array([1.0, 2.0, 0.5])
+    m = AtomicMeasure(z, w)
+    assert balayage_integral(m) == pytest.approx(w.sum(), rel=1e-8)
+    # <P_a(. - c), P_b(. - d)> = P_(a + b)(c - d)
+    width = z.real[:, None] + z.real
+    gram = width / math.pi / (width**2 + (z.imag[:, None] - z.imag) ** 2)
+    assert balayage_norm(m, 0.0, 2.0)[0] == pytest.approx(math.sqrt(w @ gram @ w), rel=1e-9)
+
+
+def test_height_seeds_grow_with_heights_not_atoms():
+    # heat1d's atoms share the height 0: one geometric ladder each way
+    m = spectral_measure(heat_system(10_000))
+    assert halfplane._height_seeds(m, -1e12, 1e12).size <= 2 * math.ceil(math.log2(1e12 / math.pi**2))
+
+
+def test_balayage_integral_warns_when_unconverged(monkeypatch):
+    monkeypatch.setattr(halfplane, "_GK_MAX_PANELS", 1)
+    m = AtomicMeasure(np.array([0.05 + 0j, 1 + 0.3j]), np.ones(2))
+    with pytest.warns(UserWarning, match="unconverged"):
+        balayage_integral(m)
 
 
 def test_balayage_norm_divergence_detection():
