@@ -11,7 +11,9 @@ from admiss.system_model import (
     spectral_measure,
 )
 from admiss.zen_weight import RadialMeasure, WeightFunction, delta2_constant, nu_square_mass, weight
-from admiss.criteria import CriterionReport, InputSpace, dispatch
+from admiss.criteria import dispatch
+from admiss.report import CriterionReport
+from admiss.spaces import InputSpace
 
 __version__ = "0.1.0"
 

@@ -20,28 +20,16 @@ import sys
 import time
 from importlib.metadata import PackageNotFoundError, version
 
-from admiss.criteria import (
-    DEFAULT_N_RANGE,
-    c1_zen_carleson,
-    c2_power_square,
-    c4_strip_summability,
-    c5_sobolev_square,
-    c6_sobolev_balayage,
-    c7_halfsquare,
-    c8_shifted_carleson,
-    dispatch,
-    r1_resolvent,
-    r7_fractional_resolvent,
-)
+from admiss.criteria import DEFAULT_N_RANGE, REGISTRY, dispatch, run_criterion
 from admiss.laplace_oracle import (
     TestFunction,
     empirical_ratio,
     isometry_check,
     kernel_condition_sweep,
 )
-from admiss.report import BOUNDED, INCONCLUSIVE, UNBOUNDED, CriterionReport
+from admiss.report import BOUNDED, UNBOUNDED, CriterionReport
 from admiss.spaces import InputSpace, load_space
-from admiss.system_model import DiagonalSystem, load_system, spectral_measure
+from admiss.system_model import DiagonalSystem, load_system
 from admiss.zen_weight import load_radial_measure
 
 EXIT_BOUNDED = 0
@@ -97,51 +85,12 @@ def _thread_count() -> int:
     return count
 
 
-def _run_single_criterion(name: str, system: DiagonalSystem, space: InputSpace,
-                          n_range) -> list[CriterionReport]:
-    mu = spectral_measure(system)
-    if name == "C1":
-        return [c1_zen_carleson(mu, _require(space, "weightedL2").measure, n_range)]
-    if name == "R1":
-        return [r1_resolvent(system, _require(space, "weightedL2").measure)]
-    if name in ("C2", "C3"):
-        sp = _require(space, "Lp")
-        return [c2_power_square(mu, sp.p, system.q, symmetric_only=name == "C3",
-                                n_range=n_range)]
-    if name == "C4":
-        sp = _require(space, "Lp")
-        return [c4_strip_summability(mu, sp.p, system.q, n_range=n_range)]
-    if name == "C5":
-        sp = _require(space, "sobolev")
-        return [c5_sobolev_square(mu, sp.p, system.q, sp.beta, n_range=n_range)]
-    if name == "C6":
-        sp = _require(space, "sobolev")
-        return [c6_sobolev_balayage(mu, sp.p, system.q, sp.beta)]
-    if name == "C7":
-        return [c7_halfsquare(mu, _require(space, "powerL2").alpha, n_range=n_range)]
-    if name == "R7":
-        return [r7_fractional_resolvent(system, _require(space, "powerL2").alpha)]
-    if name == "C8":
-        return [c8_shifted_carleson(mu, _require(space, "sobolev").beta, n_range=n_range)]
-    raise ValueError(f"unknown criterion {name!r}")
-
-
-def _require(space: InputSpace, kind: str) -> InputSpace:
-    if space.kind != kind:
-        raise ValueError(f"criterion applies to {kind} spaces, got {space.kind}")
-    return space
-
-
-def _combined_verdict(reports: list[CriterionReport]) -> str:
-    for r in reports:
-        if r.criterion == "summary":
-            return r.verdict
-    verdicts = {r.verdict for r in reports}
-    if UNBOUNDED in verdicts:
-        return UNBOUNDED
-    if verdicts == {BOUNDED}:
-        return BOUNDED
-    return INCONCLUSIVE
+def _evaluate(system: DiagonalSystem, space: InputSpace, criterion: str,
+              grid) -> list[CriterionReport]:
+    """Every applicable criterion and the summary (``auto``), or the one named."""
+    if criterion == "auto":
+        return dispatch(system, space, n_range=grid)
+    return [run_criterion(criterion, system, space, grid)]
 
 
 def _manifest(args, inputs: dict, reports: list[CriterionReport], extra: dict | None = None) -> dict:
@@ -185,11 +134,16 @@ def _to_json(manifest: dict) -> str:
     return json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)
 
 
+def _write(path: str | None, text: str) -> None:
+    """The one ``--out`` write; no path, no file."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _emit(manifest: dict, reports: list[CriterionReport], fmt: str, out_path: str | None) -> None:
     payload = _to_json(manifest)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload + "\n")
+    _write(out_path, payload + "\n")
     if fmt == "json":
         print(payload)
     elif fmt == "table":
@@ -215,32 +169,25 @@ def cmd_check(args) -> int:
     system, system_entry = _load_system_arg(args)
     space_config, space_entry = _load_json_arg(args.space)
     space = load_space(space_config)
-    if args.criterion == "auto":
-        reports = dispatch(system, space, n_range=args.grid)
-    else:
-        reports = _run_single_criterion(args.criterion, system, space, args.grid)
+    reports = _evaluate(system, space, args.criterion, args.grid)
     manifest = _manifest(args, {"system": system_entry, "space": space_entry}, reports,
                          {"criterion": args.criterion})
     _emit(manifest, reports, args.format, args.out)
-    verdict = _combined_verdict(reports)
-    return _VERDICT_EXIT.get(verdict, EXIT_INCONCLUSIVE)
+    # the last report is dispatch's summary or the single criterion's own
+    return _VERDICT_EXIT.get(reports[-1].verdict, EXIT_INCONCLUSIVE)
 
 
 def _sweep_row(system, space_config, param, value, criterion, grid):
     config = dict(space_config)
     config[param] = value
     try:
-        space = load_space(config)
-        if criterion == "auto":
-            reports = dispatch(system, space, n_range=grid)
-        else:
-            reports = _run_single_criterion(criterion, system, space, grid)
+        reports = _evaluate(system, load_space(config), criterion, grid)
     except (ValueError, KeyError) as exc:
         return [(value, "error", "-", f"error: {exc}")], []
     rows = [(value, r.criterion, _format_constant(r.constant), r.verdict)
             for r in reports if r.criterion not in ("summary", "none")]
     if not rows:
-        rows = [(value, "none", "-", _combined_verdict(reports))]
+        rows = [(value, "none", "-", reports[-1].verdict)]
     return rows, [r.to_json() for r in reports]
 
 
@@ -266,25 +213,12 @@ def cmd_sweep(args) -> int:
         writer.writerow(row)
     csv_text = buf.getvalue()
 
-    manifest = {
-        "tool_version": _tool_version(),
-        "command": "sweep",
-        "inputs": {"system": system_entry, "space": space_entry},
-        "param": args.param,
-        "values": values,
-        "criterion": args.criterion,
-        "grid": list(args.grid),
-        "seed": args.seed,
-        "modes": args.modes,
-        "wall_clock": time.time(),
-        "reports": all_reports,
-    }
+    manifest = _manifest(args, {"system": system_entry, "space": space_entry}, [],
+                         {"param": args.param, "values": values, "criterion": args.criterion,
+                          "reports": all_reports})
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-        manifest_path = args.out + ".manifest.json"
-        with open(manifest_path, "w") as fh:
-            fh.write(_to_json(manifest) + "\n")
+        _write(args.out, csv_text)
+        _write(args.out + ".manifest.json", _to_json(manifest) + "\n")
     if args.format == "json":
         print(_to_json(manifest))
     else:
@@ -316,7 +250,7 @@ def cmd_oracle(args) -> int:
             {"preset": args.isometry, "dictionary": "poly_exp N=2..6, lam=1"}))
         print(f"isometry self-test ({args.isometry}): max relative error {worst:.3e}")
         manifest = _manifest(args, inputs, reports, {"mode": "isometry"})
-        _emit_manifest_only(manifest, args.out)
+        _write(args.out, _to_json(manifest) + "\n")
         return EXIT_BOUNDED if worst < 1e-6 else EXIT_INCONCLUSIVE
 
     space_config, space_entry = _load_json_arg(args.space)
@@ -334,26 +268,19 @@ def cmd_oracle(args) -> int:
     return EXIT_BOUNDED
 
 
-def _emit_manifest_only(manifest: dict, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(_to_json(manifest) + "\n")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="admiss",
         description="Admissibility and controllability tests for diagonal semigroup systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, space_required=True):
+    def common(p, oracle=False):
         p.add_argument("--system", required=True, help="system JSON file or inline JSON")
-        p.add_argument("--space", required=space_required, help="space JSON file or inline JSON")
-        p.add_argument("--criterion", default="auto",
-                       choices=["auto", "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8",
-                                "R1", "R7"])
-        p.add_argument("--grid", type=_parse_grid, default=DEFAULT_N_RANGE,
-                       metavar="N_MIN:N_MAX")
+        p.add_argument("--space", required=not oracle, help="space JSON file or inline JSON")
+        if not oracle:
+            p.add_argument("--criterion", default="auto", choices=["auto", *REGISTRY])
+            p.add_argument("--grid", type=_parse_grid, default=DEFAULT_N_RANGE,
+                           metavar="N_MIN:N_MAX")
         p.add_argument("--modes", type=int, default=None,
                        help="override the mode truncation K")
         p.add_argument("--seed", type=int, default=0)
@@ -371,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="embedding lower bounds and self-tests")
-    common(p_oracle, space_required=False)
+    common(p_oracle, oracle=True)
     p_oracle.add_argument("--mix-size", type=int, default=16, metavar="M")
     p_oracle.add_argument("--isometry", default=None, metavar="PRESET",
                           help="run the quadrature isometry self-test for a weight preset")

@@ -10,12 +10,13 @@ the theorem it implements rather than extrapolating.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 from admiss.halfplane import _BLOCK_ENTRIES as _KERNEL_BLOCK_ENTRIES
 from admiss.halfplane import balayage_norm, strip_masses
-from admiss.laplace_oracle import kernel_condition_sweep  # noqa: F401  (re-export)
 from admiss.report import (
     BOUNDED,
     INCONCLUSIVE,
@@ -26,7 +27,7 @@ from admiss.report import (
     log_space,
     nested_log_sup,
 )
-from admiss.spaces import InputSpace, dual_space, load_space  # noqa: F401  (re-export)
+from admiss.spaces import InputSpace, dual_space
 from admiss.system_model import (
     AtomicMeasure,
     DiagonalSystem,
@@ -37,8 +38,6 @@ from admiss.system_model import (
 from admiss.zen_weight import RadialMeasure, nu_square_mass, weight
 
 __all__ = [
-    "InputSpace",
-    "CriterionReport",
     "c1_zen_carleson",
     "r1_resolvent",
     "resolvent_ratio",
@@ -50,6 +49,9 @@ __all__ = [
     "c7_halfsquare",
     "r7_fractional_resolvent",
     "c8_shifted_carleson",
+    "Criterion",
+    "REGISTRY",
+    "run_criterion",
     "dispatch",
     "observation_dispatch",
     "DEFAULT_N_RANGE",
@@ -180,16 +182,9 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure, resolvent_power: int |
     if sys.q != 2:
         raise ValueError("resolvent criterion R1 is stated for q = 2")
     wf = weight(zen)
-    if resolvent_power is None:
-        n_res = 2
-        while math.isinf(wf.poly_exp_moment(2 * n_res - 2, 1.0)):
-            n_res += 1
-            if n_res > 64:
-                raise ValueError("no convergent resolvent power for this weight")
-    else:
-        n_res = resolvent_power
-        if n_res < 1 or math.isinf(wf.poly_exp_moment(2 * n_res - 2, 1.0)):
-            raise ValueError("kernel moment diverges for this weight: increase N")
+    n_res = wf.resolvent_power() if resolvent_power is None else resolvent_power
+    if n_res < 1 or math.isinf(wf.poly_exp_moment(2 * n_res - 2, 1.0)):
+        raise ValueError("kernel moment diverges for this weight: increase N")
 
     x = -sys.eigenvalues.real
     re_grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
@@ -419,60 +414,118 @@ def c8_shifted_carleson(m: AtomicMeasure, beta: float,
                            {"levels": levels, "beta": beta, "n_range": list(n_range)})
 
 
-def _no_characterization(space: InputSpace, reason: str) -> CriterionReport:
-    return CriterionReport("none", math.nan, {}, "no characterization known",
-                           {"space": space.describe(), "reason": reason})
+class Criterion(NamedTuple):
+    """One theorem: the space kind it answers, its hypotheses in words and as
+    a predicate of (space, q, sectorial), and a runner of
+    (system, mu, space, n_range)."""
+
+    kind: str
+    hypothesis: str
+    applies: Callable[[InputSpace, float, bool], bool]
+    run: Callable[[DiagonalSystem, AtomicMeasure, InputSpace, tuple], CriterionReport]
+
+
+# In dispatch order.  The runners look the criteria up by their names in this
+# module at call time, so a wrapper bound to those names (a tracer, a
+# profiler) also wraps the registry's calls.
+REGISTRY: dict[str, Criterion] = {
+    "C2": Criterion(
+        "Lp", "p <= 2 and p' <= q",
+        lambda sp, q, sectorial: sp.p <= 2 and sp.p / (sp.p - 1) <= q,
+        lambda sys, mu, sp, n: c2_power_square(mu, sp.p, sys.q, symmetric_only=False, n_range=n)),
+    "C3": Criterion(
+        "Lp", "a sectorial measure and 1 < p <= q",
+        lambda sp, q, sectorial: sectorial and 1 < sp.p <= q,
+        lambda sys, mu, sp, n: c2_power_square(mu, sp.p, sys.q, symmetric_only=True, n_range=n)),
+    "C4": Criterion(
+        "Lp", "a sectorial measure and q < p",
+        lambda sp, q, sectorial: sectorial and q < sp.p,
+        lambda sys, mu, sp, n: c4_strip_summability(mu, sp.p, sys.q, n_range=n)),
+    "C1": Criterion(
+        "weightedL2", "a doubling radial measure (checked by the criterion)",
+        lambda sp, q, sectorial: True,
+        lambda sys, mu, sp, n: c1_zen_carleson(mu, sp.measure, n_range=n)),
+    "R1": Criterion(
+        "weightedL2", "q = 2",
+        lambda sp, q, sectorial: q == 2,
+        lambda sys, mu, sp, n: r1_resolvent(sys, sp.measure)),
+    "C7": Criterion(
+        "powerL2", "a sectorial measure and q = 2",
+        lambda sp, q, sectorial: sectorial and q == 2,
+        lambda sys, mu, sp, n: c7_halfsquare(mu, sp.alpha, n_range=n)),
+    "R7": Criterion(
+        "powerL2", "a sectorial measure and q = 2",
+        lambda sp, q, sectorial: sectorial and q == 2,
+        lambda sys, mu, sp, n: r7_fractional_resolvent(sys, sp.alpha)),
+    "C5": Criterion(
+        "sobolev", "a sectorial measure and 1 < p <= q",
+        lambda sp, q, sectorial: sectorial and 1 < sp.p <= q,
+        lambda sys, mu, sp, n: c5_sobolev_square(mu, sp.p, sys.q, sp.beta, n_range=n)),
+    "C6": Criterion(
+        "sobolev", "a sectorial measure and q < p",
+        lambda sp, q, sectorial: sectorial and q < sp.p,
+        lambda sys, mu, sp, n: c6_sobolev_balayage(mu, sp.p, sys.q, sp.beta)),
+    "C8": Criterion(
+        "sobolev", "p = q = 2",
+        lambda sp, q, sectorial: sp.p == 2 and q == 2,
+        lambda sys, mu, sp, n: c8_shifted_carleson(mu, sp.beta, n_range=n)),
+}
+
+# Reason recorded when no registered criterion applies to a space of this kind
+# (a weightedL2 space always has C1).
+_NO_CHARACTERIZATION = {
+    "Lp": "no known full characterization for this exponent configuration",
+    "powerL2": "power-scale criteria need a sectorial measure and q = 2",
+    "sobolev": "Sobolev criteria need a sectorial measure (or p = q = 2)",
+}
+
+
+def _measure_and_sector(sys: DiagonalSystem) -> tuple[AtomicMeasure, bool]:
+    """The spectral measure and the sector gate: max |arg z| over its
+    positive-mass atoms is below pi/2."""
+    mu = spectral_measure(sys)
+    return mu, max_sector_angle(mu) < math.pi / 2
+
+
+def run_criterion(name: str, sys: DiagonalSystem, space: InputSpace,
+                  n_range=DEFAULT_N_RANGE) -> CriterionReport:
+    """Run the registered criterion ``name``; a space of another kind, or a
+    system and space outside its hypotheses, raises ValueError."""
+    entry = REGISTRY[name]
+    if space.kind != entry.kind:
+        raise ValueError(f"criterion {name} applies to {entry.kind} spaces, got {space.kind}")
+    mu, sectorial = _measure_and_sector(sys)
+    if not entry.applies(space, sys.q, sectorial):
+        raise ValueError(
+            f"hypothesis violated: {name} needs {entry.hypothesis}, got q = {sys.q:g} "
+            f"and {space.describe()} on a {'' if sectorial else 'non-'}sectorial measure")
+    return entry.run(sys, mu, space, n_range)
 
 
 def dispatch(sys: DiagonalSystem, space: InputSpace,
              n_range=DEFAULT_N_RANGE) -> list[CriterionReport]:
-    """Route to every criterion whose hypotheses match the system and space,
-    run them all, and flag cross-criterion disagreements in the diagnostics of
-    a trailing summary report."""
-    mu = spectral_measure(sys)
-    theta = max_sector_angle(mu)
-    sectorial = theta < math.pi / 2
-    q = sys.q
-    reports: list[CriterionReport] = []
+    """Run every criterion of ``REGISTRY`` whose space kind and hypotheses
+    match the system and space, in registry order, and flag cross-criterion
+    disagreements in the diagnostics of a trailing summary report.
 
-    if space.kind == "Lp":
-        p = space.p
-        p_conj = p / (p - 1)
-        if p <= 2 and p_conj <= q:
-            reports.append(c2_power_square(mu, p, q, symmetric_only=False, n_range=n_range))
-        if sectorial and 1 < p <= q:
-            reports.append(c2_power_square(mu, p, q, symmetric_only=True, n_range=n_range))
-        if sectorial and q < p:
-            reports.append(c4_strip_summability(mu, p, q, n_range=n_range))
-        if not reports:
-            reason = ("no known full characterization for this exponent "
-                      "configuration" + ("" if sectorial else " without sectorial support"))
-            reports.append(_no_characterization(space, reason))
-    elif space.kind == "weightedL2":
-        reports.append(c1_zen_carleson(mu, space.measure, n_range=n_range))
-        if q == 2:
-            reports.append(r1_resolvent(sys, space.measure))
-    elif space.kind == "powerL2":
-        if sectorial and q == 2:
-            reports.append(c7_halfsquare(mu, space.alpha, n_range=n_range))
-            reports.append(r7_fractional_resolvent(sys, space.alpha))
-        else:
-            reports.append(_no_characterization(
-                space, "power-scale criteria need a sectorial measure and q = 2"))
-    elif space.kind == "sobolev":
-        p, beta = space.p, space.beta
-        if sectorial and p <= q and p > 1:
-            reports.append(c5_sobolev_square(mu, p, q, beta, n_range=n_range))
-        if sectorial and q < p:
-            reports.append(c6_sobolev_balayage(mu, p, q, beta))
-        if p == 2 and q == 2:
-            reports.append(c8_shifted_carleson(mu, beta, n_range=n_range))
-        if not reports:
-            reports.append(_no_characterization(
-                space, "Sobolev criteria need a sectorial measure (or p = q = 2)"))
-    else:
+    The sector gate tests max |arg z| < pi/2 over the positive-mass atoms of
+    the spectral measure, as computed in floating point.  Every finite system
+    passes it in exact arithmetic (Re lambda_k < 0); it fails only where
+    rounding puts an atom's angle at pi/2 (|Im lambda_k| / |Re lambda_k|
+    beyond about 1e16), so it does not test the uniform sector the
+    analytic-semigroup theorems assume for the whole spectrum.
+    """
+    if space.kind not in {c.kind for c in REGISTRY.values()}:
         raise ValueError(f"unknown space kind {space.kind!r}")
-
+    mu, sectorial = _measure_and_sector(sys)
+    reports = [c.run(sys, mu, space, n_range) for c in REGISTRY.values()
+               if c.kind == space.kind and c.applies(space, sys.q, sectorial)]
+    if not reports:
+        reason = _NO_CHARACTERIZATION[space.kind]
+        if space.kind == "Lp" and not sectorial:
+            reason += " without sectorial support"
+        reports.append(CriterionReport("none", math.nan, {}, "no characterization known",
+                                       {"space": space.describe(), "reason": reason}))
     reports.append(_summary(reports))
     return reports
 

@@ -26,7 +26,7 @@ from admiss.report import (
 )
 from admiss.spaces import InputSpace
 from admiss.system_model import DiagonalSystem
-from admiss.zen_weight import RadialMeasure, WeightFunction, weight
+from admiss.zen_weight import RadialMeasure, WeightFunction
 
 __all__ = [
     "TestFunction",
@@ -126,29 +126,6 @@ def laplace_at(f: TestFunction, z) -> np.ndarray | complex:
                 raise ValueError("pole: lam + z = 0")
             out += c * gamma(n) / shifted**n
     return out if np.ndim(z) else complex(out[0])
-
-
-def _measure_moment(m: RadialMeasure, power: float, decay: complex) -> complex:
-    """Integral of t^power e^(-decay t) w(t) dt for the weight of ``m``,
-    complex decay with positive real part.  Returns inf on divergence at 0."""
-    if decay.real <= 0:
-        raise ValueError("decay must have positive real part")
-    total = 0j
-    if (m.atom_at_zero > 0 or any(mass > 0 for _, mass in m.atoms)) and power <= -1:
-        return complex(math.inf)
-    if m.atom_at_zero > 0:
-        total += 2 * math.pi * m.atom_at_zero * gamma(power + 1) / decay ** (power + 1)
-    for r, mass in m.atoms:
-        if mass > 0:
-            total += 2 * math.pi * mass * gamma(power + 1) / (decay + 2 * r) ** (power + 1)
-    if m.has_density:
-        a = m.density_alpha
-        eff = power - (a + 1)
-        if eff <= -1:
-            return complex(math.inf)
-        total += (2 * math.pi * m.density_scale * gamma(a + 1) * 2 ** (-(a + 1))
-                  * gamma(eff + 1) / decay ** (eff + 1))
-    return total
 
 
 def _pair_sum_norm_sq(f: TestFunction, moment) -> float:
@@ -264,11 +241,11 @@ def space_norm(f: TestFunction, space: InputSpace) -> float:
     if space.kind == "Lp":
         return _single_lp_norm(f, space.p)
     if space.kind == "weightedL2":
-        m = space.measure
+        wf = WeightFunction(space.measure, "unchecked")
         if f.kind == "power_exp":
-            val = _measure_moment(m, -2 * f.alpha, 2 * f.lam.real)
-            return math.sqrt(float(val.real)) if not math.isinf(abs(val)) else math.inf
-        sq = _pair_sum_norm_sq(f, lambda power, decay: _measure_moment(m, power, decay))
+            val = wf.poly_exp_moment(-2 * f.alpha, 2 * f.lam.real)
+            return math.inf if math.isinf(val) else math.sqrt(val)
+        sq = _pair_sum_norm_sq(f, wf.poly_exp_moment)
         return math.inf if math.isinf(sq) else math.sqrt(sq)
     if space.kind == "powerL2":
         a = space.alpha
@@ -314,7 +291,7 @@ def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
     if space.kind == "Lp" or space.kind == "sobolev":
         kernels = [TestFunction.exp(z) for z in grid]
     elif space.kind == "weightedL2":
-        n = _default_resolvent_power(space.measure, minimum=1)
+        n = WeightFunction(space.measure, "unchecked").resolvent_power(minimum=1)
         kernels = [TestFunction.poly_exp(n, z) for z in grid]
     elif space.kind == "powerL2":
         kernels = [TestFunction.power_exp(space.alpha, z) for z in grid]
@@ -359,15 +336,6 @@ def _dyadic_kernel_sequence(sys: DiagonalSystem, space: InputSpace) -> Criterion
         verdict=ladder_verdict(levels),
         diagnostics={"levels": levels, "sequence_exponent": s},
     )
-
-
-def _default_resolvent_power(m: RadialMeasure, minimum: int = 2) -> int:
-    """Smallest N >= minimum making the kernel-moment integral converge."""
-    for n in range(minimum, minimum + 64):
-        wf = WeightFunction(m, "probe")
-        if not math.isinf(wf.poly_exp_moment(2 * n - 2, 1.0)):
-            return n
-    raise ValueError("no convergent kernel power found for this weight")
 
 
 def zen_norm_by_quadrature(zen: RadialMeasure, f: TestFunction) -> float:

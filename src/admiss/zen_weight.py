@@ -111,7 +111,8 @@ class WeightFunction:
 
     provenance is "hardy" for a pure Dirac at 0, "bergman-<alpha>" for a pure
     power density, "mixture" for closed-form sums, "quadrature" when the
-    fallback integrator produced the values.
+    fallback integrator produced the values, and "unchecked" for a rule built
+    without the doubling check of ``weight`` (the oracle's closed-form norms).
     """
 
     measure: RadialMeasure
@@ -144,19 +145,22 @@ class WeightFunction:
             total += 2 * math.pi * m.density_scale * val
         return total
 
-    def poly_exp_moment(self, power: float, decay_rate: float) -> float:
-        """Closed form for integral of t^power * exp(-decay_rate * t) * w(t) dt.
+    def poly_exp_moment(self, power: float, decay_rate: float | complex) -> float | complex:
+        """Closed form for integral of t^power * exp(-decay_rate * t) * w(t) dt,
+        Re decay_rate > 0.  The arithmetic follows the type of ``decay_rate``:
+        a real rate gives a float, a complex rate a complex.
 
         Returns inf (with no exception) when a component makes the integral
-        diverge at t -> 0; the t -> inf end always converges for decay_rate > 0.
+        diverge at t -> 0; the t -> inf end always converges for Re decay_rate > 0.
         """
-        if decay_rate <= 0:
-            raise ValueError("decay rate must be positive")
+        if decay_rate.real <= 0:
+            raise ValueError("decay rate must have positive real part")
+        inf = complex(math.inf) if isinstance(decay_rate, complex) else math.inf
         m = self.measure
         total = 0.0
         if m.atom_at_zero > 0 or any(mass > 0 for _, mass in m.atoms):
             if power <= -1:
-                return math.inf
+                return inf
         if m.atom_at_zero > 0:
             total += 2 * math.pi * m.atom_at_zero * gamma(power + 1) / decay_rate ** (power + 1)
         for r, mass in m.atoms:
@@ -166,10 +170,18 @@ class WeightFunction:
             a = m.density_alpha
             eff = power - (a + 1)
             if eff <= -1:
-                return math.inf
+                return inf
             total += (2 * math.pi * m.density_scale * gamma(a + 1) * 2 ** (-(a + 1))
                       * gamma(eff + 1) / decay_rate ** (eff + 1))
         return total
+
+    def resolvent_power(self, minimum: int = 2) -> int:
+        """Smallest N >= minimum, N <= 64, for which the kernel moment of
+        t^(2N - 2) e^(-t) converges."""
+        for n in range(minimum, 65):
+            if not math.isinf(self.poly_exp_moment(2 * n - 2, 1.0)):
+                return n
+        raise ValueError("no convergent resolvent power N <= 64 for this weight")
 
 
 def weight(m: RadialMeasure) -> WeightFunction:

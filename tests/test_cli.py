@@ -57,6 +57,26 @@ def test_check_criterion_space_mismatch(heat_file, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("system, space, criterion, hypothesis", [
+    ('{"eigenvalues":[[-1,0],[-4,0],[-9,0]],"coeffs":[[1,0],[1,0],[1,0]],"q":3}',
+     '{"kind":"powerL2","alpha":0.5}', "C7", "q = 2"),
+    ('{"generator":"heat1d","modes":1000}', '{"kind":"sobolev","p":3,"beta":0.5}', "C8",
+     "p = q = 2"),
+], ids=["C7-q3", "C8-sobolev-p3"])
+def test_check_criterion_outside_its_hypotheses(system, space, criterion, hypothesis, capsys):
+    code = main(["check", "--system", system, "--space", space, "--criterion", criterion,
+                 "--grid=-10:40"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"{criterion} needs" in captured.err and hypothesis in captured.err
+
+
+def test_oracle_has_no_criterion_or_grid_option(heat_file, capsys):
+    for option in ("--criterion=C3", "--grid=-10:40"):
+        assert main(["oracle", "--system", heat_file, "--isometry", "hardy", option]) == 1
+
+
 def test_check_json_manifest_fields(heat_file, capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code = main(["check", "--system", heat_file, "--space", '{"kind":"Lp","p":2}',
@@ -80,6 +100,22 @@ def test_check_determinism(heat_file, tmp_path, capsys):
         data.pop("wall_clock")
         outs.append(json.dumps(data, sort_keys=True))
     assert outs[0] == outs[1]
+
+    sweeps = []
+    for name in ("a.csv", "b.csv"):
+        path = tmp_path / name
+        main(["sweep", "--system", heat_file, "--space", '{"kind":"Lp","p":2}', "--param", "p",
+              "--values", "0.5,1.5,3", "--grid=-10:40", "--out", str(path)])
+        capsys.readouterr()
+        data = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        data.pop("wall_clock")
+        sweeps.append(json.dumps(data, sort_keys=True))
+    assert sweeps[0] == sweeps[1]
+    manifest = json.loads(sweeps[0])
+    assert {"tool_version", "command", "inputs", "grid", "seed", "modes", "param", "values",
+            "criterion"} <= manifest.keys()
+    assert manifest["command"] == "sweep" and manifest["grid"] == [-10, 40]
+    assert list(manifest["reports"]) == ["0.5", "1.5", "3.0"]
 
 
 def test_sweep_threshold_flip(heat_file, capsys, monkeypatch):

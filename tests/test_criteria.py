@@ -286,6 +286,58 @@ def test_dispatch_sobolev_routing():
     assert [r.criterion for r in reports] == ["C6", "summary"]
 
 
+# (kind, p, q, sectorial) -> criteria the paper's theorems admit, in dispatch order
+ROUTES = {
+    ("Lp", 2.0, 2.0, True): ["C2", "C3"],
+    ("Lp", 1.5, 2.0, True): ["C3"],
+    ("Lp", 1.5, 3.0, True): ["C2", "C3"],
+    ("Lp", 3.0, 2.0, True): ["C4"],
+    ("Lp", 2.0, 2.0, False): ["C2"],
+    ("Lp", 1.5, 2.0, False): ["none"],
+    ("weightedL2", None, 2.0, True): ["C1", "R1"],
+    ("weightedL2", None, 3.0, True): ["C1"],
+    ("weightedL2", None, 2.0, False): ["C1", "R1"],
+    ("powerL2", None, 2.0, True): ["C7", "R7"],
+    ("powerL2", None, 3.0, True): ["none"],
+    ("powerL2", None, 2.0, False): ["none"],
+    ("sobolev", 2.0, 2.0, True): ["C5", "C8"],
+    ("sobolev", 1.5, 3.0, True): ["C5"],
+    ("sobolev", 3.0, 2.0, True): ["C6"],
+    ("sobolev", 2.0, 2.0, False): ["C8"],
+    ("sobolev", 3.0, 2.0, False): ["none"],
+}
+
+
+def test_dispatch_follows_the_registry():
+    from admiss.cli import _build_parser
+    from admiss.criteria import REGISTRY
+    from admiss.system_model import max_sector_angle
+
+    modes = np.arange(1, 21)
+    spectra = {True: -(modes**2) + 0j,
+               # |Im| / |Re| >= 9e15: the angle rounds to pi/2 and the gate fails
+               False: -1e-12 + 1e3j * (modes + 8)}
+    spaces = {"Lp": lambda p: InputSpace("Lp", p=p),
+              "weightedL2": lambda p: InputSpace("weightedL2", measure=bergman(0.5)),
+              "powerL2": lambda p: InputSpace("powerL2", alpha=0.5),
+              "sobolev": lambda p: InputSpace("sobolev", p=p, beta=0.5)}
+    for (kind, p, q, sectorial), expected in ROUTES.items():
+        sys_ = DiagonalSystem(spectra[sectorial], np.ones(modes.size), q)
+        mu = spectral_measure(sys_)
+        assert (max_sector_angle(mu) < math.pi / 2) == sectorial
+        space = spaces[kind](p)
+        names = [r.criterion for r in dispatch(sys_, space, n_range=(-10, 30))]
+        admitted = [name for name, c in REGISTRY.items()
+                    if c.kind == kind and c.applies(space, q, sectorial)]
+        assert names == (admitted or ["none"]) + ["summary"], (kind, p, q, sectorial)
+        assert names[:-1] == expected, (kind, p, q, sectorial)
+
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    for command in ("check", "sweep"):
+        option = next(a for a in sub.choices[command]._actions if a.dest == "criterion")
+        assert option.choices == ["auto", *REGISTRY]
+
+
 def test_observation_duality_matches_control():
     # q = 3, c = [1, 1]: observation verdict equals the control verdict
     # computed from (q', c, dual space)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
 from admiss.zen_weight import (
     RadialMeasure,
@@ -89,6 +90,29 @@ def test_poly_exp_moment_divergence():
     # t^0 against w ~ t^(-2) diverges at 0
     assert w.poly_exp_moment(0, 1.0) == math.inf
     assert math.isfinite(w.poly_exp_moment(2, 1.0))
+
+
+@pytest.mark.parametrize("m, power", [
+    (hardy(), 1.0),
+    (bergman(0.5), 2.0),
+    (RadialMeasure(atom_at_zero=0.5, atoms=((1.0, 2.0),), density_alpha=1.0,
+                   density_scale=0.5), 3.0),
+], ids=["hardy", "bergman-0.5", "atom-density-mixture"])
+def test_poly_exp_moment_complex_decay(m, power):
+    w = weight(m)
+    d = 1.5 - 2.0j
+    got = w.poly_exp_moment(power, d)
+    assert isinstance(got, complex)
+    # e^(-dt) = e^(-1.5 t) (cos 2t + i sin 2t)
+    re, _ = quad(lambda t: t**power * math.exp(-1.5 * t) * math.cos(2 * t) * w(t),
+                 0, np.inf, epsabs=0, epsrel=1e-12, limit=400)
+    im, _ = quad(lambda t: t**power * math.exp(-1.5 * t) * math.sin(2 * t) * w(t),
+                 0, np.inf, epsabs=0, epsrel=1e-12, limit=400)
+    assert got.real == pytest.approx(re, rel=1e-9)
+    assert got.imag == pytest.approx(im, rel=1e-9)
+    real = w.poly_exp_moment(power, 1.5)
+    assert isinstance(real, float)
+    assert w.poly_exp_moment(-1.0, d) == complex(math.inf)
 
 
 def test_nu_square_mass_hardy_and_power():
