@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from admiss.halfplane import _BLOCK_ENTRIES as _KERNEL_BLOCK_ENTRIES
-from admiss.halfplane import balayage_norm, strip_masses
+from admiss.halfplane import balayage_norm, kernel_sums, strip_masses
 from admiss.report import (
     BOUNDED,
     INCONCLUSIVE,
@@ -186,7 +185,8 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure, resolvent_power: int |
     if n_res < 1 or math.isinf(wf.poly_exp_moment(2 * n_res - 2, 1.0)):
         raise ValueError("kernel moment diverges for this weight: increase N")
 
-    x = -sys.eigenvalues.real
+    mu = spectral_measure(sys)
+    x = mu.locations.real
     re_grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
     im_mag = np.concatenate(([0.0], re_grid[:: max(1, len(re_grid) // 12)]))
     im_grid = np.unique(np.concatenate((-im_mag, im_mag)))
@@ -194,7 +194,7 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure, resolvent_power: int |
     lam_im = np.tile(im_grid, re_grid.size)
     lam = lam_re + 1j * lam_im
 
-    num = _kernel_sums(lam, sys, -n_res)
+    num = kernel_sums(lam, mu, -n_res)
     den = np.array([wf.poly_exp_moment(2 * n_res - 2, 2 * r) for r in re_grid])
     den = np.repeat(den, im_grid.size)
     ratios = num / den
@@ -215,7 +215,7 @@ def resolvent_ratio(sys: DiagonalSystem, zen: RadialMeasure, lam: complex,
     if lam.real <= 0:
         raise ValueError("lambda must lie in the open right half-plane")
     wf = weight(zen)
-    num = float(_kernel_sums(np.array([lam]), sys, -resolvent_power)[0])
+    num = float(kernel_sums(lam, spectral_measure(sys), -resolvent_power)[0])
     den = wf.poly_exp_moment(2 * resolvent_power - 2, 2 * lam.real)
     if math.isinf(den):
         raise ValueError("kernel moment diverges for this weight: increase N")
@@ -228,32 +228,8 @@ def fractional_resolvent_ratio(sys: DiagonalSystem, alpha: float, lam: float) ->
         raise ValueError("resolvent criterion R7 is stated for q = 2")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    num = math.sqrt(float(_kernel_sums(np.array([lam], dtype=complex), sys, alpha - 1)[0]))
+    num = math.sqrt(float(kernel_sums(lam, spectral_measure(sys), alpha - 1)[0]))
     return num / lam ** ((alpha - 1) / 2)
-
-
-def _kernel_sums(points: np.ndarray, sys: DiagonalSystem, power: float) -> np.ndarray:
-    """sum_k |lambda - lambda_k|^(2 power) |b_k|^2 at every point lambda.
-
-    The squared distances are formed in real arithmetic, one block of points
-    at a time, so memory stays O(_KERNEL_BLOCK_ENTRIES) whatever the number
-    of points and modes.
-    """
-    u, v = sys.eigenvalues.real, sys.eigenvalues.imag
-    b_sq = np.abs(sys.coeffs) ** 2
-    re, im = points.real, points.imag
-    rows = max(1, _KERNEL_BLOCK_ENTRIES // u.size)
-    out = np.empty(points.size)
-    for i in range(0, points.size, rows):
-        block = slice(i, i + rows)
-        dist2 = re[block, None] - u
-        dist2 *= dist2
-        dy = im[block, None] - v
-        dy *= dy
-        dist2 += dy
-        np.power(dist2, power, out=dist2)
-        out[block] = dist2 @ b_sq
-    return out
 
 
 def c2_power_square(m: AtomicMeasure, p: float, q: float, symmetric_only: bool,
@@ -300,9 +276,8 @@ def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
     peak = int(np.argmax(terms)) if terms.any() else 0
     diagnostics: dict = {"levels": levels, "sequence_exponent": s, "n_range": list(n_range)}
 
-    with np.errstate(divide="ignore"):
-        resolvent = (2.0 ** (ns / p)
-                     * np.array([_resolvent_norm(m, 2.0**n, q) for n in ns]))
+    # ||(2^n - A)^(-1) B||_(ell^q) = (integral of |2^n + z|^(-q) d mu)^(1/q)
+    resolvent = 2.0 ** (ns / p) * kernel_sums(2.0**ns, m, -q / 2) ** (1 / q)
     r_s = q * p / (p - q)
     diagnostics["resolvent_sequence_norm"] = float((resolvent**r_s).sum() ** (1 / r_s))
 
@@ -317,14 +292,6 @@ def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
 
     return CriterionReport("C4", constant, {"n": int(ns[peak])},
                            ladder_verdict(levels, stable_rtol=1e-6), diagnostics)
-
-
-def _resolvent_norm(m: AtomicMeasure, lam: float, q: float) -> float:
-    """||(lam - A)^(-1) B||_{ell^q} from the spectral measure:
-    (integral of |lam + z|^(-q) d mu)^(1/q)."""
-    x, y = m.locations.real, m.locations.imag
-    vals = ((lam + x) ** 2 + y**2) ** (-q / 2)
-    return float((vals * m.masses).sum() ** (1 / q))
 
 
 def _sobolev_factors(m: AtomicMeasure, q: float, beta: float) -> np.ndarray | None:
@@ -392,9 +359,10 @@ def r7_fractional_resolvent(sys: DiagonalSystem, alpha: float,
         raise ValueError("resolvent criterion R7 is stated for q = 2")
     if not 0 <= alpha < 1:
         raise ValueError("power exponent must lie in [0, 1)")
-    x = -sys.eigenvalues.real
+    mu = spectral_measure(sys)
+    x = mu.locations.real
     grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
-    num = np.sqrt(_kernel_sums(grid.astype(complex), sys, alpha - 1))
+    num = np.sqrt(kernel_sums(grid, mu, alpha - 1))
     ratios = num / grid ** ((alpha - 1) / 2)
     levels, constant, witness = nested_log_sup(grid, ratios)
     return CriterionReport("R7", constant, {"lambda": float(grid[witness])},

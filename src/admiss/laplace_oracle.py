@@ -3,20 +3,26 @@
 This module is the trust anchor: transforms and norms of the test kernels use
 closed Gamma-function forms wherever possible, the Zen-space norm is computed
 by honest product quadrature over the half-plane, and the embedding value is
-the exact coordinate formula for the truncated system.  Quadrature appears
-only where no closed form exists and is flagged as such.
+the exact coordinate formula for the truncated system.  For a single kernel
+that formula is a closed-form constant times one ``halfplane.kernel_sums``
+value, the package's one primitive for spectral kernel sums; the kernel
+sweep and the dyadic kernel sequence take all their points in one such call.
+Quadrature appears only where no closed form exists and is flagged as such;
+mixture L^p norms use the vectorised Gauss-Kronrod integrator of
+``admiss.halfplane`` with an analytic bound on the truncated tail.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.special import gamma
 
+from admiss.halfplane import _EPSABS, _integrate_with_breaks, kernel_sums
 from admiss.report import (
     CriterionReport,
     ladder_cuts,
@@ -25,7 +31,7 @@ from admiss.report import (
     nested_log_sup,
 )
 from admiss.spaces import InputSpace
-from admiss.system_model import DiagonalSystem
+from admiss.system_model import DiagonalSystem, spectral_measure
 from admiss.zen_weight import RadialMeasure, WeightFunction
 
 __all__ = [
@@ -141,16 +147,44 @@ def _pair_sum_norm_sq(f: TestFunction, moment) -> float:
     return float(total.real)
 
 
-def _mix_lp_norm(f: TestFunction, p: float) -> float:
-    """L^p norm of a mixture by scale-normalized adaptive quadrature."""
-    rates = [lam.real for _, _, lam in f.poly_terms]
-    ref = min(rates)
+def _mix_lp_norm(f: TestFunction, p: float) -> tuple[float, float, bool]:
+    """L^p norm of a mixture f(t) = sum_m c_m t^(N_m - 1) e^(-lam_m t).
 
-    def integrand(u):
-        return abs(complex(f.time_values(np.array([u / ref]))[0])) ** p
+    |f|^p is integrated over [0, U] by the adaptive Gauss-Kronrod rule of
+    ``admiss.halfplane``, on dyadic panels from the fastest decay scale
+    1 / max Re lam_m up to U.  The integrand is divided by S, the sum of the
+    closed-form integrals of the terms of the envelope
+    E(t) = sum_m |c_m| t^(N_m - 1) e^(-Re lam_m t) >= |f(t)|, so the
+    integrator's absolute tolerance is relative to the envelope's size.
+    Beyond U > (N_m - 1) / Re lam_m, t^(N-1) <= U^(N-1) e^((N-1)(t/U - 1))
+    gives E(t) <= E(U) e^(-r (t - U)) with r = min_m Re lam_m - (N_m - 1)/U,
+    so the tail is at most E(U)^p / (p r); U is doubled until that bound is
+    a thousandth of the absolute tolerance, and the bound is added to the
+    error.  Returns (value, error estimate, converged), converged False when
+    the integrator stopped at its panel cap.
+    """
+    c = np.array([abs(c) for c, _, _ in f.poly_terms])
+    k = np.array([n - 1 for _, n, _ in f.poly_terms], dtype=float)
+    x = np.array([lam.real for _, _, lam in f.poly_terms])
+    scale = float((c**p * gamma(p * k + 1) / (p * x) ** (p * k + 1)).sum())
+    if scale == 0:
+        return 0.0, 0.0, True
 
-    val, _ = quad(integrand, 0, np.inf, epsabs=0.0, epsrel=1e-10, limit=400)
-    return (val / ref) ** (1 / p)
+    def tail(u: float) -> float:
+        envelope = float((c * u**k * np.exp(-x * u)).sum())
+        return envelope**p / (p * float((x - k / u).min())) / scale
+
+    u = max(1 / x.min(), 2 * float((k / x).max()))
+    while tail(u) > 1e-3 * _EPSABS:
+        u *= 2
+    breaks = 2.0 ** np.arange(math.floor(math.log2(1 / x.max())), math.ceil(math.log2(u)))
+    integral, error, converged = _integrate_with_breaks(
+        lambda t: np.abs(f.time_values(t)) ** p / scale, 0.0, u, breaks)
+    error += tail(u)
+    value = (integral * scale) ** (1 / p)
+    # first-order propagation through the 1/p root, as in balayage_norm
+    abserr = (error * scale) ** (1 / p) if integral == 0 else value * error / (p * integral)
+    return value, abserr, converged
 
 
 def _sobolev_tail_ok(f: TestFunction, beta: float) -> bool:
@@ -192,14 +226,15 @@ def _sobolev_surrogate_sq(f: TestFunction, beta: float) -> float:
     return float((vals * wts).sum()) / (2 * math.pi)
 
 
-def _sobolev_fft_norm(f: TestFunction, p: float, beta: float) -> float:
-    """Two-term Sobolev norm for general p via FFT fractional derivative.
+def _sobolev_fft_norm(f: TestFunction, p: float, beta: float) -> tuple[float, bool]:
+    """Two-term Sobolev norm for general p via FFT fractional derivative, and
+    whether the L^p term converged (see ``_single_lp_norm``).
 
     Quadrature-grade: sampled frequency inversion, intended for exploratory
     sweeps only; the p = 2 path uses the exact Plancherel surrogate instead.
     """
     if not _sobolev_tail_ok(f, beta):
-        return math.inf
+        return math.inf, True
     if f.kind == "power_exp":
         raise ValueError("fractional derivative of power kernels is out of quadrature scope")
     scale = min(abs(lam) for _, _, lam in f.poly_terms)
@@ -213,21 +248,23 @@ def _sobolev_fft_norm(f: TestFunction, p: float, beta: float) -> float:
     t = np.arange(m) * dt
     half = m // 2
     frac = (np.trapezoid(np.abs(g[1:half]) ** p, t[1:half])) ** (1 / p)
-    base = _single_lp_norm(f, p)
-    return (base**p + frac**p) ** (1 / p)
+    base, converged = _single_lp_norm(f, p)
+    return (base**p + frac**p) ** (1 / p), converged
 
 
-def _single_lp_norm(f: TestFunction, p: float) -> float:
+def _single_lp_norm(f: TestFunction, p: float) -> tuple[float, bool]:
+    """L^p norm, and False when a mixture's quadrature did not converge."""
     if f.kind == "power_exp":
         if p * f.alpha >= 1:
-            return math.inf
+            return math.inf, True
         x = f.lam.real
-        return (gamma(1 - p * f.alpha) / (p * x) ** (1 - p * f.alpha)) ** (1 / p)
+        return (gamma(1 - p * f.alpha) / (p * x) ** (1 - p * f.alpha)) ** (1 / p), True
     if len(f.poly_terms) == 1:
         c, n, lam = f.poly_terms[0]
         s = p * (n - 1)
-        return abs(c) * (gamma(s + 1) / (p * lam.real) ** (s + 1)) ** (1 / p)
-    return _mix_lp_norm(f, p)
+        return abs(c) * (gamma(s + 1) / (p * lam.real) ** (s + 1)) ** (1 / p), True
+    value, _, converged = _mix_lp_norm(f, p)
+    return value, converged
 
 
 def space_norm(f: TestFunction, space: InputSpace) -> float:
@@ -236,10 +273,28 @@ def space_norm(f: TestFunction, space: InputSpace) -> float:
     Closed Gamma forms everywhere they exist; mixtures in L^p fall back to
     adaptive quadrature; Sobolev norms use the exact frequency surrogate at
     p = 2 and an FFT fractional derivative (quadrature-grade) otherwise.
-    Divergent norms are reported as inf rather than raising.
+    Divergent norms are reported as inf rather than raising.  A mixture norm
+    whose quadrature stopped at the integrator's panel cap is returned with a
+    warning.
     """
+    value, converged = _space_norm(f, space)
+    if not converged:
+        warnings.warn("mixture L^p norm quadrature stopped at its panel cap unconverged",
+                      stacklevel=2)
+    return value
+
+
+def _space_norm(f: TestFunction, space: InputSpace) -> tuple[float, bool]:
+    """``space_norm`` and whether its quadrature converged."""
     if space.kind == "Lp":
         return _single_lp_norm(f, space.p)
+    if space.kind == "sobolev" and space.p != 2:
+        return _sobolev_fft_norm(f, space.p, space.beta)
+    return _hilbert_norm(f, space), True
+
+
+def _hilbert_norm(f: TestFunction, space: InputSpace) -> float:
+    """Norm in weighted L^2, power-weighted L^2 or the p = 2 Sobolev space."""
     if space.kind == "weightedL2":
         wf = WeightFunction(space.measure, "unchecked")
         if f.kind == "power_exp":
@@ -263,18 +318,37 @@ def space_norm(f: TestFunction, space: InputSpace) -> float:
         sq = _pair_sum_norm_sq(f, moment)
         return math.inf if math.isinf(sq) else math.sqrt(sq)
     if space.kind == "sobolev":
-        if space.p == 2:
-            sq = _sobolev_surrogate_sq(f, space.beta)
-            return math.inf if math.isinf(sq) else math.sqrt(sq)
-        return _sobolev_fft_norm(f, space.p, space.beta)
+        sq = _sobolev_surrogate_sq(f, space.beta)
+        return math.inf if math.isinf(sq) else math.sqrt(sq)
     raise ValueError(f"unknown space kind {space.kind!r}")
 
 
 def embedding_value(sys: DiagonalSystem, f: TestFunction) -> float:
     """Exact ell^q state norm of the input-to-state map applied to f:
-    (sum_k |Lf(-lambda_k)|^q |b_k|^q)^(1/q)."""
+    (sum_k |Lf(-lambda_k)|^q |b_k|^q)^(1/q).  A single kernel takes one
+    ``kernel_sums`` value (see ``_kernel_embeddings``); a mixture sums its
+    complex transform."""
+    if f.kind != "random_mix":
+        return float(_kernel_embeddings(sys, f, f.lam)[0])
     vals = np.abs(np.asarray(laplace_at(f, -sys.eigenvalues)))
     return float(((vals * np.abs(sys.coeffs)) ** sys.q).sum() ** (1 / sys.q))
+
+
+def _kernel_embeddings(sys: DiagonalSystem, f: TestFunction, rates) -> np.ndarray:
+    """``embedding_value`` of the single kernel f with its rate set to each
+    of ``rates``.  |Lf(s)| = g |lam + s|^(-r) with (g, r) = (1, 1) for
+    e^(-lam t), (Gamma(n), n) for t^(n-1) e^(-lam t) and
+    (Gamma(1 - alpha), 1 - alpha) for t^(-alpha) e^(-lam t), so the q-th
+    power of the embedding is g^q times the kernel sum of the spectral
+    measure at power -r q / 2."""
+    if f.kind == "exp":
+        g, r = 1.0, 1.0
+    elif f.kind == "poly_exp":
+        g, r = float(gamma(f.n)), float(f.n)
+    else:
+        g, r = float(gamma(1 - f.alpha)), 1 - f.alpha
+    q = sys.q
+    return g * kernel_sums(rates, spectral_measure(sys), -r * q / 2) ** (1 / q)
 
 
 def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
@@ -297,13 +371,14 @@ def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
         kernels = [TestFunction.power_exp(space.alpha, z) for z in grid]
     else:
         raise ValueError(f"no kernel family for space kind {space.kind!r}")
+    embeddings = _kernel_embeddings(sys, kernels[0], grid)
     ratios = np.empty(len(kernels))
     for i, f in enumerate(kernels):
         denom = space_norm(f, space)
         if math.isinf(denom) or denom == 0:
             ratios[i] = 0.0 if math.isinf(denom) else math.inf
         else:
-            ratios[i] = embedding_value(sys, f) / denom
+            ratios[i] = embeddings[i] / denom
     levels, constant, best = nested_log_sup(grid, ratios)
     witness_z = float(grid[best])
     interior = bool(grid[0] < witness_z < grid[-1])
@@ -325,7 +400,7 @@ def _dyadic_kernel_sequence(sys: DiagonalSystem, space: InputSpace) -> Criterion
     n_lo = int(math.floor(math.log2(x.min()))) - 10
     n_hi = int(math.ceil(math.log2(x.max()))) + 10
     ns = np.arange(n_lo, n_hi + 1)
-    seq = np.array([2.0 ** (n / p) * embedding_value(sys, TestFunction.exp(2.0**n)) for n in ns])
+    seq = 2.0 ** (ns / p) * _kernel_embeddings(sys, TestFunction.exp(1.0), 2.0**ns)
     s = q * p / (p - q)
     cuts = ladder_cuts(n_lo, n_hi)
     levels = [float((seq[ns <= cut] ** s).sum() ** (1 / s)) for cut in cuts]
@@ -414,7 +489,9 @@ def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
     member is centred at rate 2^i (capped at 100x the spectral radius), with
     a seeded random width and coefficients, so families are nested in
     ``family_size`` and the bound is monotone.  Member 0 is the pure kernel at
-    rate 1, matching the kernel sweep at that point.
+    rate 1, matching the kernel sweep at that point.  A member whose norm
+    quadrature did not converge is skipped, so the result stays a lower
+    bound.
     """
     if family_size < 1:
         raise ValueError("family size must be >= 1")
@@ -430,8 +507,8 @@ def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
             width = int(rng.integers(1, 4))
             coeffs = 10.0 ** rng.uniform(-1, 0, width)
             f = TestFunction.mix([(coeffs[m], 1, 2.0 ** (j - m)) for m in range(width)])
-        denom = space_norm(f, space)
-        if denom == 0 or math.isinf(denom):
+        denom, converged = _space_norm(f, space)
+        if not converged or denom == 0 or math.isinf(denom):
             continue
         best = max(best, embedding_value(sys, f) / denom)
     return best

@@ -201,10 +201,11 @@ def max_sector_angle(m: AtomicMeasure) -> float:
     pos = m.masses > 0
     if not pos.any():
         return 0.0
-    loc = m.locations[pos]
-    if (loc == 0).any():
+    if (pos & (m.locations == 0)).any():
         return math.inf
-    return float(np.abs(np.angle(loc)).max())
+    if not m.locations.imag.any():  # a real spectrum: no angle to take
+        return 0.0
+    return float(np.abs(np.angle(m.locations[pos])).max())
 
 
 def load_system(config: dict | str) -> DiagonalSystem:

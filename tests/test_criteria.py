@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admiss import criteria
+from admiss import criteria, halfplane
 from admiss.criteria import (
     _square_family_sup,
     c1_zen_carleson,
@@ -28,7 +28,7 @@ from admiss.system_model import (
     heat_system,
     spectral_measure,
 )
-from admiss.report import ladder_cuts, log_space, nested_log_sup
+from admiss.report import ladder_cuts, ladder_verdict, log_space, nested_log_sup
 from admiss.zen_weight import bergman, hardy, weight
 
 DELTA_1 = AtomicMeasure(np.array([1 + 0j]), np.array([1.0]))
@@ -461,19 +461,21 @@ def _random_sectorial(modes, seed=11):
 def test_blocked_resolvent_sums_match_dense(make_system, block_rows, monkeypatch):
     sys_ = make_system()
     if block_rows is not None:  # many blocks, the last one ragged
-        monkeypatch.setattr(criteria, "_KERNEL_BLOCK_ENTRIES", block_rows * sys_.modes)
+        monkeypatch.setattr(halfplane, "_BLOCK_ENTRIES", block_rows * sys_.modes)
     for zen in (hardy(), bergman(0.5)):
         report = r1_resolvent(sys_, zen)
         levels, constant, witness = _dense_r1(sys_, zen, report.diagnostics["resolvent_power"])
         assert report.diagnostics["levels"] == pytest.approx(levels, rel=1e-12)
         assert report.constant == pytest.approx(constant, rel=1e-12)
         assert report.witness["lambda"] == witness
+        assert report.verdict == ladder_verdict(levels)
     for alpha in (0.0, 0.5):
         report = r7_fractional_resolvent(sys_, alpha)
         levels, constant, witness = _dense_r7(sys_, alpha)
         assert report.diagnostics["levels"] == pytest.approx(levels, rel=1e-12)
         assert report.constant == pytest.approx(constant, rel=1e-12)
         assert report.witness["lambda"] == witness
+        assert report.verdict == ladder_verdict(levels)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,0 +1,197 @@
+"""``halfplane.kernel_sums`` against the dense complex formula, and every
+site routed through it against the per-kernel formula it replaced.
+
+The replaced formulas are kept here as references: the resolvent sums in
+complex-free blocks with ``np.power``, the per-point C4 resolvent norm, the
+complex-transform embedding value, and the kernel sweep and dyadic sequence
+that called it once per point.
+"""
+
+import functools
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from admiss import halfplane
+from admiss.criteria import (
+    c4_strip_summability,
+    fractional_resolvent_ratio,
+    resolvent_ratio,
+)
+from admiss.halfplane import kernel_sums
+from admiss.laplace_oracle import (
+    TestFunction,
+    embedding_value,
+    kernel_condition_sweep,
+    laplace_at,
+    space_norm,
+)
+from admiss.report import ladder_cuts, ladder_verdict, log_space, nested_log_sup
+from admiss.spaces import InputSpace
+from admiss.system_model import AtomicMeasure, DiagonalSystem, heat_system, spectral_measure
+from admiss.zen_weight import WeightFunction, bergman, hardy, weight
+
+RTOL = 1e-12
+
+
+def _dense(points, m, power):
+    z = np.atleast_1d(np.asarray(points, dtype=complex))
+    return np.abs(z[:, None] + m.locations[None, :]) ** (2 * power) @ m.masses
+
+
+_POOL = st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(-50.0, 50.0)), min_size=1,
+                 max_size=6)
+
+
+@given(pool=_POOL,
+       picks=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0.0, 0.5, 1.0, 7.25])),
+                      min_size=1, max_size=30),
+       points=st.lists(st.tuples(st.floats(0.01, 100.0),
+                                 st.one_of(st.just(0.0), st.floats(-50.0, 50.0))),
+                       min_size=1, max_size=12),
+       power=st.sampled_from([-2.0, -1.5, -1.0, -0.75, -0.5, -0.3]),
+       rows=st.sampled_from([None, 1, 5]))
+@settings(max_examples=200, deadline=None)
+def test_kernel_sums_match_dense_formula(pool, picks, points, power, rows):
+    # atoms drawn from a small pool repeat; masses include zeros
+    atoms = [(complex(*pool[i % len(pool)]), mass) for i, mass in picks]
+    m = AtomicMeasure.from_atoms(atoms)
+    z = np.array([complex(x, y) for x, y in points])
+    block = halfplane._BLOCK_ENTRIES if rows is None else rows * len(m)
+    with mock.patch.object(halfplane, "_BLOCK_ENTRIES", block):
+        got = kernel_sums(z, m, power)
+        real = kernel_sums(z.real, m, power)
+    np.testing.assert_allclose(got, _dense(z, m, power), rtol=RTOL, atol=0)
+    np.testing.assert_allclose(real, _dense(z.real, m, power), rtol=RTOL, atol=0)
+
+
+# -- the formulas the routed sites used before ----------------------------------
+
+def _pre_kernel_sums(points, sys, power):
+    u, v = sys.eigenvalues.real, sys.eigenvalues.imag
+    b_sq = np.abs(sys.coeffs) ** 2
+    re, im = points.real, points.imag
+    dist2 = (re[:, None] - u) ** 2 + (im[:, None] - v) ** 2
+    return np.power(dist2, power) @ b_sq
+
+
+def _pre_resolvent_norm(m, lam, q):
+    x, y = m.locations.real, m.locations.imag
+    vals = ((lam + x) ** 2 + y**2) ** (-q / 2)
+    return float((vals * m.masses).sum() ** (1 / q))
+
+
+def _pre_embedding_value(sys, f):
+    vals = np.abs(np.asarray(laplace_at(f, -sys.eigenvalues)))
+    return float(((vals * np.abs(sys.coeffs)) ** sys.q).sum() ** (1 / sys.q))
+
+
+def _pre_sweep(sys, space, points_per_decade=10):
+    x = -sys.eigenvalues.real
+    grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
+    if space.kind == "Lp" and space.p > sys.q:
+        p, q = space.p, sys.q
+        n_lo = int(math.floor(math.log2(x.min()))) - 10
+        n_hi = int(math.ceil(math.log2(x.max()))) + 10
+        ns = np.arange(n_lo, n_hi + 1)
+        seq = np.array([2.0 ** (n / p) * _pre_embedding_value(sys, TestFunction.exp(2.0**n))
+                        for n in ns])
+        s = q * p / (p - q)
+        levels = [float((seq[ns <= cut] ** s).sum() ** (1 / s)) for cut in ladder_cuts(n_lo, n_hi)]
+        return levels, levels[-1], {"n_range": [n_lo, n_hi]}
+    if space.kind in ("Lp", "sobolev"):
+        kernels = [TestFunction.exp(z) for z in grid]
+    elif space.kind == "weightedL2":
+        n = WeightFunction(space.measure, "unchecked").resolvent_power(minimum=1)
+        kernels = [TestFunction.poly_exp(n, z) for z in grid]
+    else:
+        kernels = [TestFunction.power_exp(space.alpha, z) for z in grid]
+    ratios = np.empty(len(kernels))
+    for i, f in enumerate(kernels):
+        denom = space_norm(f, space)
+        if math.isinf(denom) or denom == 0:
+            ratios[i] = 0.0 if math.isinf(denom) else math.inf
+        else:
+            ratios[i] = _pre_embedding_value(sys, f) / denom
+    levels, constant, best = nested_log_sup(grid, ratios)
+    return levels, constant, {"z": float(grid[best])}
+
+
+def _random_sectorial(modes, q, seed=11):
+    rng = np.random.default_rng(seed)
+    radii = np.exp(rng.uniform(math.log(0.5), math.log(50), modes))
+    lam = -radii * np.exp(1j * rng.uniform(-0.95 * math.pi / 6, 0.95 * math.pi / 6, modes))
+    b = rng.uniform(0.5, 2, modes) * np.exp(1j * rng.uniform(0, 2 * math.pi, modes))
+    return DiagonalSystem(lam, b, q)
+
+
+@functools.cache
+def _system(name):
+    if name == "heat1d":
+        return heat_system(2000)
+    return _random_sectorial(150, {"sectorial": 2.0, "sectorial-q3": 3.0}[name])
+
+
+HILBERT = ("heat1d", "sectorial")
+SYSTEMS = HILBERT + ("sectorial-q3",)
+
+
+@pytest.mark.parametrize("name", HILBERT)
+def test_pointwise_quotients_match_pre_change_formulas(name):
+    sys_ = _system(name)
+    for lam in (0.3 + 0j, 7.5 + 2j, 4e3 - 1e3j):
+        for zen, power in ((hardy(), 1), (bergman(0.5), 2)):
+            den = weight(zen).poly_exp_moment(2 * power - 2, 2 * lam.real)
+            want = float(_pre_kernel_sums(np.array([lam]), sys_, -power)[0]) / den
+            assert resolvent_ratio(sys_, zen, lam, power) == pytest.approx(want, rel=RTOL)
+    for lam in (0.3, 7.5, 4e3):
+        for alpha in (0.0, 0.25, 0.5, 0.9):
+            num = math.sqrt(float(_pre_kernel_sums(np.array([lam + 0j]), sys_, alpha - 1)[0]))
+            want = num / lam ** ((alpha - 1) / 2)
+            assert fractional_resolvent_ratio(sys_, alpha, lam) == pytest.approx(want, rel=RTOL)
+
+
+@pytest.mark.parametrize("space", [
+    InputSpace("Lp", p=1.5),
+    InputSpace("Lp", p=3.0),
+    InputSpace("Lp", p=4.0),
+    InputSpace("weightedL2", measure=hardy()),
+    InputSpace("weightedL2", measure=bergman(0.5)),
+    InputSpace("powerL2", alpha=0.5),
+    InputSpace("sobolev", p=2.0, beta=0.5),
+], ids=lambda s: s.describe())
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_kernel_sweep_matches_pre_change_loop(name, space):
+    sys_ = _system(name)
+    report = kernel_condition_sweep(sys_, space)
+    levels, constant, witness = _pre_sweep(sys_, space)
+    assert report.diagnostics["levels"] == pytest.approx(levels, rel=RTOL)
+    assert report.constant == pytest.approx(constant, rel=RTOL)
+    assert report.witness == witness
+    assert report.verdict == ladder_verdict(levels)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_single_kernel_embedding_matches_complex_transform(name):
+    sys_ = _system(name)
+    for lam in (0.05, 1.0 + 3j, 2e4 - 5e2j):
+        for f in (TestFunction.exp(lam), TestFunction.poly_exp(3, lam),
+                  TestFunction.power_exp(0.5, lam), TestFunction.power_exp(-0.7, lam)):
+            assert embedding_value(sys_, f) == pytest.approx(_pre_embedding_value(sys_, f),
+                                                             rel=RTOL)
+
+
+@pytest.mark.parametrize("name, p", [("heat1d", 2.5), ("heat1d", 4.0), ("sectorial", 2.5),
+                                     ("sectorial", 4.0), ("sectorial-q3", 4.0)])
+def test_c4_resolvent_sequence_matches_pre_change_loop(name, p):
+    m, q = spectral_measure(_system(name)), _system(name).q
+    n_range = (-20, 40)
+    ns = np.arange(n_range[0], n_range[1] + 1)
+    resolvent = 2.0 ** (ns / p) * np.array([_pre_resolvent_norm(m, 2.0**n, q) for n in ns])
+    r_s = q * p / (p - q)
+    want = float((resolvent**r_s).sum() ** (1 / r_s))
+    report = c4_strip_summability(m, p, q, n_range)
+    assert report.diagnostics["resolvent_sequence_norm"] == pytest.approx(want, rel=RTOL)

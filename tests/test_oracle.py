@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from admiss import halfplane
 from admiss.laplace_oracle import (
     TestFunction,
+    _mix_lp_norm,
     embedding_value,
     empirical_ratio,
     isometry_check,
@@ -83,6 +86,53 @@ def test_space_norm_mixture_quadrature_vs_closed():
     got = space_norm(f, InputSpace("Lp", p=1.5))
     direct, _ = quad(lambda t: abs(f.time_values(np.array([t]))[0]) ** 1.5, 0, 200, limit=400)
     assert got == pytest.approx(direct ** (1 / 1.5), rel=1e-8)
+
+
+def _family_member(seed, i, j):
+    """Member i of empirical_ratio's family, centred at rate 2^j."""
+    rng = np.random.default_rng([seed, i])
+    width = int(rng.integers(1, 4))
+    coeffs = 10.0 ** rng.uniform(-1, 0, width)
+    return TestFunction.mix([(coeffs[m], 1, 2.0 ** (j - m)) for m in range(width)])
+
+
+def _quad_lp_norm(f, p):
+    """Scalar quad over [0, inf) in units of the slowest rate."""
+    ref = min(lam.real for _, _, lam in f.poly_terms)
+    val, _ = quad(lambda u: abs(complex(f.time_values(np.array([u / ref]))[0])) ** p,
+                  0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
+    return (val / ref) ** (1 / p)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+def test_mix_lp_norm_matches_scalar_quad(p):
+    members = [_family_member(seed, i, j) for seed in range(3)
+               for i, j in enumerate((0, 1, 2, 7, 19, 33, 40), start=1)]
+    members.append(TestFunction.mix([(1.0, 1, 1.0), (0.5 - 0.2j, 3, 0.5 + 2j)]))
+    for f in members:
+        value, error, converged = _mix_lp_norm(f, p)
+        assert converged
+        assert value == pytest.approx(_quad_lp_norm(f, p), rel=1e-10)
+        assert 0 <= error <= 1e-10 * value
+
+
+def test_unconverged_mixture_norm_warns_and_is_skipped(monkeypatch):
+    space = InputSpace("Lp", p=1.5)
+    sys50 = heat_system(50)
+    mixture = _family_member(0, 1, 1)  # member 1 of seed 0: two terms
+    assert len(mixture.poly_terms) == 2
+    first = embedding_value(sys50, TestFunction.exp(1.0)) / space_norm(TestFunction.exp(1.0), space)
+    assert empirical_ratio(sys50, space, 2, seed=0) > first
+    # one panel, and tolerances no pass can meet
+    monkeypatch.setattr(halfplane, "_GK_MAX_PANELS", 1)
+    monkeypatch.setattr(halfplane, "_EPSABS", 0.0)
+    monkeypatch.setattr(halfplane, "_EPSREL", 0.0)
+    assert _mix_lp_norm(mixture, 1.5)[2] is False
+    with pytest.warns(UserWarning, match="unconverged"):
+        space_norm(mixture, space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert empirical_ratio(sys50, space, 2, seed=0) == first
 
 
 def test_space_norm_divergent_reports_inf():
