@@ -67,11 +67,20 @@ def _load_json_arg(arg: str) -> tuple[dict, dict]:
     return config, {"path": arg, "sha256": _sha256_of(arg)}
 
 
+# dyadic lengths 2^n stay finite, normal floats
+_GRID_BOUNDS = (-1022, 1023)
+
+
 def _parse_grid(text: str) -> tuple[int, int]:
+    """``N_MIN:N_MAX``; argparse shows an ``ArgumentTypeError``'s message,
+    where a ``ValueError`` only reads "invalid value"."""
     lo, _, hi = text.partition(":")
     n_min, n_max = int(lo), int(hi)
     if n_min > n_max:
-        raise ValueError(f"empty grid range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty grid range {text!r}")
+    if n_min < _GRID_BOUNDS[0] or n_max > _GRID_BOUNDS[1]:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} outside [{_GRID_BOUNDS[0]}, {_GRID_BOUNDS[1]}], where 2^n overflows")
     return n_min, n_max
 
 

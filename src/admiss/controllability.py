@@ -27,15 +27,22 @@ def controllability_measure(sys: DiagonalSystem) -> tuple[AtomicMeasure, dict]:
     Refuses vanishing control coefficients and repeated eigenvalues: both make
     the mass formula singular and the underlying moment problem unsolvable.
     """
-    lam, b = sys.eigenvalues, sys.coeffs
-    if (np.abs(b) == 0).any():
-        raise ValueError("controllability measure undefined: vanishing control coefficient")
-    points = -lam
-    products, diagnostics = blaschke_products(points)
+    z = -sys.eigenvalues
+    return _interpolation_measure(z, z.real**2, sys.coeffs, "controllability measure",
+                                  "control coefficient")
+
+
+def _interpolation_measure(z: np.ndarray, numerators: np.ndarray, g: np.ndarray, name: str,
+                           g_name: str) -> tuple[AtomicMeasure, dict]:
+    """Atoms at z with masses numerators / (|g|^2 b_{infty}^2), and the
+    Blaschke-product diagnostics; refuses a vanishing g or repeated points."""
+    if (np.abs(g) == 0).any():
+        raise ValueError(f"{name} undefined: vanishing {g_name}")
+    products, diagnostics = blaschke_products(z)
     if diagnostics["degenerate"]:
-        raise ValueError("controllability measure undefined: repeated eigenvalues")
-    masses = (lam.real**2) / (np.abs(b) ** 2 * products**2)
-    return AtomicMeasure(points, masses), diagnostics
+        raise ValueError(f"{name} undefined: repeated eigenvalues")
+    masses = numerators / (np.abs(g) ** 2 * products**2)
+    return AtomicMeasure(z, masses), diagnostics
 
 
 def _carleson_with_gate(m: AtomicMeasure, blaschke_diag: dict, name: str,
@@ -74,14 +81,8 @@ def sobolev_controllability(sys: DiagonalSystem, beta: float, targets=None,
     g = sys.coeffs if targets is None else np.asarray(targets, dtype=complex)
     if g.shape != z.shape:
         raise ValueError("one target value per eigenvalue required")
-    if (np.abs(g) == 0).any():
-        raise ValueError("interpolation undefined: vanishing target value")
-    products, diag = blaschke_products(z)
-    if diag["degenerate"]:
-        raise ValueError("interpolation undefined: repeated eigenvalues")
-    masses = (np.abs(2 * z.real) ** 2 * np.abs(1 + z) ** (2 * beta)
-              / (products**2 * np.abs(g) ** 2))
-    m = AtomicMeasure(z, masses)
+    m, diag = _interpolation_measure(z, np.abs(2 * z.real) ** 2 * np.abs(1 + z) ** (2 * beta),
+                                     g, "interpolation", "target value")
     report = _carleson_with_gate(m, diag, "sobolev-interpolation", n_range)
     report.diagnostics["beta"] = beta
     return report

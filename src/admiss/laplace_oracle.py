@@ -1,10 +1,11 @@
 """Direct numerical evaluation of Laplace embeddings for test families.
 
-This module is the trust anchor: transforms and norms of the test kernels use
+This module is the trust anchor.  Every test function is a finite sum of
+terms c t^(N-1) e^(-lam t) (``TestFunction``); transforms and norms use
 closed Gamma-function forms wherever possible, the Zen-space norm is computed
 by honest product quadrature over the half-plane, and the embedding value is
-the exact coordinate formula for the truncated system.  For a single kernel
-that formula is a closed-form constant times one ``halfplane.kernel_sums``
+the exact coordinate formula for the truncated system.  For one term that
+formula is a closed-form constant times one ``halfplane.kernel_sums``
 value, the package's one primitive for spectral kernel sums; the kernel
 sweep and the dyadic kernel sequence take all their points in one such call.
 Quadrature appears only where no closed form exists and is flagged as such;
@@ -47,99 +48,77 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Kernel test functions: exponentials, polynomial-exponentials
-    t^(N-1) e^(-lam t), power-exponentials t^(-alpha) e^(-lam t), and finite
-    mixtures over a polynomial-exponential dictionary."""
+    """A finite sum f(t) = sum_m c_m t^(N_m - 1) e^(-lam_m t) of terms
+    (c, N, lam) with real order N > 0 and Re lam > 0.
+
+    The Laplace transform of a term is c Gamma(N) / (lam + z)^N, so the
+    exponential (N = 1), the polynomial kernel (integer N) and the power
+    kernel t^(-alpha) e^(-lam t) (N = 1 - alpha) are one family.  Mixture
+    L^p norms bound their tail for integer orders N >= 1, which ``mix``
+    enforces.
+    """
 
     __test__ = False  # not a pytest suite despite the name
 
-    kind: str
-    lam: complex | None = None
-    n: int | None = None
-    alpha: float | None = None
-    terms: tuple[tuple[complex, int, complex], ...] | None = None
+    terms: tuple[tuple[complex, float, complex], ...]
 
     def __post_init__(self):
-        if self.kind in ("exp", "poly_exp", "power_exp"):
-            if self.lam is None or complex(self.lam).real <= 0:
+        if not self.terms:
+            raise ValueError("test function needs at least one term")
+        terms = tuple((complex(c), n, complex(lam)) for c, n, lam in self.terms)
+        for _, n, lam in terms:
+            if not n > 0:
+                raise ValueError(f"kernel order N must be positive, got {n}")
+            if not lam.real > 0:
                 raise ValueError("kernel rate must have positive real part")
-        if self.kind == "poly_exp" and (self.n is None or self.n < 1):
-            raise ValueError("polynomial order N must be >= 1")
-        if self.kind == "power_exp" and (self.alpha is None or self.alpha >= 1):
-            raise ValueError("power exponent must be < 1 for integrability near 0")
-        if self.kind == "random_mix":
-            if not self.terms:
-                raise ValueError("mixture needs at least one term")
-            for _, n, lam in self.terms:
-                if n < 1 or complex(lam).real <= 0:
-                    raise ValueError("invalid mixture term")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def exp(cls, lam: complex) -> "TestFunction":
-        return cls("exp", lam=complex(lam))
+        return cls(((1, 1, lam),))
 
     @classmethod
     def poly_exp(cls, n: int, lam: complex) -> "TestFunction":
-        return cls("poly_exp", lam=complex(lam), n=int(n))
+        return cls(((1, int(n), lam),))
 
     @classmethod
     def power_exp(cls, alpha: float, lam: complex) -> "TestFunction":
-        return cls("power_exp", lam=complex(lam), alpha=float(alpha))
+        return cls(((1, 1 - float(alpha), lam),))
 
     @classmethod
     def mix(cls, terms) -> "TestFunction":
-        return cls("random_mix", terms=tuple((complex(c), int(n), complex(l)) for c, n, l in terms))
-
-    @property
-    def poly_terms(self) -> tuple[tuple[complex, int, complex], ...]:
-        """Canonical (coeff, N, lam) list; undefined for power_exp kernels."""
-        if self.kind == "exp":
-            return ((1.0 + 0j, 1, self.lam),)
-        if self.kind == "poly_exp":
-            return ((1.0 + 0j, self.n, self.lam),)
-        if self.kind == "random_mix":
-            return self.terms
-        raise ValueError("power_exp kernel has no polynomial-exponential expansion")
-
-    def scaled(self, factor: complex) -> "TestFunction":
-        if self.kind == "power_exp":
-            raise ValueError("scaling is only supported for polynomial-exponential kernels")
-        return TestFunction.mix([(c * factor, n, l) for c, n, l in self.poly_terms])
+        terms = tuple((c, int(n), lam) for c, n, lam in terms)
+        if any(n < 1 for _, n, _ in terms):
+            raise ValueError("mixture orders N must be integers >= 1")
+        return cls(terms)
 
     def time_values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.kind == "power_exp":
-            return t ** (-self.alpha) * np.exp(-self.lam * t)
         out = np.zeros(t.shape, dtype=complex)
-        for c, n, lam in self.poly_terms:
+        for c, n, lam in self.terms:
             out += c * t ** (n - 1) * np.exp(-lam * t)
         return out
 
 
 def laplace_at(f: TestFunction, z) -> np.ndarray | complex:
-    """Closed-form Laplace transform of f at z (scalar or array), Re z >= 0."""
+    """Closed-form Laplace transform sum_m c_m Gamma(N_m) (lam_m + z)^(-N_m)
+    of f at z (scalar or array), Re z >= 0."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if f.kind == "power_exp":
-        shifted = f.lam + z_arr
+    out = np.zeros(z_arr.shape, dtype=complex)
+    for c, n, lam in f.terms:
+        shifted = lam + z_arr
         if (shifted == 0).any():
             raise ValueError("pole: lam + z = 0")
-        out = gamma(1 - f.alpha) * shifted ** (f.alpha - 1)
-    else:
-        out = np.zeros(z_arr.shape, dtype=complex)
-        for c, n, lam in f.poly_terms:
-            shifted = lam + z_arr
-            if (shifted == 0).any():
-                raise ValueError("pole: lam + z = 0")
-            out += c * gamma(n) / shifted**n
+        out += c * gamma(n) / shifted**n
     return out if np.ndim(z) else complex(out[0])
 
 
 def _pair_sum_norm_sq(f: TestFunction, moment) -> float:
-    """|f|^2-integral against a quadratic moment functional: expands the
-    mixture into pair terms t^(Ni+Nj-2) e^(-(lam_i + conj(lam_j)) t)."""
+    """|f|^2-integral against a quadratic moment functional: expands f into
+    pair terms t^(Ni+Nj-2) e^(-(lam_i + conj(lam_j)) t)."""
     total = 0j
-    for ci, ni, li in f.poly_terms:
-        for cj, nj, lj in f.poly_terms:
+    for ci, ni, li in f.terms:
+        for cj, nj, lj in f.terms:
             val = moment(ni + nj - 2, li + lj.conjugate())
             if val == complex(math.inf) or (isinstance(val, float) and math.isinf(val)):
                 return math.inf
@@ -163,9 +142,9 @@ def _mix_lp_norm(f: TestFunction, p: float) -> tuple[float, float, bool]:
     error.  Returns (value, error estimate, converged), converged False when
     the integrator stopped at its panel cap.
     """
-    c = np.array([abs(c) for c, _, _ in f.poly_terms])
-    k = np.array([n - 1 for _, n, _ in f.poly_terms], dtype=float)
-    x = np.array([lam.real for _, _, lam in f.poly_terms])
+    c = np.array([abs(c) for c, _, _ in f.terms])
+    k = np.array([n - 1 for _, n, _ in f.terms], dtype=float)
+    x = np.array([lam.real for _, _, lam in f.terms])
     scale = float((c**p * gamma(p * k + 1) / (p * x) ** (p * k + 1)).sum())
     if scale == 0:
         return 0.0, 0.0, True
@@ -189,10 +168,7 @@ def _mix_lp_norm(f: TestFunction, p: float) -> tuple[float, float, bool]:
 
 def _sobolev_tail_ok(f: TestFunction, beta: float) -> bool:
     """Frequency tail integrability of |Ff|^2 |xi|^(2 beta)."""
-    if f.kind == "power_exp":
-        return 2 * beta + 2 * (f.alpha - 1) < -1
-    n_min = min(n for _, n, _ in f.poly_terms)
-    return 2 * beta - 2 * n_min < -1
+    return 2 * beta - 2 * min(n for _, n, _ in f.terms) < -1
 
 
 def _geometric_panels(scale: float, octaves: int, order: int, center: float = 0.0,
@@ -217,10 +193,7 @@ def _sobolev_surrogate_sq(f: TestFunction, beta: float) -> float:
     |Ff(xi)|^2 (1 + |xi|^(2 beta)) d xi, with Ff(xi) = Lf(i xi)."""
     if not _sobolev_tail_ok(f, beta):
         return math.inf
-    if f.kind == "power_exp":
-        scale = abs(f.lam)
-    else:
-        scale = min(abs(lam) for _, _, lam in f.poly_terms)
+    scale = min(abs(lam) for _, _, lam in f.terms)
     xi, wts = _geometric_panels(scale, 52, 16)
     vals = np.abs(laplace_at(f, 1j * xi)) ** 2 * (1 + np.abs(xi) ** (2 * beta))
     return float((vals * wts).sum()) / (2 * math.pi)
@@ -235,9 +208,9 @@ def _sobolev_fft_norm(f: TestFunction, p: float, beta: float) -> tuple[float, bo
     """
     if not _sobolev_tail_ok(f, beta):
         return math.inf, True
-    if f.kind == "power_exp":
+    if any(n != int(n) for _, n, _ in f.terms):
         raise ValueError("fractional derivative of power kernels is out of quadrature scope")
-    scale = min(abs(lam) for _, _, lam in f.poly_terms)
+    scale = min(abs(lam) for _, _, lam in f.terms)
     m = 1 << 16
     xi_max = scale * 4096.0
     xi = np.fft.fftfreq(m, d=1.0 / xi_max) * 2 * math.pi
@@ -254,17 +227,14 @@ def _sobolev_fft_norm(f: TestFunction, p: float, beta: float) -> tuple[float, bo
 
 def _single_lp_norm(f: TestFunction, p: float) -> tuple[float, bool]:
     """L^p norm, and False when a mixture's quadrature did not converge."""
-    if f.kind == "power_exp":
-        if p * f.alpha >= 1:
-            return math.inf, True
-        x = f.lam.real
-        return (gamma(1 - p * f.alpha) / (p * x) ** (1 - p * f.alpha)) ** (1 / p), True
-    if len(f.poly_terms) == 1:
-        c, n, lam = f.poly_terms[0]
-        s = p * (n - 1)
-        return abs(c) * (gamma(s + 1) / (p * lam.real) ** (s + 1)) ** (1 / p), True
-    value, _, converged = _mix_lp_norm(f, p)
-    return value, converged
+    if len(f.terms) > 1:
+        value, _, converged = _mix_lp_norm(f, p)
+        return value, converged
+    c, n, lam = f.terms[0]
+    s = p * (n - 1)  # |f|^p = |c|^p t^s e^(-p Re lam t), integrable near 0 iff s > -1
+    if s <= -1:
+        return math.inf, True
+    return abs(c) * (gamma(s + 1) / (p * lam.real) ** (s + 1)) ** (1 / p), True
 
 
 def space_norm(f: TestFunction, space: InputSpace) -> float:
@@ -297,9 +267,6 @@ def _hilbert_norm(f: TestFunction, space: InputSpace) -> float:
     """Norm in weighted L^2, power-weighted L^2 or the p = 2 Sobolev space."""
     if space.kind == "weightedL2":
         wf = WeightFunction(space.measure, "unchecked")
-        if f.kind == "power_exp":
-            val = wf.poly_exp_moment(-2 * f.alpha, 2 * f.lam.real)
-            return math.inf if math.isinf(val) else math.sqrt(val)
         sq = _pair_sum_norm_sq(f, wf.poly_exp_moment)
         return math.inf if math.isinf(sq) else math.sqrt(sq)
     if space.kind == "powerL2":
@@ -310,11 +277,6 @@ def _hilbert_norm(f: TestFunction, space: InputSpace) -> float:
                 return complex(math.inf)
             return gamma(power + a + 1) / decay ** (power + a + 1)
 
-        if f.kind == "power_exp":
-            power = -2 * f.alpha
-            if power + a <= -1:
-                return math.inf
-            return math.sqrt(gamma(power + a + 1) / (2 * f.lam.real) ** (power + a + 1))
         sq = _pair_sum_norm_sq(f, moment)
         return math.inf if math.isinf(sq) else math.sqrt(sq)
     if space.kind == "sobolev":
@@ -325,56 +287,53 @@ def _hilbert_norm(f: TestFunction, space: InputSpace) -> float:
 
 def embedding_value(sys: DiagonalSystem, f: TestFunction) -> float:
     """Exact ell^q state norm of the input-to-state map applied to f:
-    (sum_k |Lf(-lambda_k)|^q |b_k|^q)^(1/q).  A single kernel takes one
+    (sum_k |Lf(-lambda_k)|^q |b_k|^q)^(1/q).  A single term takes one
     ``kernel_sums`` value (see ``_kernel_embeddings``); a mixture sums its
     complex transform."""
-    if f.kind != "random_mix":
-        return float(_kernel_embeddings(sys, f, f.lam)[0])
+    if len(f.terms) == 1:
+        c, n, lam = f.terms[0]
+        return float(abs(c) * _kernel_embeddings(sys, n, lam)[0])
     vals = np.abs(np.asarray(laplace_at(f, -sys.eigenvalues)))
     return float(((vals * np.abs(sys.coeffs)) ** sys.q).sum() ** (1 / sys.q))
 
 
-def _kernel_embeddings(sys: DiagonalSystem, f: TestFunction, rates) -> np.ndarray:
-    """``embedding_value`` of the single kernel f with its rate set to each
-    of ``rates``.  |Lf(s)| = g |lam + s|^(-r) with (g, r) = (1, 1) for
-    e^(-lam t), (Gamma(n), n) for t^(n-1) e^(-lam t) and
-    (Gamma(1 - alpha), 1 - alpha) for t^(-alpha) e^(-lam t), so the q-th
-    power of the embedding is g^q times the kernel sum of the spectral
-    measure at power -r q / 2."""
-    if f.kind == "exp":
-        g, r = 1.0, 1.0
-    elif f.kind == "poly_exp":
-        g, r = float(gamma(f.n)), float(f.n)
-    else:
-        g, r = float(gamma(1 - f.alpha)), 1 - f.alpha
+def _kernel_embeddings(sys: DiagonalSystem, n: float, rates) -> np.ndarray:
+    """``embedding_value`` of the kernel t^(N-1) e^(-lam t) of order n at
+    each rate lam in ``rates``.  Its transform has modulus
+    Gamma(N) |lam + s|^(-N), so the q-th power of the embedding is
+    Gamma(N)^q times the kernel sum of the spectral measure at power
+    -N q / 2."""
     q = sys.q
-    return g * kernel_sums(rates, spectral_measure(sys), -r * q / 2) ** (1 / q)
+    return gamma(n) * kernel_sums(rates, spectral_measure(sys), -n * q / 2) ** (1 / q)
 
 
 def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
                            points_per_decade: int = 10) -> CriterionReport:
-    """Reproducing-kernel condition for the embedding, using the kernel family
-    matched to the space: exponentials for L^p (p <= q) and Sobolev,
-    polynomial-exponentials for weighted L^2, power kernels for the power
-    scale, and the dyadic kernel sequence when q < p."""
+    """Reproducing-kernel condition for the embedding over the kernels
+    t^(N-1) e^(-z t), with one order N matched to the space: N = 1 for L^p
+    (p <= q), the smallest N with a finite H^beta norm (2 beta - 2N < -1)
+    for Sobolev, the weight's resolvent power for weighted L^2 and
+    N = 1 - alpha for the power scale; the dyadic kernel sequence when
+    q < p."""
     q = sys.q
     x = -sys.eigenvalues.real
     grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
     if space.kind == "Lp" and space.p > q:
         return _dyadic_kernel_sequence(sys, space)
-    if space.kind == "Lp" or space.kind == "sobolev":
-        kernels = [TestFunction.exp(z) for z in grid]
+    if space.kind == "Lp":
+        n = 1
+    elif space.kind == "sobolev":
+        n = math.floor(space.beta + 0.5) + 1
     elif space.kind == "weightedL2":
         n = WeightFunction(space.measure, "unchecked").resolvent_power(minimum=1)
-        kernels = [TestFunction.poly_exp(n, z) for z in grid]
     elif space.kind == "powerL2":
-        kernels = [TestFunction.power_exp(space.alpha, z) for z in grid]
+        n = 1 - space.alpha
     else:
         raise ValueError(f"no kernel family for space kind {space.kind!r}")
-    embeddings = _kernel_embeddings(sys, kernels[0], grid)
-    ratios = np.empty(len(kernels))
-    for i, f in enumerate(kernels):
-        denom = space_norm(f, space)
+    embeddings = _kernel_embeddings(sys, n, grid)
+    ratios = np.empty(len(grid))
+    for i, z in enumerate(grid):
+        denom = space_norm(TestFunction(((1, n, z),)), space)
         if math.isinf(denom) or denom == 0:
             ratios[i] = 0.0 if math.isinf(denom) else math.inf
         else:
@@ -400,7 +359,7 @@ def _dyadic_kernel_sequence(sys: DiagonalSystem, space: InputSpace) -> Criterion
     n_lo = int(math.floor(math.log2(x.min()))) - 10
     n_hi = int(math.ceil(math.log2(x.max()))) + 10
     ns = np.arange(n_lo, n_hi + 1)
-    seq = 2.0 ** (ns / p) * _kernel_embeddings(sys, TestFunction.exp(1.0), 2.0**ns)
+    seq = 2.0 ** (ns / p) * _kernel_embeddings(sys, 1, 2.0**ns)
     s = q * p / (p - q)
     cuts = ladder_cuts(n_lo, n_hi)
     levels = [float((seq[ns <= cut] ** s).sum() ** (1 / s)) for cut in cuts]
@@ -417,19 +376,13 @@ def zen_norm_by_quadrature(zen: RadialMeasure, f: TestFunction) -> float:
     """Zen-space norm of Lf by product quadrature: boundary/atom lines plus
     Gauss-Legendre panels in x against the power density, each line integrated
     in y over geometric panels with tail truncation."""
-    if f.kind == "power_exp":
-        n_min_order = 1 - f.alpha
-    else:
-        n_min_order = min(n for _, n, _ in f.poly_terms)
+    n_min_order = min(n for _, n, _ in f.terms)
     # line integrals decay like x^(1 - 2N); the density integral then needs
     # 2N - 2 - alpha > 0
     if zen.has_density and 2 * n_min_order - 2 - zen.density_alpha <= 0:
         return math.inf
 
-    if f.kind == "power_exp":
-        rates = [f.lam]
-    else:
-        rates = [lam for _, _, lam in f.poly_terms]
+    rates = [lam for _, _, lam in f.terms]
     y_center = -float(np.mean([lam.imag for lam in rates]))
 
     def line_integral(x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the spectrum and coefficients alone take 32 bytes per mode; the criteria
+# hold several arrays of that size
+MAX_MODES = 10**7
+
 __all__ = [
     "DiagonalSystem",
     "AtomicMeasure",
@@ -33,8 +37,8 @@ class DiagonalSystem:
 
     ``eigenvalues`` and ``coeffs`` accept any sequence and are stored as
     read-only 1-d complex arrays.  ``generator`` is an optional symbolic tag
-    (e.g. ``"heat1d"``) allowing criteria to rematerialize the system at a
-    larger truncation for convergence diagnostics.
+    (e.g. ``"heat1d"``) from which ``with_modes`` rebuilds the system at
+    another truncation (the CLI's ``--modes``).
     """
 
     eigenvalues: np.ndarray
@@ -121,9 +125,6 @@ class AtomicMeasure:
     def __len__(self) -> int:
         return self.locations.size
 
-    def scaled(self, factor: float) -> "AtomicMeasure":
-        return AtomicMeasure(self.locations, self.masses * float(factor))
-
     def transformed(self, mass_factors: np.ndarray) -> "AtomicMeasure":
         """New measure with per-atom mass multipliers (same locations)."""
         return AtomicMeasure(self.locations, self.masses * np.asarray(mass_factors, dtype=float))
@@ -150,9 +151,15 @@ def spectral_measure(sys: DiagonalSystem) -> AtomicMeasure:
 
 
 def heat_system(modes: int) -> DiagonalSystem:
-    """1-d heat equation with Neumann boundary control: lambda_n = -n^2 pi^2, b_n = 1."""
+    """1-d heat equation with Neumann boundary control: lambda_n = -n^2 pi^2, b_n = 1.
+
+    At most ``MAX_MODES`` modes, so a generator config or ``--modes`` cannot
+    ask for an allocation that exhausts memory.
+    """
     if modes < 1:
         raise ValueError(f"number of modes must be >= 1, got {modes}")
+    if modes > MAX_MODES:
+        raise ValueError(f"number of modes {modes} exceeds the cap of {MAX_MODES}")
     n = np.arange(1, modes + 1, dtype=float)
     n *= n
     n *= math.pi**2

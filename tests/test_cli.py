@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from admiss.cli import main
@@ -253,3 +254,37 @@ def test_sweep_nan_value_exits_before_any_row(heat_file, capsys, monkeypatch):
     assert code == 1
     assert computed == [] and captured.out == ""
     assert "finite" in captured.err
+
+
+def test_oracle_sobolev_sweep_has_finite_norm_kernels(capsys):
+    # at beta >= 1/2 every exponential has infinite H^beta norm; the sweep
+    # must use kernels of higher order, not read a constant 0
+    code = main(["oracle", "--system", '{"generator":"heat1d","modes":2000}',
+                 "--space", '{"kind":"sobolev","p":2,"beta":0.5}', "--format", "json"])
+    sweep = json.loads(capsys.readouterr().out)["reports"][1]
+    assert code == 0
+    assert sweep["constant"] > 0
+    assert sweep["diagnostics"]["sup_interior"]
+
+
+@pytest.mark.parametrize("grid", ["--grid=0:1024", "--grid=-1023:0", "--grid=5:1"])
+def test_grid_outside_float_range_is_usage_error(grid, capsys):
+    code = main(["check", "--system", '{"generator":"heat1d","modes":50}',
+                 "--space", '{"kind":"Lp","p":1.5}', grid])
+    assert code == 1
+    assert "error: argument --grid: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, modes", [('{"generator":"heat1d","modes":10000000000}', []),
+                                           (HEAT, ["--modes", "10000000000"])])
+def test_modes_above_cap_refused_before_allocation(system, modes, capsys, monkeypatch):
+    arange = np.arange
+
+    def guarded_arange(*args, **kwargs):
+        assert max(args) <= 10**7 + 1, "allocation above the cap"
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr("admiss.system_model.np.arange", guarded_arange)
+    code = main(["check", "--system", system, "--space", '{"kind":"Lp","p":1.5}', *modes])
+    assert code == 1
+    assert "exceeds the cap of 10000000" in capsys.readouterr().err

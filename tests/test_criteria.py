@@ -420,6 +420,26 @@ def test_square_family_sup_matches_per_level_scan(symmetric, part, atoms, n_min,
     assert got == want
 
 
+@pytest.mark.parametrize("symmetric, part",
+                         [(True, "full"), (True, "right_half"), (False, "full")])
+@given(atoms=_ATOMS, extra=_ATOMS.map(lambda atoms: atoms[0]), data=st.data(),
+       n_min=st.integers(-6, 3), span=st.integers(0, 12), denom=st.sampled_from(_DENOMS))
+@settings(max_examples=100, deadline=None)
+def test_square_family_sup_permutation_invariant_and_monotone(symmetric, part, atoms, extra, data,
+                                                              n_min, span, denom):
+    def sup(atom_list):
+        m = AtomicMeasure.from_atoms([(complex(x, y), mass) for x, y, mass in atom_list])
+        levels, constant, _, _ = _square_family_sup(m, denom, (n_min, n_min + span), symmetric,
+                                                    part)
+        return levels, constant
+
+    levels, constant = sup(atoms)
+    assert sup(data.draw(st.permutations(atoms))) == (levels, constant)
+    more_levels, more_constant = sup(atoms + [extra])
+    assert more_constant >= constant
+    assert all(a >= b for a, b in zip(more_levels, levels))
+
+
 def _dense_r1(sys, zen, n_res, points_per_decade=8):
     """R1 with the whole (lambda grid x K) complex matrix at once."""
     wf = weight(zen)

@@ -28,6 +28,7 @@ from admiss.laplace_oracle import (
     kernel_condition_sweep,
     laplace_at,
     space_norm,
+    zen_norm_by_quadrature,
 )
 from admiss.report import ladder_cuts, ladder_verdict, log_space, nested_log_sup
 from admiss.spaces import InputSpace
@@ -102,8 +103,12 @@ def _pre_sweep(sys, space, points_per_decade=10):
         s = q * p / (p - q)
         levels = [float((seq[ns <= cut] ** s).sum() ** (1 / s)) for cut in ladder_cuts(n_lo, n_hi)]
         return levels, levels[-1], {"n_range": [n_lo, n_hi]}
-    if space.kind in ("Lp", "sobolev"):
+    if space.kind == "Lp":
         kernels = [TestFunction.exp(z) for z in grid]
+    elif space.kind == "sobolev":
+        # the smallest order with a finite H^beta norm: 2 beta - 2N < -1
+        n = math.floor(space.beta + 0.5) + 1
+        kernels = [TestFunction.poly_exp(n, z) for z in grid]
     elif space.kind == "weightedL2":
         n = WeightFunction(space.measure, "unchecked").resolvent_power(minimum=1)
         kernels = [TestFunction.poly_exp(n, z) for z in grid]
@@ -154,7 +159,7 @@ def test_pointwise_quotients_match_pre_change_formulas(name):
             assert fractional_resolvent_ratio(sys_, alpha, lam) == pytest.approx(want, rel=RTOL)
 
 
-@pytest.mark.parametrize("space", [
+SWEEP_SPACES = [
     InputSpace("Lp", p=1.5),
     InputSpace("Lp", p=3.0),
     InputSpace("Lp", p=4.0),
@@ -162,7 +167,10 @@ def test_pointwise_quotients_match_pre_change_formulas(name):
     InputSpace("weightedL2", measure=bergman(0.5)),
     InputSpace("powerL2", alpha=0.5),
     InputSpace("sobolev", p=2.0, beta=0.5),
-], ids=lambda s: s.describe())
+]
+
+
+@pytest.mark.parametrize("space", SWEEP_SPACES, ids=lambda s: s.describe())
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_kernel_sweep_matches_pre_change_loop(name, space):
     sys_ = _system(name)
@@ -182,6 +190,28 @@ def test_single_kernel_embedding_matches_complex_transform(name):
                   TestFunction.power_exp(0.5, lam), TestFunction.power_exp(-0.7, lam)):
             assert embedding_value(sys_, f) == pytest.approx(_pre_embedding_value(sys_, f),
                                                              rel=RTOL)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5 + 1j])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_overlapping_constructors_agree(n, lam):
+    # t^(n-1) e^(-lam t) is poly_exp(n), power_exp(1 - n), a one-term mix and, at n = 1, exp
+    kernels = [TestFunction.power_exp(1 - n, lam), TestFunction.mix([(1.0, n, lam)])]
+    if n == 1:
+        kernels.append(TestFunction.exp(lam))
+    ref = TestFunction.poly_exp(n, lam)
+    z = np.array([0.0, 1.0 + 2j, 40.0 - 3j])
+    spaces = SWEEP_SPACES + [InputSpace("sobolev", p=3.0, beta=0.25)]
+    for f in kernels:
+        np.testing.assert_allclose(laplace_at(f, z), laplace_at(ref, z), rtol=RTOL, atol=0)
+        for name in SYSTEMS:
+            assert embedding_value(_system(name), f) == pytest.approx(
+                embedding_value(_system(name), ref), rel=RTOL)
+        for zen in (hardy(), bergman(0.5)):
+            assert zen_norm_by_quadrature(zen, f) == pytest.approx(
+                zen_norm_by_quadrature(zen, ref), rel=RTOL)
+        for space in spaces:
+            assert space_norm(f, space) == pytest.approx(space_norm(ref, space), rel=RTOL)
 
 
 @pytest.mark.parametrize("name, p", [("heat1d", 2.5), ("heat1d", 4.0), ("sectorial", 2.5),

@@ -98,7 +98,7 @@ def _family_member(seed, i, j):
 
 def _quad_lp_norm(f, p):
     """Scalar quad over [0, inf) in units of the slowest rate."""
-    ref = min(lam.real for _, _, lam in f.poly_terms)
+    ref = min(lam.real for _, _, lam in f.terms)
     val, _ = quad(lambda u: abs(complex(f.time_values(np.array([u / ref]))[0])) ** p,
                   0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
     return (val / ref) ** (1 / p)
@@ -120,7 +120,7 @@ def test_unconverged_mixture_norm_warns_and_is_skipped(monkeypatch):
     space = InputSpace("Lp", p=1.5)
     sys50 = heat_system(50)
     mixture = _family_member(0, 1, 1)  # member 1 of seed 0: two terms
-    assert len(mixture.poly_terms) == 2
+    assert len(mixture.terms) == 2
     first = embedding_value(sys50, TestFunction.exp(1.0)) / space_norm(TestFunction.exp(1.0), space)
     assert empirical_ratio(sys50, space, 2, seed=0) > first
     # one panel, and tolerances no pass can meet
