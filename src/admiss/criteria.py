@@ -269,7 +269,11 @@ def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
     s = p / (p - q)
     masses = np.array([v for _, v in strip_masses(m, n_min, n_max)])
     ns = np.arange(n_min, n_max + 1)
-    terms = 2.0 ** (-ns * q / p_conj) * masses
+    # only strips with mass: at the low end of the grid 2^(-n q/p') alone
+    # overflows, and inf * 0 would be NaN
+    terms = np.zeros(masses.size)
+    filled = masses > 0
+    terms[filled] = 2.0 ** (-ns[filled] * q / p_conj) * masses[filled]
     cuts = ladder_cuts(n_min, n_max)
     levels = [float((terms[ns <= cut] ** s).sum() ** (1 / s)) for cut in cuts]
     constant = levels[-1]

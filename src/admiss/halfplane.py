@@ -187,13 +187,59 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
     resolvent sum sum_k |b_k|^q |z - lambda_k|^(2 power), and the Laplace
     transforms of e^(-zt), t^(n-1) e^(-zt) and t^(-alpha) e^(-zt) are
     constants times (z + s)^(-r), so every single-kernel embedding is one
-    such sum.  The squared distances are formed in real arithmetic, one block
-    of points at a time, so memory stays O(_BLOCK_ENTRIES) whatever the
-    number of points and atoms.
+    such sum.  The squared distances are formed in real arithmetic, one
+    block of (points x atoms) at a time.
+
+    On a real measure (every atom on the real axis) the sums at z and
+    conj(z) are equal, so the points are folded onto (Re z, |Im z|), each
+    distinct folded point is summed once and the sums are scattered back:
+    conjugate points get bit-identical sums.  A block there holds at most
+    _BLOCK_ENTRIES entries, so memory stays O(_BLOCK_ENTRIES) whatever the
+    number of points and atoms.  A point off the axis adds (Im z)^2 as one
+    scalar to every (Re z + w_k)^2 of its row; on the axis, for |power| < 1
+    with 4 power an integer, |Re z + w_k| is raised to 2 power, which saves
+    the squaring and a square root.  Over atoms off the axis a block is a
+    set of points against every atom.
     """
     z = np.atleast_1d(np.asarray(points, dtype=complex))
+    u = m.locations.real
+    if m.locations.imag.any():
+        return _complex_measure_sums(z, m, power)
+    folded, back = np.unique(z.real + 1j * np.abs(z.imag), return_inverse=True)
+    cols = min(max(1, u.size), _BLOCK_ENTRIES)
+    rows = _BLOCK_ENTRIES // cols
+    sums = np.empty(folded.size)
+    for on_axis in (True, False):
+        idx = np.flatnonzero((folded.imag == 0) == on_axis)
+        re, im_sq = folded.real[idx], folded.imag[idx] ** 2
+        for i in range(0, idx.size, rows):
+            block = slice(i, i + rows)
+            sums[idx[block]] = sum(
+                _real_block(re[block], None if on_axis else im_sq[block],
+                            u[k:k + cols], m.masses[k:k + cols], power)
+                for k in range(0, u.size, cols))
+    return sums[back]
+
+
+def _real_block(re: np.ndarray, im_sq: np.ndarray | None, u: np.ndarray, masses: np.ndarray,
+                power: float) -> np.ndarray:
+    """sum_k m_k |z + u_k|^(2 power) for the points z = re + i sqrt(im_sq)
+    (on the real axis when im_sq is None) over real atoms u_k."""
+    d = re[:, None] + u
+    quarters = 4 * power
+    if im_sq is None and 0 < abs(quarters) < 4 and quarters == round(quarters):
+        np.abs(d, out=d)
+        return _power_in_place(d, 2 * power) @ masses
+    d *= d
+    if im_sq is not None:
+        d += im_sq[:, None]
+    return _power_in_place(d, power) @ masses
+
+
+def _complex_measure_sums(z: np.ndarray, m: AtomicMeasure, power: float) -> np.ndarray:
+    """``kernel_sums`` over atoms not all on the real axis."""
     u, v = m.locations.real, m.locations.imag
-    v_sq = v * v if v.any() else None
+    v_sq = v * v
     re, im = z.real, z.imag
     rows = max(1, _BLOCK_ENTRIES // max(1, u.size))
     out = np.empty(z.size)
@@ -205,7 +251,7 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
             dy = im[block, None] + v
             dy *= dy
             dist2 += dy
-        elif v_sq is not None:
+        else:
             dist2 += v_sq
         out[block] = _power_in_place(dist2, power) @ m.masses
     return out

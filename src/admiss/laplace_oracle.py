@@ -7,7 +7,8 @@ by honest product quadrature over the half-plane, and the embedding value is
 the exact coordinate formula for the truncated system.  For one term that
 formula is a closed-form constant times one ``halfplane.kernel_sums``
 value, the package's one primitive for spectral kernel sums; the kernel
-sweep and the dyadic kernel sequence take all their points in one such call.
+sweep and the dyadic kernel sequence take all their points in one such call,
+and the mixtures of ``empirical_ratio`` share one table of their kernels.
 Quadrature appears only where no closed form exists and is flagged as such;
 mixture L^p norms use the vectorised Gauss-Kronrod integrator of
 ``admiss.halfplane`` with an analytic bound on the truncated tail.
@@ -23,7 +24,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma
 
-from admiss.halfplane import _EPSABS, _integrate_with_breaks, kernel_sums
+from admiss import halfplane
+from admiss.halfplane import _EPSABS, _integrate_with_breaks, _power_in_place, kernel_sums
 from admiss.report import (
     CriterionReport,
     ladder_cuts,
@@ -208,6 +210,15 @@ def _sobolev_fft_norm(f: TestFunction, p: float, beta: float) -> tuple[float, bo
     """
     if not _sobolev_tail_ok(f, beta):
         return math.inf, True
+    frac = _fft_derivative_norm(f, p, beta)
+    base, converged = _single_lp_norm(f, p)
+    return (base**p + frac**p) ** (1 / p), converged
+
+
+def _fft_derivative_norm(f: TestFunction, p: float, beta: float) -> float:
+    """L^p norm of the fractional derivative D^beta f, by inverting its
+    transform (i xi)^beta Lf(i xi) sampled on a 2^16-point FFT grid that
+    reaches 4096 min |lam|."""
     if any(n != int(n) for _, n, _ in f.terms):
         raise ValueError("fractional derivative of power kernels is out of quadrature scope")
     scale = min(abs(lam) for _, _, lam in f.terms)
@@ -220,9 +231,27 @@ def _sobolev_fft_norm(f: TestFunction, p: float, beta: float) -> tuple[float, bo
     g = np.fft.ifft(ghat) / dt
     t = np.arange(m) * dt
     half = m // 2
-    frac = (np.trapezoid(np.abs(g[1:half]) ** p, t[1:half])) ** (1 / p)
-    base, converged = _single_lp_norm(f, p)
-    return (base**p + frac**p) ** (1 / p), converged
+    return float(np.trapezoid(np.abs(g[1:half]) ** p, t[1:half])) ** (1 / p)
+
+
+def _kernel_norms(n: float, rates: np.ndarray, space: InputSpace) -> np.ndarray:
+    """``space_norm`` of the kernel t^(n-1) e^(-z t) at each positive rate z.
+
+    In a Sobolev space with p != 2 both parts of the two-term norm are
+    homogeneous in the rate: the L^p norm is z^(-(n-1)-1/p) times its value
+    at rate 1, and the FFT grid of ``_fft_derivative_norm`` scales with the
+    rate, so the derivative's norm is z^(beta-(n-1)-1/p) times its value at
+    rate 1.  One FFT at rate 1 then serves every rate.
+    """
+    if space.kind != "sobolev" or space.p == 2:
+        return np.array([space_norm(TestFunction(((1, n, z),)), space) for z in rates])
+    unit = TestFunction(((1, n, 1.0),))
+    p, beta = space.p, space.beta
+    if not _sobolev_tail_ok(unit, beta):
+        return np.full(rates.size, math.inf)
+    base = _single_lp_norm(unit, p)[0] * rates ** (-(n - 1) - 1 / p)
+    frac = _fft_derivative_norm(unit, p, beta) * rates ** (beta - (n - 1) - 1 / p)
+    return (base**p + frac**p) ** (1 / p)
 
 
 def _single_lp_norm(f: TestFunction, p: float) -> tuple[float, bool]:
@@ -288,13 +317,60 @@ def _hilbert_norm(f: TestFunction, space: InputSpace) -> float:
 def embedding_value(sys: DiagonalSystem, f: TestFunction) -> float:
     """Exact ell^q state norm of the input-to-state map applied to f:
     (sum_k |Lf(-lambda_k)|^q |b_k|^q)^(1/q).  A single term takes one
-    ``kernel_sums`` value (see ``_kernel_embeddings``); a mixture sums its
-    complex transform."""
-    if len(f.terms) == 1:
-        c, n, lam = f.terms[0]
-        return float(abs(c) * _kernel_embeddings(sys, n, lam)[0])
-    vals = np.abs(np.asarray(laplace_at(f, -sys.eigenvalues)))
-    return float(((vals * np.abs(sys.coeffs)) ** sys.q).sum() ** (1 / sys.q))
+    ``kernel_sums`` value (see ``_kernel_embeddings``); a mixture takes its
+    transform from the kernel table of ``_embeddings``."""
+    return float(_embeddings(sys, [f])[0])
+
+
+def _embeddings(sys: DiagonalSystem, fs: list[TestFunction]) -> np.ndarray:
+    """``embedding_value`` of every test function in ``fs``.
+
+    A single term c t^(N-1) e^(-lam t) is |c| times its one ``kernel_sums``
+    value.  The mixtures share one table of their distinct kernels
+    (N, lam): row (N, lam) holds the kernel's transform Gamma(N)
+    (lam - lambda_k)^(-N) at every atom, and the mixtures' transforms are
+    the product of their coefficient matrix with the table.  The table is
+    formed one block of atoms at a time, so memory stays O(_BLOCK_ENTRIES)
+    whatever the number of atoms and mixtures, and in real arithmetic when
+    the spectrum, the rates and the coefficients are all real.
+    """
+    out = np.empty(len(fs))
+    mixtures = []
+    for i, f in enumerate(fs):
+        if len(f.terms) == 1:
+            c, n, lam = f.terms[0]
+            out[i] = abs(c) * _kernel_embeddings(sys, n, lam)[0]
+        else:
+            mixtures.append(i)
+    if not mixtures:
+        return out
+    kernels = list(dict.fromkeys((n, lam) for i in mixtures for _, n, lam in fs[i].terms))
+    row = {kernel: r for r, kernel in enumerate(kernels)}
+    coef = np.zeros((len(mixtures), len(kernels)), dtype=complex)
+    for j, i in enumerate(mixtures):
+        for c, n, lam in fs[i].terms:
+            coef[j, row[(n, lam)]] += c * gamma(n)
+    rates = np.array([lam for _, lam in kernels])
+    mu = spectral_measure(sys)
+    s = mu.locations
+    if not (s.imag.any() or rates.imag.any() or coef.imag.any()):
+        s, rates, coef = s.real, rates.real, coef.real
+    # a block's table and the mixtures' values there hold _BLOCK_ENTRIES entries
+    cols = max(1, halfplane._BLOCK_ENTRIES // (len(kernels) + len(mixtures)))
+    total = np.zeros(len(mixtures))
+    for k in range(0, s.size, cols):
+        table = rates[:, None] + s[k:k + cols]
+        for r, (n, _) in enumerate(kernels):
+            table[r] = _power_in_place(table[r], -n)
+        values = coef @ table
+        if np.iscomplexobj(values):
+            mod_sq = values.real * values.real
+            mod_sq += values.imag * values.imag
+        else:
+            mod_sq = np.multiply(values, values, out=values)
+        total += _power_in_place(mod_sq, sys.q / 2) @ mu.masses[k:k + cols]
+    out[mixtures] = total ** (1 / sys.q)
+    return out
 
 
 def _kernel_embeddings(sys: DiagonalSystem, n: float, rates) -> np.ndarray:
@@ -332,8 +408,7 @@ def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
         raise ValueError(f"no kernel family for space kind {space.kind!r}")
     embeddings = _kernel_embeddings(sys, n, grid)
     ratios = np.empty(len(grid))
-    for i, z in enumerate(grid):
-        denom = space_norm(TestFunction(((1, n, z),)), space)
+    for i, denom in enumerate(_kernel_norms(n, grid, space).tolist()):
         if math.isinf(denom) or denom == 0:
             ratios[i] = 0.0 if math.isinf(denom) else math.inf
         else:
@@ -450,7 +525,7 @@ def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
         raise ValueError("family size must be >= 1")
     x = -sys.eigenvalues.real
     j_cap = int(math.ceil(math.log2(100 * float(x.max()))))
-    best = 0.0
+    members, denoms = [], []
     for i in range(family_size):
         j = min(i, j_cap)
         if i == 0:
@@ -463,5 +538,7 @@ def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
         denom, converged = _space_norm(f, space)
         if not converged or denom == 0 or math.isinf(denom):
             continue
-        best = max(best, embedding_value(sys, f) / denom)
-    return best
+        members.append(f)
+        denoms.append(denom)
+    ratios = (_embeddings(sys, members) / np.array(denoms)).tolist() if members else []
+    return max([0.0, *ratios])

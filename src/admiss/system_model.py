@@ -2,13 +2,14 @@
 
 A system is a finite truncation of a diagonal generator on ell^q: eigenvalues
 lambda_k in the open left half-plane and scalar control coefficients b_k.  The
-sign flip onto the right half-plane happens in exactly one place,
-``spectral_measure``, so every downstream module works with points
-z_k = -lambda_k, Re z_k > 0.
+sign flip onto the right half-plane happens in exactly one place, the
+system's spectral measure (``spectral_measure``, built once per system), so
+every downstream module works with points z_k = -lambda_k, Re z_k > 0.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -66,6 +67,13 @@ class DiagonalSystem:
     @property
     def modes(self) -> int:
         return self.eigenvalues.size
+
+    @functools.cached_property
+    def _measure(self) -> "AtomicMeasure":
+        """See ``spectral_measure``."""
+        masses = np.abs(self.coeffs)
+        masses **= self.q
+        return AtomicMeasure(-self.eigenvalues, masses)
 
     def with_modes(self, modes: int) -> "DiagonalSystem":
         """Rematerialize a tagged system at a different truncation."""
@@ -145,9 +153,10 @@ def spectral_measure(sys: DiagonalSystem) -> AtomicMeasure:
     """Atomic measure with atoms at -lambda_k and masses |b_k|^q.
 
     Duplicate eigenvalues keep separate atoms; geometric routines treat
-    coincident atoms additively, so multiplicity is handled naturally.
+    coincident atoms additively, so multiplicity is handled naturally.  The
+    system is immutable, so the measure is built once and kept on it.
     """
-    return AtomicMeasure(-sys.eigenvalues, np.abs(sys.coeffs) ** sys.q)
+    return sys._measure
 
 
 def heat_system(modes: int) -> DiagonalSystem:

@@ -267,6 +267,15 @@ def test_oracle_sobolev_sweep_has_finite_norm_kernels(capsys):
     assert sweep["diagnostics"]["sup_interior"]
 
 
+def test_c4_at_the_low_end_of_the_grid_is_finite(capsys, recwarn):
+    code = main(["check", "--system", '{"generator":"heat1d","modes":50}',
+                 "--space", '{"kind":"Lp","p":3}', "--grid=-1022:40", "--format", "json"])
+    c4 = json.loads(capsys.readouterr().out)["reports"][0]
+    assert code in (0, 3)
+    assert c4["criterion"] == "C4" and c4["constant"] > 0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("grid", ["--grid=0:1024", "--grid=-1023:0", "--grid=5:1"])
 def test_grid_outside_float_range_is_usage_error(grid, capsys):
     code = main(["check", "--system", '{"generator":"heat1d","modes":50}',

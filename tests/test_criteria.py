@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ def test_c4_range_check_and_heat():
     report = c4_strip_summability(mu, 4.0, 2.0, n_range=(-10, 45))
     assert report.verdict == "bounded-evidence"
     assert math.isfinite(report.diagnostics["resolvent_sequence_norm"])
+
+
+def test_c4_low_end_of_grid_does_not_overflow():
+    # 2^(-n q/p') overflows below n = -768 at q/p' = 4/3; only strips with
+    # mass may form it, or inf * 0 reads NaN
+    mu = spectral_measure(heat_system(50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low = c4_strip_summability(mu, 3.0, 2.0, n_range=(-1022, 40))
+    assert math.isfinite(low.constant)
+    default = c4_strip_summability(mu, 3.0, 2.0, n_range=(-20, 40))
+    assert low.constant == pytest.approx(default.constant, rel=1e-12)
 
 
 def test_c4_balayage_branch_present():

@@ -24,6 +24,7 @@ from admiss.criteria import (
 from admiss.halfplane import kernel_sums
 from admiss.laplace_oracle import (
     TestFunction,
+    _embeddings,
     embedding_value,
     kernel_condition_sweep,
     laplace_at,
@@ -67,6 +68,40 @@ def test_kernel_sums_match_dense_formula(pool, picks, points, power, rows):
         real = kernel_sums(z.real, m, power)
     np.testing.assert_allclose(got, _dense(z, m, power), rtol=RTOL, atol=0)
     np.testing.assert_allclose(real, _dense(z.real, m, power), rtol=RTOL, atol=0)
+
+
+@given(atoms=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0.0, 0.5, 1.0, 7.25])),
+                      min_size=1, max_size=30),
+       pool=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=6),
+       points=st.lists(st.tuples(st.floats(0.01, 100.0),
+                                 st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
+                                 st.sampled_from(["once", "conjugate", "twice"])),
+                       min_size=1, max_size=12),
+       power=st.sampled_from([-2.0, -0.75, -0.5]),
+       block=st.sampled_from([None, 1, 3, 7, 64]))
+@settings(max_examples=200, deadline=None)
+def test_real_measure_kernel_sums_match_dense_formula(atoms, pool, points, power, block):
+    # real atoms repeat from a small pool and include zero masses; points come
+    # with their conjugates or repeated, and rows on the axis share blocks with
+    # rows off it; small blocks split the atoms too
+    m = AtomicMeasure.from_atoms((pool[i % len(pool)], mass) for i, mass in atoms)
+    z = []
+    for x, y, copies in points:
+        z.append(complex(x, y))
+        if copies != "once":
+            z.append(complex(x, -y if copies == "conjugate" else y))
+    z = np.array(z)
+    with mock.patch.object(halfplane, "_BLOCK_ENTRIES", block or halfplane._BLOCK_ENTRIES):
+        got = kernel_sums(z, m, power)
+    np.testing.assert_allclose(got, _dense(z, m, power), rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("power", [-2.0, -1.0, -0.75, -0.5, -0.25, 0.5])
+def test_real_measure_kernel_sums_equal_at_conjugate_points(power):
+    m = spectral_measure(heat_system(5000))
+    re = log_space(0.1, 1e6, 4)
+    z = (re[:, None] + 1j * np.concatenate(([0.0], re[::3]))).ravel()
+    assert np.array_equal(kernel_sums(z, m, power), kernel_sums(z.conj(), m, power))
 
 
 # -- the formulas the routed sites used before ----------------------------------
@@ -190,6 +225,39 @@ def test_single_kernel_embedding_matches_complex_transform(name):
                   TestFunction.power_exp(0.5, lam), TestFunction.power_exp(-0.7, lam)):
             assert embedding_value(sys_, f) == pytest.approx(_pre_embedding_value(sys_, f),
                                                              rel=RTOL)
+
+
+_MIXTURES = [
+    TestFunction.mix([(1.0, 1, 2.0), (0.5, 2, 3.0)]),
+    TestFunction.mix([(0.3, 1, 0.5), (-0.2, 1, 64.0), (0.1, 3, 2.0)]),
+    TestFunction.mix([(1.0, 1, 2.0), (0.5 - 0.2j, 2, 3 + 1j), (0.1j, 1, 0.5 - 4j)]),
+    TestFunction(((1.0, 0.5, 1 + 1j), (2.0, 1.5, 0.3), (-1.0, 1, 1 + 1j))),
+    TestFunction.exp(3.0 - 2j),
+    TestFunction.poly_exp(2, 0.7),
+]
+
+
+@pytest.mark.parametrize("block", [None, 1, 100])
+@pytest.mark.parametrize("name", SYSTEMS + ("heat1d-q3",))
+def test_mixture_table_matches_per_member_transform(name, block):
+    # real and complex spectra, rates and coefficients; members share kernels,
+    # and small blocks split the atoms
+    sys_ = _system(name) if name != "heat1d-q3" else DiagonalSystem(
+        _system("heat1d").eigenvalues, _system("heat1d").coeffs, 3.0)
+    with mock.patch.object(halfplane, "_BLOCK_ENTRIES", block or halfplane._BLOCK_ENTRIES):
+        got = _embeddings(sys_, _MIXTURES)
+        single = [embedding_value(sys_, f) for f in _MIXTURES]
+    want = [_pre_embedding_value(sys_, f) for f in _MIXTURES]
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)
+    np.testing.assert_allclose(single, want, rtol=RTOL, atol=0)
+
+
+def test_single_term_embedding_is_its_kernel_sum_bit_for_bit():
+    sys_ = _system("heat1d")
+    f = TestFunction.exp(1.0)
+    got = _embeddings(sys_, [_MIXTURES[0], f, _MIXTURES[1]])[1]
+    assert got == embedding_value(sys_, f)
+    assert got == (kernel_sums(1.0, spectral_measure(sys_), -1.0) ** (1 / 2))[0]
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.5 + 1j])

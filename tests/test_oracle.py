@@ -8,7 +8,9 @@ from scipy.integrate import quad
 from admiss import halfplane
 from admiss.laplace_oracle import (
     TestFunction,
+    _kernel_norms,
     _mix_lp_norm,
+    _sobolev_fft_norm,
     embedding_value,
     empirical_ratio,
     isometry_check,
@@ -17,6 +19,7 @@ from admiss.laplace_oracle import (
     space_norm,
     zen_norm_by_quadrature,
 )
+from admiss.report import log_space
 from admiss.spaces import InputSpace
 from admiss.system_model import DiagonalSystem, heat_system
 from admiss.zen_weight import bergman, hardy
@@ -133,6 +136,19 @@ def test_unconverged_mixture_norm_warns_and_is_skipped(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert empirical_ratio(sys50, space, 2, seed=0) == first
+
+
+@pytest.mark.parametrize("p, beta", [(3.0, 0.25), (3.0, 0.75), (1.5, 1.5), (4.0, 0.5)])
+def test_sobolev_kernel_norms_scale_from_rate_one(p, beta):
+    # one FFT at rate 1, scaled as powers of the rate, against one FFT per rate
+    n = math.floor(beta + 0.5) + 1
+    rates = log_space(1e-2, 1e6, 3)
+    got = _kernel_norms(n, rates, InputSpace("sobolev", p=p, beta=beta))
+    want = [_sobolev_fft_norm(TestFunction(((1, n, z),)), p, beta)[0] for z in rates]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+    # exponentials have infinite H^beta norm from beta = 1/2 on, at every rate
+    inf = _kernel_norms(1, rates, InputSpace("sobolev", p=p, beta=max(beta, 0.5)))
+    assert np.isinf(inf).all()
 
 
 def test_space_norm_divergent_reports_inf():
