@@ -201,17 +201,23 @@ def _sobolev_surrogate_sq(f: TestFunction, beta: float) -> float:
     return float((vals * wts).sum()) / (2 * math.pi)
 
 
-def _sobolev_fft_norm(f: TestFunction, p: float, beta: float) -> tuple[float, bool]:
+def _sobolev_fft_norm(f: TestFunction, p: float, beta: float, base_scale=1.0,
+                      frac_scale=1.0) -> tuple:
     """Two-term Sobolev norm for general p via FFT fractional derivative, and
     whether the L^p term converged (see ``_single_lp_norm``).
+
+    The L^p part is multiplied by ``base_scale`` and the derivative's part by
+    ``frac_scale`` before they are combined; arrays of scales give an array
+    of norms (see ``_kernel_norms``).
 
     Quadrature-grade: sampled frequency inversion, intended for exploratory
     sweeps only; the p = 2 path uses the exact Plancherel surrogate instead.
     """
     if not _sobolev_tail_ok(f, beta):
-        return math.inf, True
-    frac = _fft_derivative_norm(f, p, beta)
+        return math.inf * np.ones_like(base_scale * frac_scale), True
+    frac = _fft_derivative_norm(f, p, beta) * frac_scale
     base, converged = _single_lp_norm(f, p)
+    base = base * base_scale
     return (base**p + frac**p) ** (1 / p), converged
 
 
@@ -245,13 +251,9 @@ def _kernel_norms(n: float, rates: np.ndarray, space: InputSpace) -> np.ndarray:
     """
     if space.kind != "sobolev" or space.p == 2:
         return np.array([space_norm(TestFunction(((1, n, z),)), space) for z in rates])
-    unit = TestFunction(((1, n, 1.0),))
     p, beta = space.p, space.beta
-    if not _sobolev_tail_ok(unit, beta):
-        return np.full(rates.size, math.inf)
-    base = _single_lp_norm(unit, p)[0] * rates ** (-(n - 1) - 1 / p)
-    frac = _fft_derivative_norm(unit, p, beta) * rates ** (beta - (n - 1) - 1 / p)
-    return (base**p + frac**p) ** (1 / p)
+    return _sobolev_fft_norm(TestFunction(((1, n, 1.0),)), p, beta,
+                             rates ** (-(n - 1) - 1 / p), rates ** (beta - (n - 1) - 1 / p))[0]
 
 
 def _single_lp_norm(f: TestFunction, p: float) -> tuple[float, bool]:

@@ -8,10 +8,11 @@ each side with the same seed, the parent first in even pairs and the change
 first in odd ones.  The record keeps every run, the median and quartiles of
 each end-to-end metric per side, the pairs the change wins (reads lower) or
 ties, the change of the medians, and the parent's interquartile range.  With
-``--traced-pairs`` it also runs ``--trace 1`` pairs of kernel-sums and keeps
-the median of every per-layer metric per side.  Lower is better for every
-metric.  The two trees go to a new directory under the system's temporary
-directory (``TMPDIR``).  Run from the root of a checkout.
+``TRACED_PAIRS`` more ``--trace 1`` pairs of kernel-sums it also keeps the
+median of every per-layer metric per side.  Runs take ``benches/run.py``'s own
+length, ``run_seconds`` in ``BENCHMARK.json``.  Lower is better for every
+metric.  The two trees go to a temporary directory under ``TMPDIR`` that is
+removed when the script ends.  Run from the root of a checkout.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("kernel-sums", "heat-lp", "small-systems")
 SEED_BASE = {"kernel-sums": 101, "heat-lp": 201, "small-systems": 301}
-# the workload whose per-layer metrics are recorded, and its seeds
+PAIRS = 10
+# the workload whose per-layer metrics are recorded, its pairs and seeds
 TRACED_WORKLOAD = "kernel-sums"
+TRACED_PAIRS = 5
 TRACED_SEED_BASE = 401
 
 
@@ -45,23 +48,20 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
-def run(tree: Path, workload: str, seed: int, trace: int, seconds: float | None) -> dict:
+def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """The last-line JSON object of one benchmark run in ``tree``."""
     argv = [sys.executable, "benches/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", str(trace)]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def pairs(trees: dict, workload: str, seeds: list[int], trace: int,
-          seconds: float | None) -> dict[str, list[dict]]:
+def pairs(trees: dict, workload: str, seeds: list[int], trace: int) -> dict[str, list[dict]]:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run(trees[side], workload, seed, trace, seconds))
+            runs[side].append(run(trees[side], workload, seed, trace))
             metrics = runs[side][-1]["metrics"]
             shown = metrics.get("run_s", {}).get("value", "")
             print(f"{workload} seed {seed} {side}: run_s {shown}", file=sys.stderr, flush=True)
@@ -95,10 +95,14 @@ def end_to_end(runs: dict[str, list[dict]], bounds: dict) -> dict:
 
 
 def per_layer(runs: dict[str, list[dict]]) -> dict:
-    names = runs["parent"][0]["metrics"]
-    return {name: {f"{side}_median": float(np.median([r["metrics"][name]["value"]
-                                                       for r in runs[side]]))
-                   for side in ("parent", "change")}
+    """Median of every per-layer metric per side; None on a side that lacks it."""
+    names = sorted({name for side in runs for r in runs[side] for name in r["metrics"]})
+
+    def median(side: str, name: str) -> float | None:
+        values = [r["metrics"][name]["value"] for r in runs[side] if name in r["metrics"]]
+        return float(np.median(values)) if values else None
+
+    return {name: {f"{side}_median": median(side, name) for side in ("parent", "change")}
             for name in names}
 
 
@@ -108,19 +112,18 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--out", required=True, help="record to write, e.g. BENCH_8.json")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds)")
-    parser.add_argument("--traced-pairs", type=int, default=5,
-                        help=f"--trace 1 pairs of {TRACED_WORKLOAD}")
     args = parser.parse_args()
-
-    workdir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     revs = {"parent": args.parent, "change": args.change}
-    trees = {side: extract(rev, workdir / side) for side, rev in revs.items()}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as workdir:
+        trees = {side: extract(rev, Path(workdir) / side) for side, rev in revs.items()}
+        write_record(trees, revs, Path(args.out))
+    return 0
+
+
+def write_record(trees: dict, revs: dict, out: Path) -> None:
+    """Run every pair and write the record to ``out`` after each workload."""
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m for m in spec["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
 
     def describe(rev: str) -> str:
         return subprocess.run(["git", "log", "-1", "--format=%h %s", rev], cwd=ROOT,
@@ -129,11 +132,11 @@ def main() -> int:
     record = {
         "description": (
             "Alternating parent/change pairs of `python3 benches/run.py --workload W --seed S "
-            f"--trace T` (run length {seconds:g} s), each side run from its own clean copy of "
-            "the sources made by `git archive`; pair i uses one seed for both sides and "
-            "alternates which side runs first. `wins` counts pairs where the change reads "
-            "lower (better) than the parent, `ties` equal readings; `median_change` is change "
-            "median / parent median - 1. Lower is better for every metric. Written by "
+            f"--trace T` (run length {spec['run_seconds']:g} s), each side run from its own "
+            "clean copy of the sources made by `git archive`; pair i uses one seed for both "
+            "sides and alternates which side runs first. `wins` counts pairs where the change "
+            "reads lower (better) than the parent, `ties` equal readings; `median_change` is "
+            "change median / parent median - 1. Lower is better for every metric. Written by "
             "`tools/bench_pairs.py`."),
         "parent": describe(revs["parent"]),
         "change": describe(revs["change"]),
@@ -147,29 +150,27 @@ def main() -> int:
         },
         "workloads": {},
     }
-    for workload in args.workloads.split(","):
-        seeds = [SEED_BASE[workload] + i for i in range(args.pairs)]
-        runs = pairs(trees, workload, seeds, 0, seconds)
+    for workload in WORKLOADS:
+        seeds = [SEED_BASE[workload] + i for i in range(PAIRS)]
+        runs = pairs(trees, workload, seeds, 0)
         entry = {
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "seeds": seeds,
             "failed_over_attempted": {side: [[r["failed"], r["attempted"]] for r in runs[side]]
                                       for side in runs},
             "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
             "end_to_end": end_to_end(runs, bounds),
         }
-        if workload == TRACED_WORKLOAD and args.traced_pairs > 0:
-            traced_seeds = [TRACED_SEED_BASE + i for i in range(args.traced_pairs)]
-            traced = pairs(trees, workload, traced_seeds, 1, seconds)
+        if workload == TRACED_WORKLOAD:
+            traced_seeds = [TRACED_SEED_BASE + i for i in range(TRACED_PAIRS)]
             entry["traced_per_layer"] = {
-                "pairs": args.traced_pairs,
+                "pairs": TRACED_PAIRS,
                 "seeds": traced_seeds,
                 "note": "per round of the timed pass; peak_alloc_mb is a maximum over calls",
-                "metrics": per_layer(traced),
+                "metrics": per_layer(pairs(trees, workload, traced_seeds, 1)),
             }
         record["workloads"][workload] = entry
-        Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+        out.write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":
