@@ -4,10 +4,8 @@ of diagonal semigroup systems on the right half-plane."""
 from admiss.system_model import (
     AtomicMeasure,
     DiagonalSystem,
-    SectorSpec,
     dual_system,
     heat_system,
-    sector_check,
     spectral_measure,
 )
 from admiss.zen_weight import RadialMeasure, WeightFunction, delta2_constant, nu_square_mass, weight
@@ -20,14 +18,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMeasure",
     "DiagonalSystem",
-    "SectorSpec",
     "RadialMeasure",
     "WeightFunction",
     "InputSpace",
     "CriterionReport",
     "dual_system",
     "heat_system",
-    "sector_check",
     "spectral_measure",
     "delta2_constant",
     "nu_square_mass",

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from admiss.halfplane import blaschke_products
-from admiss.report import BOUNDED, INCONCLUSIVE, CriterionReport, ladder_verdict
+from admiss.report import BOUNDED, INCONCLUSIVE, CriterionReport
 from admiss.system_model import AtomicMeasure, DiagonalSystem
-from admiss.criteria import DEFAULT_N_RANGE, _square_family_sup
+from admiss.criteria import DEFAULT_N_RANGE, _square_report
 
 __all__ = ["controllability_measure", "interpolation_test", "sobolev_controllability"]
 
@@ -47,19 +47,16 @@ def _interpolation_measure(z: np.ndarray, numerators: np.ndarray, g: np.ndarray,
 
 def _carleson_with_gate(m: AtomicMeasure, blaschke_diag: dict, name: str,
                         n_range) -> CriterionReport:
-    levels, constant, witness, _ = _square_family_sup(
-        m, lambda length: length, n_range, symmetric=False)
-    verdict = ladder_verdict(levels)
     tail = float(np.min(blaschke_diag["tail_factor"]))
     gated = tail < TAIL_FACTOR_GATE
-    if gated and verdict == BOUNDED:
+    report = _square_report(name, m, lambda length: length, n_range, symmetric=False,
+                            min_tail_factor=tail, tail_gate_triggered=gated,
+                            proxy_growing=blaschke_diag["proxy_growing"])
+    if gated and report.verdict == BOUNDED:
         # near-degenerate products inflate the masses faster than the grid
         # can witness, so a bounded reading is not trustworthy
-        verdict = INCONCLUSIVE
-    return CriterionReport(name, constant, witness, verdict,
-                           {"levels": levels, "n_range": list(n_range),
-                            "min_tail_factor": tail, "tail_gate_triggered": gated,
-                            "proxy_growing": blaschke_diag["proxy_growing"]})
+        report.verdict = INCONCLUSIVE
+    return report
 
 
 def interpolation_test(sys: DiagonalSystem, n_range=DEFAULT_N_RANGE) -> CriterionReport:

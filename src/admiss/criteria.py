@@ -19,12 +19,13 @@ from admiss.halfplane import balayage_norm, kernel_sums, strip_masses
 from admiss.report import (
     BOUNDED,
     INCONCLUSIVE,
+    NO_CHARACTERIZATION,
     UNBOUNDED,
     CriterionReport,
-    ladder_cuts,
-    ladder_verdict,
-    log_space,
+    dyadic_levels,
+    ladder_report,
     nested_log_sup,
+    spectral_grid,
 )
 from admiss.spaces import InputSpace, dual_space
 from admiss.system_model import (
@@ -57,6 +58,8 @@ __all__ = [
 ]
 
 DEFAULT_N_RANGE = (-20, 40)
+R1_POINTS_PER_DECADE = 8
+R7_POINTS_PER_DECADE = 10
 
 
 def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bool,
@@ -76,13 +79,16 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     denoms = [denom_of_length(length) for length in lengths]
     level_sups = _symmetric_level_sups if symmetric else _staggered_level_sups
     per_n, witnesses = level_sups(m, ns, lengths, denoms, part)
-    per_n_arr = np.asarray(per_n)
-    cuts = ladder_cuts(n_min, n_max)
-    levels = [float(per_n_arr[: cut - n_min + 1].max()) for cut in cuts]
-    best_idx = int(np.argmax(per_n_arr))
-    constant = float(per_n_arr[best_idx])
-    witness = witnesses[best_idx] or {}
-    return levels, constant, witness, per_n
+    best = int(np.argmax(per_n))
+    return dyadic_levels(per_n, n_min), float(per_n[best]), witnesses[best] or {}, per_n
+
+
+def _square_report(name: str, m: AtomicMeasure, denom_of_length, n_range, symmetric: bool,
+                   part: str = "full", **diagnostics) -> CriterionReport:
+    """``_square_family_sup`` read on its dyadic ladder."""
+    levels, constant, witness, _ = _square_family_sup(m, denom_of_length, n_range, symmetric,
+                                                      part)
+    return ladder_report(name, constant, witness, levels, n_range=list(n_range), **diagnostics)
 
 
 def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, part: str):
@@ -166,15 +172,12 @@ def c1_zen_carleson(m: AtomicMeasure, zen: RadialMeasure,
                     n_range=DEFAULT_N_RANGE) -> CriterionReport:
     """Zen Carleson criterion: sup of mu(Q_I) / nu(Q_I) over dyadic squares."""
     weight(zen)  # validates the doubling condition
-    levels, constant, witness, per_n = _square_family_sup(
-        m, lambda length: nu_square_mass(zen, length), n_range, symmetric=False)
-    verdict = UNBOUNDED if math.isinf(constant) else ladder_verdict(levels)
-    return CriterionReport("C1", constant, witness, verdict,
-                           {"levels": levels, "n_range": list(n_range)})
+    return _square_report("C1", m, lambda length: nu_square_mass(zen, length), n_range,
+                          symmetric=False)
 
 
-def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure, resolvent_power: int | None = None,
-                 points_per_decade: int = 8) -> CriterionReport:
+def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure,
+                 resolvent_power: int | None = None) -> CriterionReport:
     """Resolvent criterion for weighted L^2 admissibility (Hilbert case):
     sup over lambda of sum_k |lambda - lambda_k|^(-2N) |b_k|^2 divided by the
     kernel moment of the weight."""
@@ -186,24 +189,20 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure, resolvent_power: int |
         raise ValueError("kernel moment diverges for this weight: increase N")
 
     mu = spectral_measure(sys)
-    x = mu.locations.real
-    re_grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
+    re_grid = spectral_grid(mu.locations.real, R1_POINTS_PER_DECADE)
     im_mag = np.concatenate(([0.0], re_grid[:: max(1, len(re_grid) // 12)]))
     im_grid = np.unique(np.concatenate((-im_mag, im_mag)))
     lam_re = np.repeat(re_grid, im_grid.size)
-    lam_im = np.tile(im_grid, re_grid.size)
-    lam = lam_re + 1j * lam_im
+    lam = lam_re + 1j * np.tile(im_grid, re_grid.size)
 
     num = kernel_sums(lam, mu, -n_res)
     den = np.array([wf.poly_exp_moment(2 * n_res - 2, 2 * r) for r in re_grid])
     den = np.repeat(den, im_grid.size)
     ratios = num / den
     levels, constant, witness = nested_log_sup(lam_re, ratios)
-    return CriterionReport(
+    return ladder_report(
         "R1", constant, {"lambda": [float(lam[witness].real), float(lam[witness].imag)]},
-        ladder_verdict(levels),
-        {"levels": levels, "resolvent_power": n_res},
-    )
+        levels, resolvent_power=n_res)
 
 
 def resolvent_ratio(sys: DiagonalSystem, zen: RadialMeasure, lam: complex,
@@ -250,11 +249,8 @@ def c2_power_square(m: AtomicMeasure, p: float, q: float, symmetric_only: bool,
         if not (p <= 2 and p_conj <= q):
             raise ValueError("hypothesis violated: all-interval criterion needs p <= 2 and p' <= q")
     exponent = q / p_conj
-    levels, constant, witness, _ = _square_family_sup(
-        m, lambda length: length**exponent, n_range, symmetric=symmetric_only)
-    name = "C3" if symmetric_only else "C2"
-    return CriterionReport(name, constant, witness, ladder_verdict(levels),
-                           {"levels": levels, "exponent": exponent, "n_range": list(n_range)})
+    return _square_report("C3" if symmetric_only else "C2", m, lambda length: length**exponent,
+                          n_range, symmetric_only, exponent=exponent)
 
 
 def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
@@ -274,11 +270,9 @@ def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
     terms = np.zeros(masses.size)
     filled = masses > 0
     terms[filled] = 2.0 ** (-ns[filled] * q / p_conj) * masses[filled]
-    cuts = ladder_cuts(n_min, n_max)
-    levels = [float((terms[ns <= cut] ** s).sum() ** (1 / s)) for cut in cuts]
-    constant = levels[-1]
-    peak = int(np.argmax(terms)) if terms.any() else 0
-    diagnostics: dict = {"levels": levels, "sequence_exponent": s, "n_range": list(n_range)}
+    levels = dyadic_levels(terms, n_min, s)
+    peak = int(np.argmax(terms))
+    diagnostics: dict = {"sequence_exponent": s, "n_range": list(n_range)}
 
     # ||(2^n - A)^(-1) B||_(ell^q) = (integral of |2^n + z|^(-q) d mu)^(1/q)
     resolvent = 2.0 ** (ns / p) * kernel_sums(2.0**ns, m, -q / 2) ** (1 / q)
@@ -294,8 +288,8 @@ def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
         except ValueError as exc:
             diagnostics["balayage_diagnostics"] = {"error": str(exc)}
 
-    return CriterionReport("C4", constant, {"n": int(ns[peak])},
-                           ladder_verdict(levels, stable_rtol=1e-6), diagnostics)
+    return ladder_report("C4", levels[-1], {"n": int(ns[peak])}, levels, stable_rtol=1e-6,
+                         **diagnostics)
 
 
 def _sobolev_factors(m: AtomicMeasure, q: float, beta: float) -> np.ndarray | None:
@@ -320,9 +314,9 @@ def c5_sobolev_square(m: AtomicMeasure, p: float, q: float, beta: float,
     if factors is None:
         return CriterionReport("C5", math.inf, {"z": [0.0, 0.0]}, UNBOUNDED,
                                {"note": "atom at the origin has infinite Sobolev factor"})
-    inner = c2_power_square(m.transformed(factors), p, q, symmetric_only=True, n_range=n_range)
-    return CriterionReport("C5", inner.constant, inner.witness, inner.verdict,
-                           dict(inner.diagnostics, beta=beta))
+    exponent = q / (p / (p - 1))
+    return _square_report("C5", m.transformed(factors), lambda length: length**exponent,
+                          n_range, symmetric=True, exponent=exponent, beta=beta)
 
 
 def c6_sobolev_balayage(m: AtomicMeasure, p: float, q: float, beta: float) -> CriterionReport:
@@ -349,14 +343,11 @@ def c7_halfsquare(m: AtomicMeasure, alpha: float, n_range=DEFAULT_N_RANGE) -> Cr
     over symmetric dyadic intervals (alpha = 0 is the admitted limiting case)."""
     if not 0 <= alpha < 1:
         raise ValueError("power exponent must lie in [0, 1)")
-    levels, constant, witness, _ = _square_family_sup(
-        m, lambda length: length ** (1 - alpha), n_range, symmetric=True, part="right_half")
-    return CriterionReport("C7", constant, witness, ladder_verdict(levels),
-                           {"levels": levels, "alpha": alpha, "n_range": list(n_range)})
+    return _square_report("C7", m, lambda length: length ** (1 - alpha), n_range,
+                          symmetric=True, part="right_half", alpha=alpha)
 
 
-def r7_fractional_resolvent(sys: DiagonalSystem, alpha: float,
-                            points_per_decade: int = 10) -> CriterionReport:
+def r7_fractional_resolvent(sys: DiagonalSystem, alpha: float) -> CriterionReport:
     """Fractional resolvent criterion on the positive axis:
     sup of (sum |b_k|^2 |lam - lambda_k|^(2 alpha - 2))^(1/2) / lam^((alpha-1)/2)."""
     if sys.q != 2:
@@ -364,13 +355,11 @@ def r7_fractional_resolvent(sys: DiagonalSystem, alpha: float,
     if not 0 <= alpha < 1:
         raise ValueError("power exponent must lie in [0, 1)")
     mu = spectral_measure(sys)
-    x = mu.locations.real
-    grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
+    grid = spectral_grid(mu.locations.real, R7_POINTS_PER_DECADE)
     num = np.sqrt(kernel_sums(grid, mu, alpha - 1))
     ratios = num / grid ** ((alpha - 1) / 2)
     levels, constant, witness = nested_log_sup(grid, ratios)
-    return CriterionReport("R7", constant, {"lambda": float(grid[witness])},
-                           ladder_verdict(levels), {"levels": levels, "alpha": alpha})
+    return ladder_report("R7", constant, {"lambda": float(grid[witness])}, levels, alpha=alpha)
 
 
 def c8_shifted_carleson(m: AtomicMeasure, beta: float,
@@ -380,10 +369,8 @@ def c8_shifted_carleson(m: AtomicMeasure, beta: float,
     if beta < 0:
         raise ValueError("smoothness beta must be nonnegative")
     factors = np.abs(1.0 + m.locations) ** (-2 * beta)
-    levels, constant, witness, _ = _square_family_sup(
-        m.transformed(factors), lambda length: length, n_range, symmetric=False)
-    return CriterionReport("C8", constant, witness, ladder_verdict(levels),
-                           {"levels": levels, "beta": beta, "n_range": list(n_range)})
+    return _square_report("C8", m.transformed(factors), lambda length: length, n_range,
+                          symmetric=False, beta=beta)
 
 
 class Criterion(NamedTuple):
@@ -496,7 +483,7 @@ def dispatch(sys: DiagonalSystem, space: InputSpace,
         reason = _NO_CHARACTERIZATION[space.kind]
         if space.kind == "Lp" and not sectorial:
             reason += " without sectorial support"
-        reports.append(CriterionReport("none", math.nan, {}, "no characterization known",
+        reports.append(CriterionReport("none", math.nan, {}, NO_CHARACTERIZATION,
                                        {"space": space.describe(), "reason": reason}))
     reports.append(_summary(reports))
     return reports
@@ -505,7 +492,7 @@ def dispatch(sys: DiagonalSystem, space: InputSpace,
 def _summary(reports: list[CriterionReport]) -> CriterionReport:
     verdicts = {r.verdict for r in reports if r.criterion != "none"}
     if not verdicts:
-        combined = "no characterization known"
+        combined = NO_CHARACTERIZATION
     elif UNBOUNDED in verdicts:
         combined = UNBOUNDED
     elif verdicts == {BOUNDED}:

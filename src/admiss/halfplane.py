@@ -44,10 +44,12 @@ __all__ = [
 ]
 
 _BOUNDARY_EPS = 1e-12
-# entries of one (points x atoms) kernel block in ``balayage`` and
-# ``kernel_sums``: 2 MB of float64 per temporary, which stays in cache (2^16
+# entries of one (points x atoms) block in ``balayage``, ``kernel_sums`` and
+# ``blaschke_products``: 2 MB of float64 per temporary, which stays in cache (2^16
 # to 2^20 measured alike, 2^21 and 2^22 slower)
 _BLOCK_ENTRIES = 1 << 18
+# nearest factors that ``blaschke_products`` leaves out of its tail factor
+TAIL_WINDOW = 8
 
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21; Piessens et al., 1983):
 # abscissae on [0, 1] in decreasing order, their Kronrod weights, and the
@@ -188,73 +190,57 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
     transforms of e^(-zt), t^(n-1) e^(-zt) and t^(-alpha) e^(-zt) are
     constants times (z + s)^(-r), so every single-kernel embedding is one
     such sum.  The squared distances are formed in real arithmetic, one
-    block of (points x atoms) at a time.
+    block of (points x atoms) at a time; a block holds at most
+    _BLOCK_ENTRIES entries, so memory stays O(_BLOCK_ENTRIES) whatever the
+    number of points and atoms.
 
     On a real measure (every atom on the real axis) the sums at z and
     conj(z) are equal, so the points are folded onto (Re z, |Im z|), each
     distinct folded point is summed once and the sums are scattered back:
-    conjugate points get bit-identical sums.  A block there holds at most
-    _BLOCK_ENTRIES entries, so memory stays O(_BLOCK_ENTRIES) whatever the
-    number of points and atoms.  A point off the axis adds (Im z)^2 as one
-    scalar to every (Re z + w_k)^2 of its row; on the axis, for |power| < 1
-    with 4 power an integer, |Re z + w_k| is raised to 2 power, which saves
-    the squaring and a square root.  Over atoms off the axis a block is a
-    set of points against every atom.
+    conjugate points get bit-identical sums.  There a point off the axis
+    adds (Im z)^2 as one scalar to every (Re z + w_k)^2 of its row; on the
+    axis, for |power| < 1 with 4 power an integer, |Re z + w_k| is raised to
+    2 power, which saves the squaring and a square root.
     """
     z = np.atleast_1d(np.asarray(points, dtype=complex))
-    u = m.locations.real
-    if m.locations.imag.any():
-        return _complex_measure_sums(z, m, power)
-    folded, back = np.unique(z.real + 1j * np.abs(z.imag), return_inverse=True)
+    u, v = m.locations.real, m.locations.imag
+    real = not v.any()
+    if real:
+        z, back = np.unique(z.real + 1j * np.abs(z.imag), return_inverse=True)
     cols = min(max(1, u.size), _BLOCK_ENTRIES)
     rows = _BLOCK_ENTRIES // cols
-    sums = np.empty(folded.size)
+    # over atoms off the axis every point takes the general path, in its order
+    on_axis_points = z.imag == 0 if real else np.zeros(z.size, dtype=bool)
+    sums = np.empty(z.size)
     for on_axis in (True, False):
-        idx = np.flatnonzero((folded.imag == 0) == on_axis)
-        re, im_sq = folded.real[idx], folded.imag[idx] ** 2
+        idx = np.flatnonzero(on_axis_points == on_axis)
+        re, im = z.real[idx], z.imag[idx]
         for i in range(0, idx.size, rows):
             block = slice(i, i + rows)
             sums[idx[block]] = sum(
-                _real_block(re[block], None if on_axis else im_sq[block],
-                            u[k:k + cols], m.masses[k:k + cols], power)
+                _block_sums(re[block], None if on_axis else im[block], u[k:k + cols],
+                            None if real else v[k:k + cols], m.masses[k:k + cols], power)
                 for k in range(0, u.size, cols))
-    return sums[back]
+    return sums[back] if real else sums
 
 
-def _real_block(re: np.ndarray, im_sq: np.ndarray | None, u: np.ndarray, masses: np.ndarray,
-                power: float) -> np.ndarray:
-    """sum_k m_k |z + u_k|^(2 power) for the points z = re + i sqrt(im_sq)
-    (on the real axis when im_sq is None) over real atoms u_k."""
+def _block_sums(re: np.ndarray, im: np.ndarray | None, u: np.ndarray, v: np.ndarray | None,
+                masses: np.ndarray, power: float) -> np.ndarray:
+    """sum_k m_k |z + w_k|^(2 power) at z = re + i im over w_k = u_k + i v_k;
+    v is None for real atoms, and only then may im be None (z on the axis)."""
     d = re[:, None] + u
     quarters = 4 * power
-    if im_sq is None and 0 < abs(quarters) < 4 and quarters == round(quarters):
+    if im is None and 0 < abs(quarters) < 4 and quarters == round(quarters):
         np.abs(d, out=d)
         return _power_in_place(d, 2 * power) @ masses
     d *= d
-    if im_sq is not None:
-        d += im_sq[:, None]
+    if v is not None:
+        dy = im[:, None] + v
+        dy *= dy
+        d += dy
+    elif im is not None:
+        d += (im * im)[:, None]
     return _power_in_place(d, power) @ masses
-
-
-def _complex_measure_sums(z: np.ndarray, m: AtomicMeasure, power: float) -> np.ndarray:
-    """``kernel_sums`` over atoms not all on the real axis."""
-    u, v = m.locations.real, m.locations.imag
-    v_sq = v * v
-    re, im = z.real, z.imag
-    rows = max(1, _BLOCK_ENTRIES // max(1, u.size))
-    out = np.empty(z.size)
-    for i in range(0, z.size, rows):
-        block = slice(i, i + rows)
-        dist2 = re[block, None] + u
-        dist2 *= dist2
-        if im[block].any():
-            dy = im[block, None] + v
-            dy *= dy
-            dist2 += dy
-        else:
-            dist2 += v_sq
-        out[block] = _power_in_place(dist2, power) @ m.masses
-    return out
 
 
 def _power_in_place(d: np.ndarray, power: float) -> np.ndarray:
@@ -462,13 +448,13 @@ def pseudo_hyperbolic(z: complex, w: complex) -> float:
     return abs((z - w) / denom)
 
 
-def blaschke_products(points, window: int | None = None) -> tuple[np.ndarray, dict]:
+def blaschke_products(points) -> tuple[np.ndarray, dict]:
     """Truncated products b_k = prod_{j != k} p(z_j, z_k) with convergence
     diagnostics.
 
     Returns (products, diagnostics) where diagnostics carries, per k, the
     smallest factor and a tail factor (the product over all factors except the
-    ``window`` nearest ones, vacuously 1 when there are no others), plus a
+    TAIL_WINDOW nearest ones, vacuously 1 when there are no others), plus a
     summability proxy sum Re z / (1 + |z|^2) with a growth flag.  A tail
     factor far below 1 means the product is still collapsing away from the
     nearest neighbours, so its truncated value is untrustworthy.  Repeated
@@ -480,26 +466,22 @@ def blaschke_products(points, window: int | None = None) -> tuple[np.ndarray, di
         raise ValueError("empty point sequence")
     if (z.real <= 0).any():
         raise ValueError("all points must lie in the open right half-plane")
-    if window is None:
-        window = 8
-    if window < 0:
-        raise ValueError("diagnostic window must be nonnegative")
 
-    products = np.ones(n)
-    min_factor = np.ones(n)
+    products = np.empty(n)
+    min_factor = np.empty(n)
     tail_factor = np.ones(n)
     degenerate = False
-    for k in range(n):
-        others = np.delete(z, k)
-        if others.size == 0:
-            continue
-        factors = np.abs((others - z[k]) / (others + z[k].conjugate()))
-        if (factors == 0).any():
-            degenerate = True
-        products[k] = float(np.prod(factors))
-        ordered = np.sort(factors)  # ascending: nearest neighbours first
-        min_factor[k] = float(ordered[0])
-        tail_factor[k] = float(np.prod(ordered[window:])) if window < ordered.size else 1.0
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for i in range(0, n, rows):
+        zk = z[i:i + rows, None]
+        factors = np.abs((z - zk) / (z + zk.conjugate()))
+        factors[np.arange(zk.size), np.arange(i, i + zk.size)] = 1.0
+        degenerate = degenerate or bool((factors == 0).any())
+        products[i:i + rows] = np.prod(factors, axis=1)
+        min_factor[i:i + rows] = factors.min(axis=1)
+        if TAIL_WINDOW < n - 1:  # the window leaves other factors out
+            tail = np.partition(factors, TAIL_WINDOW, axis=1)[:, TAIL_WINDOW:]
+            tail_factor[i:i + rows] = np.prod(tail, axis=1)
 
     proxy_terms = z.real / (1 + np.abs(z) ** 2)
     order = np.argsort(np.abs(z))

@@ -28,10 +28,10 @@ from admiss import halfplane
 from admiss.halfplane import _EPSABS, _integrate_with_breaks, _power_in_place, kernel_sums
 from admiss.report import (
     CriterionReport,
-    ladder_cuts,
-    ladder_verdict,
-    log_space,
+    dyadic_levels,
+    ladder_report,
     nested_log_sup,
+    spectral_grid,
 )
 from admiss.spaces import InputSpace
 from admiss.system_model import DiagonalSystem, spectral_measure
@@ -393,11 +393,9 @@ def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
     for Sobolev, the weight's resolvent power for weighted L^2 and
     N = 1 - alpha for the power scale; the dyadic kernel sequence when
     q < p."""
-    q = sys.q
-    x = -sys.eigenvalues.real
-    grid = log_space(x.min() / 100, x.max() * 100, points_per_decade)
-    if space.kind == "Lp" and space.p > q:
+    if space.kind == "Lp" and space.p > sys.q:
         return _dyadic_kernel_sequence(sys, space)
+    grid = spectral_grid(-sys.eigenvalues.real, points_per_decade)
     if space.kind == "Lp":
         n = 1
     elif space.kind == "sobolev":
@@ -408,24 +406,16 @@ def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
         n = 1 - space.alpha
     else:
         raise ValueError(f"no kernel family for space kind {space.kind!r}")
-    embeddings = _kernel_embeddings(sys, n, grid)
-    ratios = np.empty(len(grid))
-    for i, denom in enumerate(_kernel_norms(n, grid, space).tolist()):
-        if math.isinf(denom) or denom == 0:
-            ratios[i] = 0.0 if math.isinf(denom) else math.inf
-        else:
-            ratios[i] = embeddings[i] / denom
+    norms = _kernel_norms(n, grid, space)
+    # a zero norm reads inf, an infinite norm (no kernel in the space) 0
+    ratios = np.divide(_kernel_embeddings(sys, n, grid), norms, out=np.full(grid.size, np.inf),
+                       where=norms != 0)
+    ratios[np.isinf(norms)] = 0.0
     levels, constant, best = nested_log_sup(grid, ratios)
     witness_z = float(grid[best])
-    interior = bool(grid[0] < witness_z < grid[-1])
-    return CriterionReport(
-        criterion=f"K-sweep[{space.describe()}]",
-        constant=constant,
-        witness={"z": witness_z},
-        verdict=ladder_verdict(levels),
-        diagnostics={"levels": levels, "sup_interior": interior,
-                     "points_per_decade": points_per_decade},
-    )
+    return ladder_report(f"K-sweep[{space.describe()}]", constant, {"z": witness_z}, levels,
+                         sup_interior=bool(grid[0] < witness_z < grid[-1]),
+                         points_per_decade=points_per_decade)
 
 
 def _dyadic_kernel_sequence(sys: DiagonalSystem, space: InputSpace) -> CriterionReport:
@@ -438,15 +428,9 @@ def _dyadic_kernel_sequence(sys: DiagonalSystem, space: InputSpace) -> Criterion
     ns = np.arange(n_lo, n_hi + 1)
     seq = 2.0 ** (ns / p) * _kernel_embeddings(sys, 1, 2.0**ns)
     s = q * p / (p - q)
-    cuts = ladder_cuts(n_lo, n_hi)
-    levels = [float((seq[ns <= cut] ** s).sum() ** (1 / s)) for cut in cuts]
-    return CriterionReport(
-        criterion=f"K-sweep[{space.describe()}]",
-        constant=levels[-1],
-        witness={"n_range": [n_lo, n_hi]},
-        verdict=ladder_verdict(levels),
-        diagnostics={"levels": levels, "sequence_exponent": s},
-    )
+    levels = dyadic_levels(seq, n_lo, s)
+    return ladder_report(f"K-sweep[{space.describe()}]", levels[-1], {"n_range": [n_lo, n_hi]},
+                         levels, sequence_exponent=s)
 
 
 def zen_norm_by_quadrature(zen: RadialMeasure, f: TestFunction) -> float:

@@ -23,11 +23,9 @@ MAX_MODES = 10**7
 __all__ = [
     "DiagonalSystem",
     "AtomicMeasure",
-    "SectorSpec",
     "spectral_measure",
     "heat_system",
     "dual_system",
-    "sector_check",
     "load_system",
 ]
 
@@ -138,17 +136,6 @@ class AtomicMeasure:
         return AtomicMeasure(self.locations, self.masses * np.asarray(mass_factors, dtype=float))
 
 
-@dataclass(frozen=True)
-class SectorSpec:
-    """Open sector S(theta) = { |arg z| < theta } in the right half-plane."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not 0 < self.theta < math.pi / 2:
-            raise ValueError(f"sector angle must lie in (0, pi/2), got {self.theta}")
-
-
 def spectral_measure(sys: DiagonalSystem) -> AtomicMeasure:
     """Atomic measure with atoms at -lambda_k and masses |b_k|^q.
 
@@ -192,24 +179,6 @@ def dual_system(sys: DiagonalSystem, obs_coeffs) -> DiagonalSystem:
         raise ValueError("q = 1 has infinite conjugate exponent; out of numeric scope")
     q_dual = sys.q / (sys.q - 1)
     return DiagonalSystem(sys.eigenvalues, obs, q_dual)
-
-
-def sector_check(m: AtomicMeasure, s: SectorSpec) -> tuple[bool, complex | None]:
-    """True iff every positive-mass atom lies strictly inside S(theta).
-
-    Returns the atom of maximal |arg| as witness.  An atom at the origin with
-    positive mass has no argument and counts as a violation.
-    """
-    pos = m.masses > 0
-    if not pos.any():
-        return True, None
-    loc = m.locations[pos]
-    at_origin = loc == 0
-    if at_origin.any():
-        return False, 0j
-    args = np.abs(np.angle(loc))
-    worst = loc[int(np.argmax(args))]
-    return bool(args.max() < s.theta), complex(worst)
 
 
 def max_sector_angle(m: AtomicMeasure) -> float:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,6 +272,46 @@ def test_blaschke_diagnostics_shape():
     assert len(diag["min_factor"]) == 4
     assert (products > 0).all()
     assert diag["summability_proxy"] > 0
+
+
+def _blaschke_per_point(z, window=8):
+    """The per-point loop ``blaschke_products`` replaced: (products, min
+    factors, tail factors, degenerate)."""
+    n = z.size
+    products, min_factor, tail_factor = np.ones(n), np.ones(n), np.ones(n)
+    degenerate = False
+    for k in range(n):
+        others = np.delete(z, k)
+        if others.size == 0:
+            continue
+        factors = np.abs((others - z[k]) / (others + z[k].conjugate()))
+        degenerate = degenerate or bool((factors == 0).any())
+        products[k] = float(np.prod(factors))
+        ordered = np.sort(factors)
+        min_factor[k] = float(ordered[0])
+        tail_factor[k] = float(np.prod(ordered[window:])) if window < ordered.size else 1.0
+    return products, min_factor, tail_factor, degenerate
+
+
+@given(pool=st.lists(st.tuples(st.floats(0.01, 20.0), st.floats(-20.0, 20.0)), min_size=1,
+                     max_size=39),
+       picks=st.lists(st.integers(0, 38), min_size=1, max_size=39),
+       block=st.sampled_from([None, 1, 7, 64]))
+@settings(max_examples=300, deadline=None)
+def test_blaschke_products_match_per_point_loop(pool, picks, block):
+    # points picked from a pool repeat; small blocks run several row blocks
+    z = np.array([complex(*pool[i % len(pool)]) for i in picks])
+    with mock.patch.object(halfplane, "_BLOCK_ENTRIES", block or halfplane._BLOCK_ENTRIES), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        products, diag = blaschke_products(z)
+    want_products, want_min, want_tail, want_degenerate = _blaschke_per_point(z)
+    assert products.tobytes() == want_products.tobytes()
+    assert diag["min_factor"].tobytes() == want_min.tobytes()
+    assert diag["degenerate"] == want_degenerate
+    # the tail is multiplied in the order np.partition leaves it, which is
+    # up to the platform's selection routine, so it may round differently
+    np.testing.assert_allclose(diag["tail_factor"], want_tail, rtol=z.size * 2.0**-52, atol=0)
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.1, max_value=10),

@@ -9,6 +9,7 @@ that called it once per point.
 
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -55,14 +56,15 @@ _POOL = st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(-50.0, 50.0)), min_s
                                  st.one_of(st.just(0.0), st.floats(-50.0, 50.0))),
                        min_size=1, max_size=12),
        power=st.sampled_from([-2.0, -1.5, -1.0, -0.75, -0.5, -0.3]),
-       rows=st.sampled_from([None, 1, 5]))
+       rows=st.sampled_from([None, 1, 5, 0.1, 0.5]))
 @settings(max_examples=200, deadline=None)
 def test_kernel_sums_match_dense_formula(pool, picks, points, power, rows):
-    # atoms drawn from a small pool repeat; masses include zeros
+    # atoms drawn from a small pool repeat; masses include zeros; a block of
+    # a fraction of a row splits the atoms
     atoms = [(complex(*pool[i % len(pool)]), mass) for i, mass in picks]
     m = AtomicMeasure.from_atoms(atoms)
     z = np.array([complex(x, y) for x, y in points])
-    block = halfplane._BLOCK_ENTRIES if rows is None else rows * len(m)
+    block = halfplane._BLOCK_ENTRIES if rows is None else max(1, int(rows * len(m)))
     with mock.patch.object(halfplane, "_BLOCK_ENTRIES", block):
         got = kernel_sums(z, m, power)
         real = kernel_sums(z.real, m, power)
@@ -94,6 +96,22 @@ def test_real_measure_kernel_sums_match_dense_formula(atoms, pool, points, power
     with mock.patch.object(halfplane, "_BLOCK_ENTRIES", block or halfplane._BLOCK_ENTRIES):
         got = kernel_sums(z, m, power)
     np.testing.assert_allclose(got, _dense(z, m, power), rtol=RTOL, atol=0)
+
+
+def test_kernel_sums_memory_over_complex_atoms():
+    # blocks span at most _BLOCK_ENTRIES atoms off the axis too: two 2 MB
+    # temporaries, not a few per atom
+    rng = np.random.default_rng(5)
+    m = AtomicMeasure(rng.uniform(0.1, 100, 10**6) + 1j * rng.uniform(-50, 50, 10**6),
+                      rng.uniform(0, 2, 10**6))
+    z = rng.uniform(0.01, 100, 10) + 1j * rng.uniform(-50, 50, 10)
+    tracemalloc.start()
+    try:
+        kernel_sums(z, m, -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("power", [-2.0, -1.0, -0.75, -0.5, -0.25, 0.5])

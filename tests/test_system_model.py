@@ -8,12 +8,10 @@ from hypothesis import given, strategies as st
 from admiss.system_model import (
     AtomicMeasure,
     DiagonalSystem,
-    SectorSpec,
     dual_system,
     heat_system,
     load_system,
     max_sector_angle,
-    sector_check,
     spectral_measure,
 )
 
@@ -87,31 +85,14 @@ def test_atomic_measure_validation():
         AtomicMeasure(np.array([1 + 0j]), np.array([-1.0]))
 
 
-def test_sector_check_heat_true_any_angle():
-    mu = spectral_measure(heat_system(50))
-    for theta in (0.1, 0.5, 1.2):
-        ok, witness = sector_check(mu, SectorSpec(theta))
-        assert ok
-        assert witness.imag == 0
-
-
-def test_sector_check_violation_witness():
-    mu = AtomicMeasure(np.array([1 + 0j, 1 + 5j]), np.array([1.0, 1.0]))
-    ok, witness = sector_check(mu, SectorSpec(math.pi / 4))
-    assert not ok
-    assert witness == 1 + 5j
-
-
-def test_sector_check_origin_atom():
-    mu = AtomicMeasure(np.array([0j]), np.array([1.0]))
-    ok, witness = sector_check(mu, SectorSpec(1.0))
-    assert not ok and witness == 0
-    assert max_sector_angle(mu) == math.inf
-
-
 def test_max_sector_angle_ignores_zero_mass():
-    mu = AtomicMeasure(np.array([1 + 0j, 1j]), np.array([1.0, 0.0]))
-    assert max_sector_angle(mu) == 0.0
+    # an atom at the origin has no argument: with positive mass it reads inf
+    for locations, masses, angle in [([1 + 0j, 1j], [1.0, 0.0], 0.0),
+                                      ([1 + 0j, 0j], [1.0, 0.0], 0.0),
+                                      ([1 + 0j, 1 + 5j], [1.0, 1.0], math.atan2(5, 1)),
+                                      ([0j], [1.0], math.inf)]:
+        mu = AtomicMeasure(np.array(locations), np.array(masses))
+        assert max_sector_angle(mu) == angle
 
 
 def test_dual_system_exponent():
