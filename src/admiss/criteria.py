@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from admiss.halfplane import balayage_norm, kernel_sums, strip_masses
+from admiss.halfplane import balayage_norm, dyadic_index, kernel_sums, strip_masses
 from admiss.report import (
     BOUNDED,
     INCONCLUSIVE,
@@ -69,16 +69,22 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     Symmetric families test the single centred interval per dyadic length;
     otherwise two staggered phases of dyadic translates are tested (any
     interval is then contained in a tested one of at most 4x its length).
-    Membership is half-open: 0 <= x < |I| (|I|/2 <= x for the right half) and
-    y_lo <= y < y_hi.  Returns (ladder levels, constant, witness, per-n best
-    ratios).
+    Membership is half-open: 0 <= x < |I| (|I|/2 <= x for the right half, a
+    symmetric family only) and y_lo <= y < y_hi.  Every length is a power of
+    two, so an atom's level is read exactly from the binary exponent of its
+    coordinates (``dyadic_index``), never by a search.  Returns (ladder
+    levels, constant, witness, per-n best ratios).
     """
     n_min, n_max = n_range
     ns = range(n_min, n_max + 1)
     lengths = [2.0**n for n in ns]
     denoms = [denom_of_length(length) for length in lengths]
-    level_sups = _symmetric_level_sups if symmetric else _staggered_level_sups
-    per_n, witnesses = level_sups(m, ns, lengths, denoms, part)
+    if symmetric:
+        per_n, witnesses = _symmetric_level_sups(m, ns, lengths, denoms, part)
+    elif part == "full":
+        per_n, witnesses = _staggered_level_sups(m, ns, lengths, denoms)
+    else:
+        raise ValueError(f"staggered square families test full squares only, got {part!r}")
     best = int(np.argmax(per_n))
     return dyadic_levels(per_n, n_min), float(per_n[best]), witnesses[best] or {}, per_n
 
@@ -95,25 +101,26 @@ def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, pa
     """Ratio and witness per dyadic length for the centred square (or its
     right half).
 
-    Each atom is placed once at the index of the level it belongs to, found by
-    ``searchsorted`` on the exact powers of two: the full squares are nested,
-    so an atom lies in every square from its entry level on (a cumulative
-    sum); the right halves are disjoint in x, so an atom lies in at most one.
+    Each atom is placed once at the index of the level it belongs to: the
+    first n with x < 2^n, and the first with y < 2^(n-1) and -y <= 2^(n-1),
+    each read from a binary exponent by ``dyadic_index``.  The full squares
+    are nested, so an atom lies in every square from its entry level on (a
+    cumulative sum); the right halves are disjoint in x, so an atom lies in
+    at most one.
     """
+    n_min, count = ns.start, len(ns)
     x = m.locations.real
     y = m.locations.imag
-    halves = np.array(lengths) / 2
-    # first level with y < |I|/2 and first with -y <= |I|/2
-    y_entry = np.maximum(np.searchsorted(halves, y, side="right"),
-                         np.searchsorted(halves, -y, side="left"))
-    x_level = np.searchsorted(lengths, x, side="right")  # first level with x < |I|
+    y_entry = np.maximum(dyadic_index(y, n_min - 1, count, strict=True),
+                         dyadic_index(-y, n_min - 1, count, strict=False))
+    x_level = dyadic_index(x, n_min, count, strict=True)
     if part == "right_half":
         # x < |I| at x_level, and |I|/2 <= x there unless below the lowest level
-        inside = (y_entry <= x_level) & ((x_level > 0) | (x >= halves[0]))
-        level = np.where(inside, x_level, len(lengths))
+        inside = (y_entry <= x_level) & ((x_level > 0) | (x >= lengths[0] / 2))
+        level = np.where(inside, x_level, count)
     else:
         level = np.maximum(x_level, y_entry)
-    masses = np.bincount(level, weights=m.masses, minlength=len(lengths) + 1)[:-1]
+    masses = np.bincount(level, weights=m.masses, minlength=count + 1)[:-1]
     if part != "right_half":
         masses = np.cumsum(masses)
     per_n, witnesses = [], []
@@ -124,25 +131,39 @@ def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, pa
     return per_n, witnesses
 
 
-def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, part: str):
+def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms):
     """Best ratio and witness per dyadic length over two staggered phases of
-    dyadic translates.  Atoms are sorted by x once; the depth condition of
-    each level is then a contiguous slice found by ``searchsorted``."""
+    dyadic translates.
+
+    Atoms are sorted by x once, so the atoms with x < |I| are a prefix of that
+    order (found by ``searchsorted``).  The phase bins floor(y/|I| - phase)
+    are monotone in y: when the lowest and the highest y of a prefix (running
+    min and max) share a bin, every atom of the prefix lies in it, and its
+    mass is the prefix sum, which adds the same masses in the same order as
+    ``bincount`` would.  Only the other levels bin their atoms
+    (``_heaviest_bin``).
+    """
     order = np.argsort(m.locations.real, kind="stable")
     xs = m.locations.real[order]
     ys = m.locations.imag[order]
     ms = m.masses[order]
     hi = np.searchsorted(xs, lengths, side="left").tolist()
-    lo = (np.searchsorted(xs, np.array(lengths) / 2, side="left").tolist()
-          if part == "right_half" else [0] * len(hi))
+    prefix_mass = np.cumsum(ms)
+    y_low = np.minimum.accumulate(ys)
+    y_high = np.maximum.accumulate(ys)
     per_n, witnesses = [], []
-    for n, length, denom, a, b in zip(ns, lengths, denoms, lo, hi):
+    for n, length, denom, b in zip(ns, lengths, denoms, hi):
         best = 0.0
         best_witness = None
-        if b > a:
+        if b > 0:
+            edges = np.array([y_low[b - 1], y_high[b - 1]])
             for phase in (0.0, 0.5):
-                bins = np.floor(ys[a:b] / length - phase).astype(np.int64)
-                k_bin, mass = _heaviest_bin(bins, ms[a:b])
+                low, high = np.floor(edges / length - phase)
+                if low == high:
+                    k_bin, mass = int(low.astype(np.int64)), float(prefix_mass[b - 1])
+                else:
+                    bins = np.floor(ys[:b] / length - phase).astype(np.int64)
+                    k_bin, mass = _heaviest_bin(bins, ms[:b])
                 if mass > 0:
                     ratio = math.inf if denom == 0 else mass / denom
                     if ratio > best:

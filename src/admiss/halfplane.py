@@ -34,6 +34,7 @@ from admiss.system_model import AtomicMeasure
 __all__ = [
     "CarlesonSquare",
     "measure_on_square",
+    "dyadic_index",
     "strip_masses",
     "balayage",
     "balayage_integral",
@@ -137,20 +138,36 @@ def measure_on_square(m: AtomicMeasure, sq: CarlesonSquare, part: str = "full") 
     return float(m.masses[inside].sum())
 
 
+def dyadic_index(v: np.ndarray, n_first: int, count: int, strict: bool) -> np.ndarray:
+    """Per value, the first n with v < 2^n (``strict``) or v <= 2^n, counted
+    from ``n_first`` and clipped to [0, count]; v <= 0 (and -0.0) gives 0.
+
+    The level is read exactly from the binary exponent, with no rounding:
+    ``np.frexp`` writes v = f 2^e with 1/2 <= f < 1, so 2^(e-1) <= v < 2^e,
+    and v is the power 2^(e-1) itself exactly when f = 1/2.  For finite v this
+    equals ``np.searchsorted`` of v on [2^n_first, ..., 2^(n_first+count-1)]
+    with side "right" (strict) or "left".  Infinite and NaN values have no
+    exponent, so the measures refuse them.
+    """
+    mant, exp = np.frexp(v)
+    if not strict:
+        exp -= mant == 0.5
+    index = np.where(mant > 0, exp - n_first, 0)
+    return np.clip(index, 0, count, out=index)
+
+
 def strip_masses(m: AtomicMeasure, n_min: int, n_max: int) -> list[tuple[int, float]]:
-    """Mass per dyadic strip S_n = { 2^(n-1) < Re z <= 2^n }, n in [n_min, n_max]."""
+    """Mass per dyadic strip S_n = { 2^(n-1) < Re z <= 2^n }, n in [n_min, n_max].
+
+    An atom's strip is the first n with Re z <= 2^n, read from its binary
+    exponent by ``dyadic_index``; atoms below the first strip, above the last
+    or on the imaginary axis fall in the two end bins, which are dropped.
+    """
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
-    x = m.locations.real
-    pos = x > 0
-    out = np.zeros(n_max - n_min + 1)
-    if pos.any():
-        n_atom = np.ceil(np.log2(x[pos])).astype(int)
-        # Re z exactly 2^(n-1) belongs to S_(n-1); guard the log2 rounding there.
-        exact = x[pos] == 2.0 ** (n_atom - 1)
-        n_atom = np.where(exact, n_atom - 1, n_atom)
-        sel = (n_atom >= n_min) & (n_atom <= n_max)
-        np.add.at(out, n_atom[sel] - n_min, m.masses[pos][sel])
+    count = n_max - n_min + 1
+    strip = dyadic_index(m.locations.real, n_min - 1, count + 1, strict=False)
+    out = np.bincount(strip, weights=m.masses, minlength=count + 2)[1:-1]
     return [(n, float(v)) for n, v in zip(range(n_min, n_max + 1), out)]
 
 

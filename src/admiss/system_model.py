@@ -59,6 +59,7 @@ class DiagonalSystem:
         if not (lam.real < 0).all():
             k = int(np.argmax(~(lam.real < 0)))
             raise ValueError(f"eigenvalue {k} has Re lambda = {lam[k].real}, must be < 0")
+        _check_finite(lam, "eigenvalue")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "coeffs", b)
 
@@ -68,16 +69,26 @@ class DiagonalSystem:
 
     @functools.cached_property
     def _measure(self) -> "AtomicMeasure":
-        """See ``spectral_measure``."""
+        """See ``spectral_measure``; the eigenvalues were checked finite with
+        Re lambda < 0, so their negatives need no second check."""
         masses = np.abs(self.coeffs)
         masses **= self.q
-        return AtomicMeasure(-self.eigenvalues, masses)
+        return AtomicMeasure._at_checked_locations(-self.eigenvalues, masses)
 
     def with_modes(self, modes: int) -> "DiagonalSystem":
         """Rematerialize a tagged system at a different truncation."""
         if self.generator == "heat1d":
             return heat_system(modes)
         raise ValueError(f"cannot regenerate system without a known generator tag: {self.generator!r}")
+
+
+def _check_finite(values: np.ndarray, name: str) -> None:
+    """Raise naming the first non-finite entry: an infinite or NaN point has
+    no dyadic level, and a criterion would drop it or file it wrongly."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"{name} {k} is {values[k]}, must be finite")
 
 
 def _frozen_complex(values, name: str) -> np.ndarray:
@@ -102,11 +113,17 @@ class AtomicMeasure:
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=complex)
-        mass = np.asarray(self.masses, dtype=float)
+        if loc.ndim == 1:
+            _check_finite(loc, "atom location")
+            if loc.size and loc.real.min() < 0:
+                raise ValueError("all atoms must lie in the closed right half-plane")
+        self._set(loc, self.masses)
+
+    def _set(self, loc: np.ndarray, masses) -> None:
+        """Check the masses against ``loc`` and freeze both on the measure."""
+        mass = np.asarray(masses, dtype=float)
         if loc.shape != mass.shape or loc.ndim != 1:
             raise ValueError("locations and masses must be 1-d arrays of equal length")
-        if loc.size and loc.real.min() < 0:
-            raise ValueError("all atoms must lie in the closed right half-plane")
         if mass.size and mass.min() < 0:
             raise ValueError("atom masses must be nonnegative")
         if not np.isfinite(mass).all():
@@ -115,6 +132,14 @@ class AtomicMeasure:
         mass.setflags(write=False)
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "masses", mass)
+
+    @classmethod
+    def _at_checked_locations(cls, locations: np.ndarray, masses) -> "AtomicMeasure":
+        """A measure on a complex array of locations already known finite and
+        in the closed right half-plane: only the masses are checked."""
+        m = object.__new__(cls)
+        m._set(locations, masses)
+        return m
 
     @classmethod
     def from_atoms(cls, atoms) -> "AtomicMeasure":
@@ -132,8 +157,10 @@ class AtomicMeasure:
         return self.locations.size
 
     def transformed(self, mass_factors: np.ndarray) -> "AtomicMeasure":
-        """New measure with per-atom mass multipliers (same locations)."""
-        return AtomicMeasure(self.locations, self.masses * np.asarray(mass_factors, dtype=float))
+        """New measure with per-atom mass multipliers (same locations, checked
+        once when this measure was built)."""
+        return AtomicMeasure._at_checked_locations(
+            self.locations, self.masses * np.asarray(mass_factors, dtype=float))
 
 
 def spectral_measure(sys: DiagonalSystem) -> AtomicMeasure:

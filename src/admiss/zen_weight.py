@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _QUAD_ABS_TOL = 1e-12
+# radii 2^lo to 2^hi of the doubling test, and its points per octave
+DOUBLING_OCTAVES = (-20, 40)
+DOUBLING_POINTS_PER_OCTAVE = 4
 
 
 @dataclass(frozen=True)
@@ -83,18 +86,19 @@ def bergman(alpha: float, scale: float = 1.0) -> RadialMeasure:
     return RadialMeasure(density_alpha=alpha, density_scale=scale)
 
 
-def delta2_constant(m: RadialMeasure, r_min: float = 2.0**-20, r_max: float = 2.0**40,
-                    points_per_octave: int = 4) -> float:
-    """Supremum of nu[0, 2r) / nu[0, r) over a geometric grid.
+def delta2_constant(m: RadialMeasure) -> float:
+    """Supremum of nu[0, 2r) / nu[0, r) over the geometric grid of
+    ``DOUBLING_OCTAVES`` at ``DOUBLING_POINTS_PER_OCTAVE``.
 
     Returns inf when nu[0, r) vanishes while nu[0, 2r) does not (the doubling
     condition fails).  For the representable family the ratio is eventually
-    constant at both ends, so the default grid span is conclusive.
+    constant at both ends, so the grid's span is conclusive.
     """
     if m.is_trivial():
         raise ValueError("doubling ratio undefined for the zero measure")
-    n_oct = int(math.ceil(math.log2(r_max / r_min)))
-    r = r_min * 2.0 ** (np.arange(n_oct * points_per_octave + 1) / points_per_octave)
+    lo, hi = DOUBLING_OCTAVES
+    steps = np.arange((hi - lo) * DOUBLING_POINTS_PER_OCTAVE + 1)
+    r = 2.0**lo * 2.0 ** (steps / DOUBLING_POINTS_PER_OCTAVE)
     lower = np.asarray(m.cumulative(r))
     upper = np.asarray(m.cumulative(2 * r))
     if ((lower == 0) & (upper > 0)).any():

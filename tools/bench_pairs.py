@@ -8,7 +8,7 @@ each side with the same seed, the parent first in even pairs and the change
 first in odd ones.  The record keeps every run, the median and quartiles of
 each end-to-end metric per side, the pairs the change wins (reads lower) or
 ties, the change of the medians, and the parent's interquartile range.  With
-``TRACED_PAIRS`` more ``--trace 1`` pairs of kernel-sums it also keeps the
+``TRACED_PAIRS`` more ``--trace 1`` pairs of every workload it also keeps the
 median of every per-layer metric per side.  Runs take ``benches/run.py``'s own
 length, ``run_seconds`` in ``BENCHMARK.json``.  Lower is better for every
 metric.  The two trees go to a temporary directory under ``TMPDIR`` that is
@@ -33,8 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("kernel-sums", "heat-lp", "small-systems")
 SEED_BASE = {"kernel-sums": 101, "heat-lp": 201, "small-systems": 301}
 PAIRS = 10
-# the workload whose per-layer metrics are recorded, its pairs and seeds
-TRACED_WORKLOAD = "kernel-sums"
+# pairs and seeds of the traced runs that record every workload's per-layer metrics
 TRACED_PAIRS = 5
 TRACED_SEED_BASE = 401
 
@@ -161,14 +160,13 @@ def write_record(trees: dict, revs: dict, out: Path) -> None:
             "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
             "end_to_end": end_to_end(runs, bounds),
         }
-        if workload == TRACED_WORKLOAD:
-            traced_seeds = [TRACED_SEED_BASE + i for i in range(TRACED_PAIRS)]
-            entry["traced_per_layer"] = {
-                "pairs": TRACED_PAIRS,
-                "seeds": traced_seeds,
-                "note": "per round of the timed pass; peak_alloc_mb is a maximum over calls",
-                "metrics": per_layer(pairs(trees, workload, traced_seeds, 1)),
-            }
+        traced_seeds = [TRACED_SEED_BASE + i for i in range(TRACED_PAIRS)]
+        entry["traced_per_layer"] = {
+            "pairs": TRACED_PAIRS,
+            "seeds": traced_seeds,
+            "note": "per round of the timed pass; peak_alloc_mb is a maximum over calls",
+            "metrics": per_layer(pairs(trees, workload, traced_seeds, 1)),
+        }
         record["workloads"][workload] = entry
         out.write_text(json.dumps(record, indent=1) + "\n")
 
