@@ -102,7 +102,7 @@ def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, pa
     right half).
 
     Each atom is placed once at the index of the level it belongs to: the
-    first n with x < 2^n, and the first with y < 2^(n-1) and -y <= 2^(n-1),
+    first n with x < 2^n, and the first with -y <= 2^(n-1) and y < 2^(n-1),
     each read from a binary exponent by ``dyadic_index``.  The full squares
     are nested, so an atom lies in every square from its entry level on (a
     cumulative sum); the right halves are disjoint in x, so an atom lies in
@@ -111,8 +111,8 @@ def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, pa
     n_min, count = ns.start, len(ns)
     x = m.locations.real
     y = m.locations.imag
-    y_entry = np.maximum(dyadic_index(y, n_min - 1, count, strict=True),
-                         dyadic_index(-y, n_min - 1, count, strict=False))
+    y_entry = np.maximum(dyadic_index(-y, n_min - 1, count, strict=False),
+                         dyadic_index(y, n_min - 1, count, strict=True))
     x_level = dyadic_index(x, n_min, count, strict=True)
     if part == "right_half":
         # x < |I| at x_level, and |I|/2 <= x there unless below the lowest level

@@ -152,8 +152,9 @@ def dyadic_index(v: np.ndarray, n_first: int, count: int, strict: bool) -> np.nd
     mant, exp = np.frexp(v)
     if not strict:
         exp -= mant == 0.5
-    index = np.where(mant > 0, exp - n_first, 0)
-    return np.clip(index, 0, count, out=index)
+    exp -= n_first
+    np.copyto(exp, 0, where=mant <= 0)
+    return np.clip(exp, 0, count, out=exp)
 
 
 def strip_masses(m: AtomicMeasure, n_min: int, n_max: int) -> list[tuple[int, float]]:

@@ -245,6 +245,13 @@ def test_check_nan_exponent_is_usage_error(heat_file, capsys, space):
     assert "got nan" in err and "atom masses" not in err
 
 
+def test_check_infinite_eigenvalue_is_usage_error(capsys):
+    system = '{"eigenvalues":[[-1,0],[-Infinity,0]],"coeffs":[[1,0],[1,0]],"q":2}'
+    code = main(["check", "--system", system, "--space", '{"kind":"Lp","p":1.5}'])
+    assert code == 1
+    assert "eigenvalue 1 is (-inf+0j), must be finite" in capsys.readouterr().err
+
+
 def test_sweep_nan_value_exits_before_any_row(heat_file, capsys, monkeypatch):
     computed = []
     monkeypatch.setattr("admiss.cli._sweep_row", lambda *args: computed.append(args))

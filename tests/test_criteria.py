@@ -415,7 +415,14 @@ _ATOM_X = st.one_of(_DYADIC, st.just(0.0), st.floats(0.0, 300.0))
 _ATOM_Y = st.one_of(_DYADIC.map(lambda v: v / 2), _DYADIC.map(lambda v: -v / 2), st.just(0.0),
                     st.floats(-300.0, 300.0))
 # integer masses (zero included) make every sum exact in any order
-_ATOMS = st.lists(st.tuples(_ATOM_X, _ATOM_Y, st.integers(0, 4)), min_size=1, max_size=40)
+_ATOM = st.tuples(_ATOM_X, _ATOM_Y, st.integers(0, 4))
+# many atoms on y = 0 beside a few off it: the staggered levels whose atoms
+# share one bin read a prefix sum, the others bin their atoms
+_AXIS_ATOM = st.tuples(_ATOM_X, st.just(0.0), st.integers(0, 4))
+_ATOMS = st.one_of(
+    st.lists(_ATOM, min_size=1, max_size=40),
+    st.tuples(st.lists(_AXIS_ATOM, min_size=1, max_size=30), st.lists(_ATOM, max_size=4))
+    .map(lambda parts: parts[0] + parts[1]))
 _DENOMS = [lambda length: length**0.5, lambda length: length,
            lambda length: length**1.5, lambda length: max(length - 1.0, 0.0)]
 

@@ -15,6 +15,7 @@ from admiss.halfplane import (
     balayage_integral,
     balayage_norm,
     blaschke_products,
+    dyadic_index,
     measure_on_square,
     pseudo_hyperbolic,
     strip_masses,
@@ -68,6 +69,52 @@ def test_strip_partition_property(shift):
     total = sum(v for _, v in strip_masses(m, -40, 40))
     expect = masses[locs.real > 0].sum()
     assert total == pytest.approx(expect)
+
+
+# exact powers of two and their float neighbours, signed zeros, the smallest
+# subnormal, and values far past both ends of every tested grid
+_POWERS = [2.0**n for n in (-1074, -1073, -1022, -30, -11, -10, -1, 0, 1, 5, 44, 45, 46, 1023)]
+_LEVEL_VALUES = np.array(
+    [v for p in _POWERS for v in (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p)]
+    + [0.0, -0.0, 5e-324, -5e-324, 1e300, 1.7e308, -1e300, -1.7e308, 3.7, -3.7])
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("n_first, count",
+                         [(-10, 56), (-1074, 1), (-1074, 2098), (-3, 0), (1000, 24), (-1, 3)])
+def test_dyadic_index_matches_searchsorted(strict, n_first, count):
+    grid = np.ldexp(1.0, np.arange(n_first, n_first + count))
+    want = np.searchsorted(grid, _LEVEL_VALUES, side="right" if strict else "left")
+    assert dyadic_index(_LEVEL_VALUES, n_first, count, strict).tolist() == want.tolist()
+
+
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+       n_first=st.integers(-1074, 960), count=st.integers(0, 64), strict=st.booleans())
+@settings(max_examples=200)
+def test_dyadic_index_matches_searchsorted_on_any_finite_value(values, n_first, count, strict):
+    v = np.array(values)
+    grid = np.ldexp(1.0, np.arange(n_first, n_first + count))
+    want = np.searchsorted(grid, v, side="right" if strict else "left")
+    assert dyadic_index(v, n_first, count, strict).tolist() == want.tolist()
+
+
+_STRIP_X = st.one_of(
+    st.integers(-12, 12).map(lambda n: 2.0**n).flatmap(
+        lambda p: st.sampled_from([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])),
+    st.just(0.0), st.floats(0.0, 1e4), st.floats(1e5, 1e300))
+
+
+@given(atoms=st.lists(st.tuples(_STRIP_X, st.floats(-10.0, 10.0), st.integers(0, 4)),
+                      min_size=1, max_size=40),
+       n_min=st.integers(-14, 10), span=st.integers(0, 20))
+@settings(max_examples=200)
+def test_strip_masses_matches_per_strip_scan(atoms, n_min, span):
+    # integer masses make every sum exact in any order
+    m = AtomicMeasure.from_atoms([(complex(x, y), mass) for x, y, mass in atoms])
+    x = m.locations.real
+    want = [(n, float(m.masses[(x > 2.0 ** (n - 1)) & (x <= 2.0**n)].sum()))
+            for n in range(n_min, n_min + span + 1)]
+    assert strip_masses(m, n_min, n_min + span) == want
 
 
 def test_balayage_delta1_at_zero():

@@ -47,6 +47,30 @@ def test_system_validation():
         DiagonalSystem((-1 + 0j,), (1 + 0j,), 0.5)
 
 
+@pytest.mark.parametrize("bad", [complex(-math.inf, 0), complex(-1, math.inf),
+                                 complex(-1, math.nan), complex(-math.inf, math.inf)])
+def test_system_refuses_non_finite_eigenvalues(bad):
+    with pytest.raises(ValueError, match="eigenvalue 1 "):
+        DiagonalSystem((-1 + 0j, bad, -2 + 0j), (1, 1, 1), 2.0)
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0), complex(1, -math.inf),
+                                 complex(math.nan, 1), complex(1, math.nan)])
+def test_measure_refuses_non_finite_locations(bad):
+    with pytest.raises(ValueError, match="atom location 2 "):
+        AtomicMeasure(np.array([1 + 0j, 2 + 1j, bad]), np.ones(3))
+
+
+def test_transformed_keeps_locations_and_checks_masses():
+    m = AtomicMeasure(np.array([1 + 0j, 2 + 1j]), np.array([1.0, 2.0]))
+    scaled = m.transformed([3.0, 0.5])
+    assert scaled.locations is m.locations
+    assert scaled.masses.tolist() == [3.0, 1.0] and not scaled.masses.flags.writeable
+    for factors in ([1.0, math.inf], [-1.0, 1.0]):
+        with pytest.raises(ValueError, match="atom masses"):
+            m.transformed(factors)
+
+
 def test_system_arrays_read_only():
     lam = np.array([-1 + 0j, -2 + 1j])
     sys2 = DiagonalSystem(lam, [1, 2j], 2.0)
