@@ -147,31 +147,33 @@ def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms):
     xs = m.locations.real[order]
     ys = m.locations.imag[order]
     ms = m.masses[order]
-    hi = np.searchsorted(xs, lengths, side="left").tolist()
-    prefix_mass = np.cumsum(ms)
-    y_low = np.minimum.accumulate(ys)
-    y_high = np.maximum.accumulate(ys)
-    per_n, witnesses = [], []
-    for n, length, denom, b in zip(ns, lengths, denoms, hi):
-        best = 0.0
-        best_witness = None
-        if b > 0:
-            edges = np.array([y_low[b - 1], y_high[b - 1]])
-            for phase in (0.0, 0.5):
-                low, high = np.floor(edges / length - phase)
-                if low == high:
-                    k_bin, mass = int(low.astype(np.int64)), float(prefix_mass[b - 1])
-                else:
-                    bins = np.floor(ys[:b] / length - phase).astype(np.int64)
-                    k_bin, mass = _heaviest_bin(bins, ms[:b])
-                if mass > 0:
-                    ratio = math.inf if denom == 0 else mass / denom
-                    if ratio > best:
-                        best = ratio
-                        lo_y = (k_bin + phase) * length
-                        best_witness = {"n": n, "interval": [lo_y, lo_y + length]}
-        per_n.append(best)
-        witnesses.append(best_witness)
+    hi = np.searchsorted(xs, lengths, side="left")
+    filled = np.flatnonzero(hi)  # the levels with atoms
+    tops = hi[filled] - 1  # the last atom of each of their prefixes
+    totals = np.cumsum(ms)[tops].tolist()
+    scale = np.array(lengths)[filled]
+    y_low = np.minimum.accumulate(ys)[tops] / scale
+    y_high = np.maximum.accumulate(ys)[tops] / scale
+    # per phase and filled level: the one bin of all its atoms, or None
+    one_bin = {}
+    for phase in (0.0, 0.5):
+        low, high = np.floor(y_low - phase), np.floor(y_high - phase)
+        one_bin[phase] = [k if same else None for k, same in
+                          zip(low.astype(np.int64).tolist(), (low == high).tolist())]
+    per_n, witnesses = [0.0] * len(lengths), [None] * len(lengths)
+    for i, j in enumerate(filled.tolist()):
+        n, length, denom, b = ns[j], lengths[j], denoms[j], hi[j]
+        for phase in (0.0, 0.5):
+            k_bin, mass = one_bin[phase][i], totals[i]
+            if k_bin is None:
+                bins = np.floor(ys[:b] / length - phase).astype(np.int64)
+                k_bin, mass = _heaviest_bin(bins, ms[:b])
+            if mass > 0:
+                ratio = math.inf if denom == 0 else mass / denom
+                if ratio > per_n[j]:
+                    per_n[j] = ratio
+                    lo_y = (k_bin + phase) * length
+                    witnesses[j] = {"n": n, "interval": [lo_y, lo_y + length]}
     return per_n, witnesses
 
 

@@ -154,7 +154,8 @@ def dyadic_index(v: np.ndarray, n_first: int, count: int, strict: bool) -> np.nd
         exp -= mant == 0.5
     exp -= n_first
     np.copyto(exp, 0, where=mant <= 0)
-    return np.clip(exp, 0, count, out=exp)
+    np.maximum(exp, 0, out=exp)  # two ufuncs: np.clip costs more on small arrays
+    return np.minimum(exp, count, out=exp)
 
 
 def strip_masses(m: AtomicMeasure, n_min: int, n_max: int) -> list[tuple[int, float]]:
