@@ -20,7 +20,13 @@ import sys
 import time
 from importlib.metadata import PackageNotFoundError, version
 
-from admiss.criteria import DEFAULT_N_RANGE, REGISTRY, dispatch, run_criterion
+from admiss.criteria import (
+    DEFAULT_N_RANGE,
+    N_RANGE_BOUNDS,
+    REGISTRY,
+    dispatch,
+    run_criterion,
+)
 from admiss.laplace_oracle import (
     TestFunction,
     empirical_ratio,
@@ -67,10 +73,6 @@ def _load_json_arg(arg: str) -> tuple[dict, dict]:
     return config, {"path": arg, "sha256": _sha256_of(arg)}
 
 
-# dyadic lengths 2^n stay finite, normal floats
-_GRID_BOUNDS = (-1022, 1023)
-
-
 def _parse_grid(text: str) -> tuple[int, int]:
     """``N_MIN:N_MAX``; argparse shows an ``ArgumentTypeError``'s message,
     where a ``ValueError`` only reads "invalid value"."""
@@ -78,9 +80,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
     n_min, n_max = int(lo), int(hi)
     if n_min > n_max:
         raise argparse.ArgumentTypeError(f"empty grid range {text!r}")
-    if n_min < _GRID_BOUNDS[0] or n_max > _GRID_BOUNDS[1]:
+    if n_min < N_RANGE_BOUNDS[0] or n_max > N_RANGE_BOUNDS[1]:
         raise argparse.ArgumentTypeError(
-            f"grid {text!r} outside [{_GRID_BOUNDS[0]}, {_GRID_BOUNDS[1]}], where 2^n overflows")
+            f"grid {text!r} outside [{N_RANGE_BOUNDS[0]}, {N_RANGE_BOUNDS[1]}], where 2^n overflows")
     return n_min, n_max
 
 

@@ -55,9 +55,12 @@ __all__ = [
     "dispatch",
     "observation_dispatch",
     "DEFAULT_N_RANGE",
+    "N_RANGE_BOUNDS",
 ]
 
 DEFAULT_N_RANGE = (-20, 40)
+# the dyadic lengths 2^n of a grid stay finite, normal floats
+N_RANGE_BOUNDS = (-1022, 1023)
 R1_POINTS_PER_DECADE = 8
 R7_POINTS_PER_DECADE = 10
 
@@ -73,9 +76,14 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     symmetric family only) and y_lo <= y < y_hi.  Every length is a power of
     two, so an atom's level is read exactly from the binary exponent of its
     coordinates (``dyadic_index``), never by a search.  Returns (ladder
-    levels, constant, witness, per-n best ratios).
+    levels, constant, witness, per-n best ratios).  A range outside
+    ``N_RANGE_BOUNDS`` raises ValueError: above it 2^n overflows, below it
+    a square shrinks to length 0.
     """
     n_min, n_max = n_range
+    if n_min < N_RANGE_BOUNDS[0] or n_max > N_RANGE_BOUNDS[1]:
+        raise ValueError(f"n_range {tuple(n_range)} outside [{N_RANGE_BOUNDS[0]}, "
+                         f"{N_RANGE_BOUNDS[1]}], where 2^n overflows or underflows")
     ns = range(n_min, n_max + 1)
     lengths = [2.0**n for n in ns]
     denoms = [denom_of_length(length) for length in lengths]
@@ -106,20 +114,24 @@ def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, pa
     each read from a binary exponent by ``dyadic_index``.  The full squares
     are nested, so an atom lies in every square from its entry level on (a
     cumulative sum); the right halves are disjoint in x, so an atom lies in
-    at most one.
+    at most one.  On a real measure every atom enters the centred intervals
+    at the lowest level, so only x is read.
     """
     n_min, count = ns.start, len(ns)
-    x = m.locations.real
-    y = m.locations.imag
-    y_entry = np.maximum(dyadic_index(-y, n_min - 1, count, strict=False),
-                         dyadic_index(y, n_min - 1, count, strict=True))
+    x, y = m.x, m.y
     x_level = dyadic_index(x, n_min, count, strict=True)
+    if y is not None:
+        y_entry = np.maximum(dyadic_index(-y, n_min - 1, count, strict=False),
+                             dyadic_index(y, n_min - 1, count, strict=True))
     if part == "right_half":
-        # x < |I| at x_level, and |I|/2 <= x there unless below the lowest level
-        inside = (y_entry <= x_level) & ((x_level > 0) | (x >= lengths[0] / 2))
+        # x < |I| at x_level, and |I|/2 <= x there: x_level > 0 means
+        # x >= 2^n_min, so only the lowest level needs the test
+        inside = x >= lengths[0] / 2
+        if y is not None:
+            inside &= y_entry <= x_level
         level = np.where(inside, x_level, count)
     else:
-        level = np.maximum(x_level, y_entry)
+        level = x_level if y is None else np.maximum(x_level, y_entry, out=x_level)
     masses = np.bincount(level, weights=m.masses, minlength=count + 1)[:-1]
     if part != "right_half":
         masses = np.cumsum(masses)
@@ -141,25 +153,30 @@ def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms):
     min and max) share a bin, every atom of the prefix lies in it, and its
     mass is the prefix sum, which adds the same masses in the same order as
     ``bincount`` would.  Only the other levels bin their atoms
-    (``_heaviest_bin``).
+    (``_heaviest_bin``).  On a real measure every prefix lies in bin 0 of
+    phase 0 and bin -1 of phase 1/2, so no y is read.
     """
-    order = np.argsort(m.locations.real, kind="stable")
-    xs = m.locations.real[order]
-    ys = m.locations.imag[order]
+    order = np.argsort(m.x, kind="stable")
+    xs = m.x[order]
     ms = m.masses[order]
     hi = np.searchsorted(xs, lengths, side="left")
     filled = np.flatnonzero(hi)  # the levels with atoms
     tops = hi[filled] - 1  # the last atom of each of their prefixes
     totals = np.cumsum(ms)[tops].tolist()
-    scale = np.array(lengths)[filled]
-    y_low = np.minimum.accumulate(ys)[tops] / scale
-    y_high = np.maximum.accumulate(ys)[tops] / scale
     # per phase and filled level: the one bin of all its atoms, or None
-    one_bin = {}
-    for phase in (0.0, 0.5):
-        low, high = np.floor(y_low - phase), np.floor(y_high - phase)
-        one_bin[phase] = [k if same else None for k, same in
-                          zip(low.astype(np.int64).tolist(), (low == high).tolist())]
+    if m.y is None:
+        ys = None
+        one_bin = {0.0: [0] * filled.size, 0.5: [-1] * filled.size}
+    else:
+        ys = m.y[order]
+        scale = np.array(lengths)[filled]
+        y_low = np.minimum.accumulate(ys)[tops] / scale
+        y_high = np.maximum.accumulate(ys)[tops] / scale
+        one_bin = {}
+        for phase in (0.0, 0.5):
+            low, high = np.floor(y_low - phase), np.floor(y_high - phase)
+            one_bin[phase] = [k if same else None for k, same in
+                              zip(low.astype(np.int64).tolist(), (low == high).tolist())]
     per_n, witnesses = [0.0] * len(lengths), [None] * len(lengths)
     for i, j in enumerate(filled.tolist()):
         n, length, denom, b = ns[j], lengths[j], denoms[j], hi[j]
@@ -212,7 +229,7 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure,
         raise ValueError("kernel moment diverges for this weight: increase N")
 
     mu = spectral_measure(sys)
-    re_grid = spectral_grid(mu.locations.real, R1_POINTS_PER_DECADE)
+    re_grid = spectral_grid(mu.x, R1_POINTS_PER_DECADE)
     im_mag = np.concatenate(([0.0], re_grid[:: max(1, len(re_grid) // 12)]))
     im_grid = np.unique(np.concatenate((-im_mag, im_mag)))
     lam_re = np.repeat(re_grid, im_grid.size)
@@ -279,8 +296,9 @@ def c2_power_square(m: AtomicMeasure, p: float, q: float, symmetric_only: bool,
 def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
                          n_range=DEFAULT_N_RANGE) -> CriterionReport:
     """Dyadic-strip criterion for q < p: the ell^(p/(p-q)) norm of
-    2^(-n q/p') mu(S_n), with the resolvent sequence and (when p' < q) the
-    weighted balayage branch reported in diagnostics."""
+    2^(-n q/p') mu(S_n), with (when p' < q) the weighted balayage branch
+    reported in diagnostics.  The resolvent sequence of the same question is
+    ``halfplane.dyadic_kernel_sequence``, which ``admiss oracle`` reports."""
     if not 1 <= q < p:
         raise ValueError("hypothesis violated: strip criterion needs 1 <= q < p")
     n_min, n_max = n_range
@@ -296,12 +314,6 @@ def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
     levels = dyadic_levels(terms, n_min, s)
     peak = int(np.argmax(terms))
     diagnostics: dict = {"sequence_exponent": s, "n_range": list(n_range)}
-
-    # ||(2^n - A)^(-1) B||_(ell^q) = (integral of |2^n + z|^(-q) d mu)^(1/q)
-    resolvent = 2.0 ** (ns / p) * kernel_sums(2.0**ns, m, -q / 2) ** (1 / q)
-    r_s = q * p / (p - q)
-    diagnostics["resolvent_sequence_norm"] = float((resolvent**r_s).sum() ** (1 / r_s))
-
     if p_conj < q:
         a = q * (2 - p) / p
         try:
@@ -318,11 +330,15 @@ def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
 def _sobolev_factors(m: AtomicMeasure, q: float, beta: float) -> np.ndarray | None:
     """Mass multipliers 1 + |z|^(-q beta); None when an atom at the origin
     makes the factor infinite."""
-    mags = np.abs(m.locations)
-    if ((mags == 0) & (m.masses > 0)).any():
-        return None
+    mags = m.x if m.y is None else np.abs(m.locations)  # |z| = x on the axis
+    if mags.size and mags.min() == 0:
+        if ((mags == 0) & (m.masses > 0)).any():
+            return None
+        mags = np.where(mags > 0, mags, 1.0)
     with np.errstate(divide="ignore"):
-        return 1.0 + np.where(mags > 0, mags, 1.0) ** (-q * beta)
+        factors = mags ** (-q * beta)
+    factors += 1.0
+    return factors
 
 
 def c5_sobolev_square(m: AtomicMeasure, p: float, q: float, beta: float,
@@ -378,7 +394,7 @@ def r7_fractional_resolvent(sys: DiagonalSystem, alpha: float) -> CriterionRepor
     if not 0 <= alpha < 1:
         raise ValueError("power exponent must lie in [0, 1)")
     mu = spectral_measure(sys)
-    grid = spectral_grid(mu.locations.real, R7_POINTS_PER_DECADE)
+    grid = spectral_grid(mu.x, R7_POINTS_PER_DECADE)
     num = np.sqrt(kernel_sums(grid, mu, alpha - 1))
     ratios = num / grid ** ((alpha - 1) / 2)
     levels, constant, witness = nested_log_sup(grid, ratios)
@@ -391,7 +407,10 @@ def c8_shifted_carleson(m: AtomicMeasure, beta: float,
     |1+z|^(-2 beta)-weighted measure (beta = 0 degenerates to the plain test)."""
     if beta < 0:
         raise ValueError("smoothness beta must be nonnegative")
-    factors = np.abs(1.0 + m.locations) ** (-2 * beta)
+    factors = 1.0 + m.locations
+    if m.y is not None:
+        factors = np.abs(factors)  # |1 + x| = 1 + x on the axis, x >= 0
+    factors **= -2 * beta
     return _square_report("C8", m.transformed(factors), lambda length: length, n_range,
                           symmetric=False, beta=beta)
 

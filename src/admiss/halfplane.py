@@ -9,8 +9,8 @@ convention is then load-bearing.
 ``kernel_sums`` is the one primitive behind every single-kernel spectral sum
 of the package, sum_k m_k |z + w_k|^(2 power) over the atoms w_k and masses
 m_k of a measure: the resolvent criteria R1 and R7 and their pointwise
-quotients, C4's resolvent sequence, and the oracle's kernel sweep, dyadic
-kernel sequence and single-kernel embedding values.
+quotients, the dyadic kernel sequence (``dyadic_kernel_sequence``), and the
+oracle's kernel sweep and single-kernel embedding values.
 
 Balayage integrals use a vectorised adaptive Gauss-Kronrod 10/21 rule
 (QUADPACK's qk21) whose first panels lie between the atoms' heights, with
@@ -40,6 +40,7 @@ __all__ = [
     "balayage_integral",
     "balayage_norm",
     "kernel_sums",
+    "dyadic_kernel_sequence",
     "pseudo_hyperbolic",
     "blaschke_products",
 ]
@@ -130,8 +131,8 @@ def measure_on_square(m: AtomicMeasure, sq: CarlesonSquare, part: str = "full") 
     (part="right_half")."""
     if part not in ("full", "right_half"):
         raise ValueError(f"part must be 'full' or 'right_half', got {part!r}")
-    x = m.locations.real
-    y = m.locations.imag
+    x = m.x
+    y = np.zeros_like(x) if m.y is None else m.y
     x_lo = sq.length / 2 if part == "right_half" else 0.0
     _warn_boundary(x, y, m.masses, (x_lo, sq.length), (sq.y_lo, sq.y_hi))
     inside = (x >= x_lo) & (x < sq.length) & (y >= sq.y_lo) & (y < sq.y_hi)
@@ -168,7 +169,7 @@ def strip_masses(m: AtomicMeasure, n_min: int, n_max: int) -> list[tuple[int, fl
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
     count = n_max - n_min + 1
-    strip = dyadic_index(m.locations.real, n_min - 1, count + 1, strict=False)
+    strip = dyadic_index(m.x, n_min - 1, count + 1, strict=False)
     out = np.bincount(strip, weights=m.masses, minlength=count + 2)[1:-1]
     return [(n, float(v)) for n, v in zip(range(n_min, n_max + 1), out)]
 
@@ -181,20 +182,25 @@ def balayage(m: AtomicMeasure, t) -> np.ndarray | float:
     points at a time, so memory stays O(_BLOCK_ENTRIES) for any number of
     points and atoms.
     """
-    x = m.locations.real
+    x = m.x
     if ((x == 0) & (m.masses > 0)).any():
         raise ValueError("balayage undefined: atom with Re z = 0 makes the Poisson kernel singular")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     pos = m.masses > 0
-    x, y = x[pos], m.locations.imag[pos]
+    x = x[pos]
+    y = None if m.y is None else m.y[pos]
     weights = m.masses[pos] * x / math.pi
     x_sq = x * x
     rows = max(1, _BLOCK_ENTRIES // max(1, x.size))
     out = np.empty(t_arr.size)
     for i in range(0, t_arr.size, rows):
-        kernel = t_arr[i:i + rows, None] - y
-        kernel *= kernel
-        kernel += x_sq
+        t_rows = t_arr[i:i + rows, None]
+        if y is None:  # a real measure: (t - 0)^2 is t^2, one per row
+            kernel = t_rows * t_rows + x_sq
+        else:
+            kernel = t_rows - y
+            kernel *= kernel
+            kernel += x_sq
         np.reciprocal(kernel, out=kernel)
         out[i:i + rows] = kernel @ weights
     return out if np.ndim(t) else float(out[0])
@@ -213,17 +219,19 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
     _BLOCK_ENTRIES entries, so memory stays O(_BLOCK_ENTRIES) whatever the
     number of points and atoms.
 
-    On a real measure (every atom on the real axis) the sums at z and
-    conj(z) are equal, so the points are folded onto (Re z, |Im z|), each
-    distinct folded point is summed once and the sums are scattered back:
-    conjugate points get bit-identical sums.  There a point off the axis
-    adds (Im z)^2 as one scalar to every (Re z + w_k)^2 of its row; on the
-    axis, for |power| < 1 with 4 power an integer, |Re z + w_k| is raised to
-    2 power, which saves the squaring and a square root.
+    On a real measure (float-stored, ``m.y`` None: the measure decided its
+    realness when it was built, so no imaginary part is scanned here) the
+    sums at z and conj(z) are equal, so the points are folded onto
+    (Re z, |Im z|), each distinct folded point is summed once and the sums
+    are scattered back: conjugate points get bit-identical sums.  There a
+    point off the axis adds (Im z)^2 as one scalar to every (Re z + w_k)^2
+    of its row; on the axis, for |power| < 1 with 4 power an integer,
+    |Re z + w_k| is raised to 2 power, which saves the squaring and a square
+    root.  A complex-stored measure takes the general path for every point.
     """
     z = np.atleast_1d(np.asarray(points, dtype=complex))
-    u, v = m.locations.real, m.locations.imag
-    real = not v.any()
+    u, v = m.x, m.y
+    real = v is None
     if real:
         z, back = np.unique(z.real + 1j * np.abs(z.imag), return_inverse=True)
     cols = min(max(1, u.size), _BLOCK_ENTRIES)
@@ -241,6 +249,19 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
                             None if real else v[k:k + cols], m.masses[k:k + cols], power)
                 for k in range(0, u.size, cols))
     return sums[back] if real else sums
+
+
+def dyadic_kernel_sequence(m: AtomicMeasure, ns, p: float, q: float) -> np.ndarray:
+    """2^(n/p) (sum_k m_k |2^n + w_k|^(-q))^(1/q) at every n of ``ns``, one
+    ``kernel_sums`` call for all of them.
+
+    For a spectral measure the bracket is ||(2^n - A)^(-1) B||^q in ell^q,
+    which is also the q-th power of the ell^q embedding of the kernel
+    e^(-2^n t); the sequence's ell^(qp/(p-q)) norm is the oracle's
+    condition for q < p (``laplace_oracle.kernel_condition_sweep``).
+    """
+    ns = np.asarray(ns)
+    return 2.0 ** (ns / p) * kernel_sums(2.0**ns, m, -q / 2) ** (1 / q)
 
 
 def _block_sums(re: np.ndarray, im: np.ndarray | None, u: np.ndarray, v: np.ndarray | None,
@@ -294,12 +315,12 @@ def _power_in_place(d: np.ndarray, power: float) -> np.ndarray:
 
 
 def _quad_breakpoints(m: AtomicMeasure) -> tuple[np.ndarray, float]:
-    x = m.locations.real
-    y = m.locations.imag
     pos = m.masses > 0
-    ys = np.unique(np.round(y[pos], decimals=12)) if pos.any() else np.array([0.0])
-    width = float(x[pos].max()) if pos.any() else 1.0
-    return ys, width
+    if not pos.any():
+        return np.array([0.0]), 1.0
+    # a real measure has the one height 0
+    ys = np.zeros(1) if m.y is None else np.unique(np.round(m.y[pos], decimals=12))
+    return ys, float(m.x[pos].max())
 
 
 def _height_seeds(m: AtomicMeasure, lo: float, hi: float) -> np.ndarray:
@@ -315,10 +336,13 @@ def _height_seeds(m: AtomicMeasure, lo: float, hi: float) -> np.ndarray:
     line (a single height) gets O(log) seeds, not O(K log).
     """
     pos = m.masses > 0
-    x, y = m.locations.real[pos], m.locations.imag[pos]
-    heights, which = np.unique(y, return_inverse=True)
-    width = np.full(heights.size, np.inf)
-    np.minimum.at(width, which, x)
+    x = m.x[pos]
+    if m.y is None:  # a real measure: one height, 0 (its callers hold positive mass)
+        heights, width = np.zeros(1), np.array([x.min()])
+    else:
+        heights, which = np.unique(m.y[pos], return_inverse=True)
+        width = np.full(heights.size, np.inf)
+        np.minimum.at(width, which, x)
     seeds = []
     for sign, neighbour in ((-1.0, np.concatenate(([lo], heights[:-1]))),
                             (1.0, np.concatenate((heights[1:], [hi])))):
@@ -425,7 +449,7 @@ def balayage_norm(m: AtomicMeasure, weight_exponent: float, lebesgue_exponent: f
     analytic = {"abserr": 0.0, "converged": True}
     if m.total_mass == 0:
         return 0.0, {"note": "zero measure", **analytic}
-    x = m.locations.real
+    x = m.x
     if ((x == 0) & (m.masses > 0)).any():
         raise ValueError("balayage undefined: atom with Re z = 0")
     s0 = float(balayage(m, 0.0))

@@ -25,7 +25,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma
 
 from admiss import halfplane
-from admiss.halfplane import _EPSABS, _integrate_with_breaks, _power_in_place, kernel_sums
+from admiss.halfplane import (
+    _EPSABS,
+    _integrate_with_breaks,
+    _power_in_place,
+    dyadic_kernel_sequence,
+    kernel_sums,
+)
 from admiss.report import (
     CriterionReport,
     dyadic_levels,
@@ -355,8 +361,8 @@ def _embeddings(sys: DiagonalSystem, fs: list[TestFunction]) -> np.ndarray:
     rates = np.array([lam for _, lam in kernels])
     mu = spectral_measure(sys)
     s = mu.locations
-    if not (s.imag.any() or rates.imag.any() or coef.imag.any()):
-        s, rates, coef = s.real, rates.real, coef.real
+    if mu.y is None and not (rates.imag.any() or coef.imag.any()):
+        rates, coef = rates.real, coef.real
     # a block's table and the mixtures' values there hold _BLOCK_ENTRIES entries
     cols = max(1, halfplane._BLOCK_ENTRIES // (len(kernels) + len(mixtures)))
     total = np.zeros(len(mixtures))
@@ -395,7 +401,7 @@ def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
     q < p."""
     if space.kind == "Lp" and space.p > sys.q:
         return _dyadic_kernel_sequence(sys, space)
-    grid = spectral_grid(-sys.eigenvalues.real, points_per_decade)
+    grid = spectral_grid(spectral_measure(sys).x, points_per_decade)
     if space.kind == "Lp":
         n = 1
     elif space.kind == "sobolev":
@@ -420,13 +426,14 @@ def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
 
 def _dyadic_kernel_sequence(sys: DiagonalSystem, space: InputSpace) -> CriterionReport:
     """Sequence condition for q < p: the ell^(qp/(p-q)) norm of
-    2^(n/p) * ||L e^(-2^n t)||_{L^q_mu} over dyadic rates."""
+    2^(n/p) * ||L e^(-2^n t)||_{L^q_mu} over dyadic rates
+    (``halfplane.dyadic_kernel_sequence``)."""
     p, q = space.p, sys.q
-    x = -sys.eigenvalues.real
-    n_lo = int(math.floor(math.log2(x.min()))) - 10
-    n_hi = int(math.ceil(math.log2(x.max()))) + 10
+    mu = spectral_measure(sys)
+    n_lo = int(math.floor(math.log2(mu.x.min()))) - 10
+    n_hi = int(math.ceil(math.log2(mu.x.max()))) + 10
     ns = np.arange(n_lo, n_hi + 1)
-    seq = 2.0 ** (ns / p) * _kernel_embeddings(sys, 1, 2.0**ns)
+    seq = dyadic_kernel_sequence(mu, ns, p, q)
     s = q * p / (p - q)
     levels = dyadic_levels(seq, n_lo, s)
     return ladder_report(f"K-sweep[{space.describe()}]", levels[-1], {"n_range": [n_lo, n_hi]},
@@ -509,8 +516,7 @@ def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
     """
     if family_size < 1:
         raise ValueError("family size must be >= 1")
-    x = -sys.eigenvalues.real
-    j_cap = int(math.ceil(math.log2(100 * float(x.max()))))
+    j_cap = int(math.ceil(math.log2(100 * float(spectral_measure(sys).x.max()))))
     members, denoms = [], []
     for i in range(family_size):
         j = min(i, j_cap)

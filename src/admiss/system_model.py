@@ -5,6 +5,11 @@ lambda_k in the open left half-plane and scalar control coefficients b_k.  The
 sign flip onto the right half-plane happens in exactly one place, the
 system's spectral measure (``spectral_measure``, built once per system), so
 every downstream module works with points z_k = -lambda_k, Re z_k > 0.
+
+Arrays are float64 when no entry has an imaginary part and complex128
+otherwise; realness is decided once, when a system or measure is built.  The
+1-d heat equation's spectrum -n^2 pi^2 is real from ``heat_system`` on, and a
+real measure's ``y`` is None, so no kernel scans its imaginary parts again.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the spectrum and coefficients alone take 32 bytes per mode; the criteria
-# hold several arrays of that size
+# a complex spectrum and its coefficients alone take 32 bytes per mode; the
+# criteria hold several arrays of that size
 MAX_MODES = 10**7
 
 __all__ = [
@@ -35,9 +40,10 @@ class DiagonalSystem:
     """Finite truncation of a diagonal semigroup system on ell^q.
 
     ``eigenvalues`` and ``coeffs`` accept any sequence and are stored as
-    read-only 1-d complex arrays.  ``generator`` is an optional symbolic tag
-    (e.g. ``"heat1d"``) from which ``with_modes`` rebuilds the system at
-    another truncation (the CLI's ``--modes``).
+    read-only 1-d arrays, each float64 when none of its entries has an
+    imaginary part and complex128 otherwise.  ``generator`` is an optional
+    symbolic tag (e.g. ``"heat1d"``) from which ``with_modes`` rebuilds the
+    system at another truncation (the CLI's ``--modes``).
     """
 
     eigenvalues: np.ndarray
@@ -46,8 +52,8 @@ class DiagonalSystem:
     generator: str | None = None
 
     def __post_init__(self):
-        lam = _frozen_complex(self.eigenvalues, "eigenvalues")
-        b = _frozen_complex(self.coeffs, "coeffs")
+        lam = _frozen_array(self.eigenvalues, "eigenvalues")
+        b = _frozen_array(self.coeffs, "coeffs")
         if lam.size != b.size:
             raise ValueError(
                 f"eigenvalues ({lam.size}) and coeffs ({b.size}) must have equal length"
@@ -56,10 +62,9 @@ class DiagonalSystem:
             raise ValueError("system must have at least one mode")
         if self.q < 1:
             raise ValueError(f"state exponent q must be >= 1, got {self.q}")
-        if not (lam.real < 0).all():
-            k = int(np.argmax(~(lam.real < 0)))
-            raise ValueError(f"eigenvalue {k} has Re lambda = {lam[k].real}, must be < 0")
-        _check_finite(lam, "eigenvalue")
+        bounds = _finite_real_bounds(lam)
+        if bounds is None or bounds[1] >= 0:
+            _refuse_eigenvalues(np.asarray(self.eigenvalues, dtype=complex))
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "coeffs", b)
 
@@ -82,6 +87,28 @@ class DiagonalSystem:
         raise ValueError(f"cannot regenerate system without a known generator tag: {self.generator!r}")
 
 
+def _finite_real_bounds(values: np.ndarray) -> tuple[float, float] | None:
+    """(min, max) of the real parts of a non-empty array when every entry is
+    finite, else None; reductions only, so no boolean array of its size."""
+    re = values.real
+    lo, hi = re.min(), re.max()
+    if not (-math.inf < lo and hi < math.inf):  # NaN fails too
+        return None
+    if values.dtype.kind == "c" and not (-math.inf < values.imag.min()
+                                         and values.imag.max() < math.inf):
+        return None
+    return float(lo), float(hi)
+
+
+def _refuse_eigenvalues(lam: np.ndarray) -> None:
+    """Raise naming the first eigenvalue with Re lambda >= 0 (or NaN), else
+    the first non-finite one."""
+    if not (lam.real < 0).all():
+        k = int(np.argmax(~(lam.real < 0)))
+        raise ValueError(f"eigenvalue {k} has Re lambda = {lam[k].real}, must be < 0")
+    _check_finite(lam, "eigenvalue")
+
+
 def _check_finite(values: np.ndarray, name: str) -> None:
     """Raise naming the first non-finite entry: an infinite or NaN point has
     no dyadic level, and a criterion would drop it or file it wrongly."""
@@ -91,10 +118,22 @@ def _check_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} {k} is {values[k]}, must be finite")
 
 
-def _frozen_complex(values, name: str) -> np.ndarray:
-    """Read-only 1-d complex array; a writeable ndarray argument is copied so
-    the caller's array is neither frozen nor aliased."""
-    arr = np.asarray(values, dtype=complex)
+def _real_or_complex(values) -> np.ndarray:
+    """``values`` as a float64 array when no entry has an imaginary part, else
+    as complex128; a complex argument is scanned once for that.  A sequence
+    is read as complex, which numpy converts faster than it infers a dtype."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=complex)
+    if arr.dtype.kind in "biuf":
+        return arr.astype(float, copy=False)
+    arr = arr.astype(complex, copy=False)
+    return arr if arr.imag.any() else arr.real.copy()
+
+
+def _frozen_array(values, name: str) -> np.ndarray:
+    """Read-only 1-d float or complex array (``_real_or_complex``); a
+    writeable ndarray argument is copied so the caller's array is neither
+    frozen nor aliased."""
+    arr = _real_or_complex(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     aliased = isinstance(values, np.ndarray) and np.may_share_memory(arr, values)
@@ -106,16 +145,23 @@ def _frozen_complex(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finite positive atomic measure on the closed right half-plane."""
+    """Finite positive atomic measure on the closed right half-plane.
 
-    locations: np.ndarray  # complex, Re >= 0
+    ``locations`` is stored float64 when no atom has an imaginary part (a
+    real measure) and complex128 otherwise; ``x`` and ``y`` read its
+    coordinates, and ``y`` is None on a real measure.
+    """
+
+    locations: np.ndarray  # float or complex, Re >= 0
     masses: np.ndarray  # float, >= 0
 
     def __post_init__(self):
-        loc = np.asarray(self.locations, dtype=complex)
-        if loc.ndim == 1:
-            _check_finite(loc, "atom location")
-            if loc.size and loc.real.min() < 0:
+        loc = _real_or_complex(self.locations)
+        if loc.ndim == 1 and loc.size:
+            bounds = _finite_real_bounds(loc)
+            if bounds is None or bounds[0] < 0:
+                loc = np.asarray(self.locations, dtype=complex)
+                _check_finite(loc, "atom location")
                 raise ValueError("all atoms must lie in the closed right half-plane")
         self._set(loc, self.masses)
 
@@ -124,10 +170,12 @@ class AtomicMeasure:
         mass = np.asarray(masses, dtype=float)
         if loc.shape != mass.shape or loc.ndim != 1:
             raise ValueError("locations and masses must be 1-d arrays of equal length")
-        if mass.size and mass.min() < 0:
-            raise ValueError("atom masses must be nonnegative")
-        if not np.isfinite(mass).all():
-            raise ValueError("atom masses must be finite")
+        if mass.size:
+            lo, hi = mass.min(), mass.max()
+            if lo < 0:
+                raise ValueError("atom masses must be nonnegative")
+            if not hi < math.inf:  # NaN fails too
+                raise ValueError("atom masses must be finite")
         loc.setflags(write=False)
         mass.setflags(write=False)
         object.__setattr__(self, "locations", loc)
@@ -135,8 +183,9 @@ class AtomicMeasure:
 
     @classmethod
     def _at_checked_locations(cls, locations: np.ndarray, masses) -> "AtomicMeasure":
-        """A measure on a complex array of locations already known finite and
-        in the closed right half-plane: only the masses are checked."""
+        """A measure on a float or complex array of locations already known
+        finite and in the closed right half-plane, stored as given: only the
+        masses are checked."""
         m = object.__new__(cls)
         m._set(locations, masses)
         return m
@@ -148,6 +197,17 @@ class AtomicMeasure:
         locs = np.array([complex(z) for z, _ in atoms], dtype=complex)
         masses = np.array([float(m) for _, m in atoms], dtype=float)
         return cls(locs, masses)
+
+    @property
+    def x(self) -> np.ndarray:
+        """Real parts of the locations: the locations themselves on a real
+        measure, a view otherwise."""
+        return self.locations.real
+
+    @property
+    def y(self) -> np.ndarray | None:
+        """Imaginary parts of the locations (a view), None on a real measure."""
+        return None if self.locations.dtype.kind == "f" else self.locations.imag
 
     @property
     def total_mass(self) -> float:
@@ -186,8 +246,8 @@ def heat_system(modes: int) -> DiagonalSystem:
     n = np.arange(1, modes + 1, dtype=float)
     n *= n
     n *= math.pi**2
-    eig = np.negative(n).astype(complex)
-    coeffs = np.ones(modes, dtype=complex)
+    eig = np.negative(n, out=n)
+    coeffs = np.ones(modes)
     eig.setflags(write=False)  # nothing else holds them: spare DiagonalSystem the copy
     coeffs.setflags(write=False)
     return DiagonalSystem(eig, coeffs, 2.0, generator="heat1d")
@@ -199,7 +259,7 @@ def dual_system(sys: DiagonalSystem, obs_coeffs) -> DiagonalSystem:
     Observation admissibility questions reduce to control-side criteria run on
     this system together with the dual input space.
     """
-    obs = np.asarray(obs_coeffs, dtype=complex)
+    obs = np.asarray(obs_coeffs)
     if obs.shape != sys.eigenvalues.shape:
         raise ValueError(f"obs_coeffs length {obs.size} != number of modes {sys.modes}")
     if sys.q == 1:
@@ -210,14 +270,14 @@ def dual_system(sys: DiagonalSystem, obs_coeffs) -> DiagonalSystem:
 
 def max_sector_angle(m: AtomicMeasure) -> float:
     """Max |arg z| over positive-mass atoms; inf if an atom sits at the origin."""
-    pos = m.masses > 0
-    if not pos.any():
+    if not m.masses.size or m.masses.max() == 0:  # no positive mass
         return 0.0
-    if (pos & (m.locations == 0)).any():
+    # an atom at the origin has Re z = 0, the least Re z can be
+    if m.x.min() == 0 and ((m.masses > 0) & (m.locations == 0)).any():
         return math.inf
-    if not m.locations.imag.any():  # a real spectrum: no angle to take
+    if m.y is None:  # a real measure: no angle to take
         return 0.0
-    return float(np.abs(np.angle(m.locations[pos])).max())
+    return float(np.abs(np.angle(m.locations[m.masses > 0])).max())
 
 
 def load_system(config: dict | str) -> DiagonalSystem:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from admiss import criteria, halfplane
+from admiss.halfplane import dyadic_kernel_sequence
 from admiss.criteria import (
     _square_family_sup,
     c1_zen_carleson,
@@ -108,7 +109,27 @@ def test_c4_range_check_and_heat():
         c4_strip_summability(mu, 1.5, 2.0)
     report = c4_strip_summability(mu, 4.0, 2.0, n_range=(-10, 45))
     assert report.verdict == "bounded-evidence"
-    assert math.isfinite(report.diagnostics["resolvent_sequence_norm"])
+    # the resolvent sequence of the same question, and its ell^(qp/(p-q)) norm
+    assert "resolvent_sequence_norm" not in report.diagnostics
+    seq = dyadic_kernel_sequence(mu, np.arange(-10, 46), 4.0, 2.0)
+    assert math.isfinite(float((seq**4.0).sum() ** 0.25))
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, n: c2_power_square(m, 2.0, 2.0, symmetric_only=False, n_range=n),
+    lambda m, n: c2_power_square(m, 1.5, 2.0, symmetric_only=True, n_range=n),
+    lambda m, n: c1_zen_carleson(m, hardy(), n_range=n),
+    lambda m, n: c7_halfsquare(m, 0.5, n_range=n),
+    lambda m, n: c8_shifted_carleson(m, 0.5, n_range=n),
+])
+def test_square_criteria_refuse_n_range_beyond_normal_powers(run):
+    # above 1023, 2.0**n overflows (it raised OverflowError); below -1074 it
+    # is 0, and the atom at x = 0 read constant inf in a square of length 0
+    m = AtomicMeasure(np.array([0j, 1 + 1j]), np.ones(2))
+    for n_range in ((0, 1024), (-1100, 0), (-1023, 0)):
+        with pytest.raises(ValueError, match=r"outside \[-1022, 1023\]"):
+            run(m, n_range)
+    assert math.isfinite(run(m, (-1022, 1023)).constant)
 
 
 def test_c4_low_end_of_grid_does_not_overflow():
@@ -438,6 +459,9 @@ def test_square_family_sup_matches_per_level_scan(symmetric, part, atoms, n_min,
     got = _square_family_sup(m, denom, n_range, symmetric, part)
     want = _square_family_sup_reference(m, denom, n_range, symmetric, part)
     assert got == want
+    if m.y is None:  # an all-axis draw is float-stored; complex-stored it reads the same
+        as_complex = AtomicMeasure._at_checked_locations(m.x + 0j, m.masses)
+        assert _square_family_sup(as_complex, denom, n_range, symmetric, part) == got
 
 
 @pytest.mark.parametrize("symmetric, part",

@@ -2,7 +2,7 @@
 site routed through it against the per-kernel formula it replaced.
 
 The replaced formulas are kept here as references: the resolvent sums in
-complex-free blocks with ``np.power``, the per-point C4 resolvent norm, the
+complex-free blocks with ``np.power``, the per-point resolvent norm, the
 complex-transform embedding value, and the kernel sweep and dyadic sequence
 that called it once per point.
 """
@@ -18,11 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from admiss import halfplane
 from admiss.criteria import (
-    c4_strip_summability,
     fractional_resolvent_ratio,
     resolvent_ratio,
 )
-from admiss.halfplane import kernel_sums
+from admiss.halfplane import dyadic_kernel_sequence, kernel_sums
 from admiss.laplace_oracle import (
     TestFunction,
     _embeddings,
@@ -303,11 +302,12 @@ def test_overlapping_constructors_agree(n, lam):
 @pytest.mark.parametrize("name, p", [("heat1d", 2.5), ("heat1d", 4.0), ("sectorial", 2.5),
                                      ("sectorial", 4.0), ("sectorial-q3", 4.0)])
 def test_c4_resolvent_sequence_matches_pre_change_loop(name, p):
+    # C4's former resolvent diagnostic, now ``dyadic_kernel_sequence`` alone
     m, q = spectral_measure(_system(name)), _system(name).q
     n_range = (-20, 40)
     ns = np.arange(n_range[0], n_range[1] + 1)
     resolvent = 2.0 ** (ns / p) * np.array([_pre_resolvent_norm(m, 2.0**n, q) for n in ns])
     r_s = q * p / (p - q)
     want = float((resolvent**r_s).sum() ** (1 / r_s))
-    report = c4_strip_summability(m, p, q, n_range)
-    assert report.diagnostics["resolvent_sequence_norm"] == pytest.approx(want, rel=RTOL)
+    seq = dyadic_kernel_sequence(m, ns, p, q)
+    assert float((seq**r_s).sum() ** (1 / r_s)) == pytest.approx(want, rel=RTOL)

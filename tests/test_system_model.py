@@ -72,14 +72,50 @@ def test_transformed_keeps_locations_and_checks_masses():
 
 
 def test_system_arrays_read_only():
+    # complex input stays complex; the heat system is float-stored
     lam = np.array([-1 + 0j, -2 + 1j])
     sys2 = DiagonalSystem(lam, [1, 2j], 2.0)
-    for arr in (sys2.eigenvalues, sys2.coeffs, heat_system(3).eigenvalues):
-        assert arr.dtype == complex and arr.ndim == 1
+    heat = heat_system(3)
+    for arr, dtype in ((sys2.eigenvalues, complex), (sys2.coeffs, complex),
+                       (heat.eigenvalues, np.float64), (heat.coeffs, np.float64),
+                       (spectral_measure(heat).locations, np.float64)):
+        assert arr.dtype == dtype and arr.ndim == 1
         with pytest.raises(ValueError):
             arr[0] = -3.0
     lam[0] = -5.0  # the caller's array stays writeable and is not aliased
     assert sys2.eigenvalues[0] == -1
+
+
+def test_zero_imaginary_parts_are_stored_real():
+    # one scan at construction: an all-real complex input becomes float64
+    sys_ = DiagonalSystem(np.array([-1 + 0j, -2 - 0j]), [1 + 0j, 3 + 0j], 2.0)
+    assert sys_.eigenvalues.dtype == sys_.coeffs.dtype == np.float64
+    assert sys_.eigenvalues.tolist() == [-1.0, -2.0]
+    mu = spectral_measure(sys_)
+    assert mu.y is None and mu.x is mu.locations
+    assert mu.x.tolist() == [1.0, 2.0] and mu.masses.tolist() == [1.0, 9.0]
+    m = AtomicMeasure(np.array([1 + 0j, 2 + 1j]), np.ones(2))
+    assert m.locations.dtype == complex and m.y.tolist() == [0.0, 1.0]
+    assert m.x.tolist() == [1.0, 2.0]
+    assert AtomicMeasure.from_atoms([(1, 1.0), (2 + 0j, 2.0)]).y is None
+    # an integer array is stored as float, and a complex-stored measure stays complex
+    assert AtomicMeasure(np.array([1, 2]), np.ones(2)).locations.dtype == np.float64
+    kept = AtomicMeasure._at_checked_locations(np.array([1 + 0j]), np.ones(1))
+    assert kept.y is not None and kept.transformed([2.0]).y is not None
+
+
+@pytest.mark.parametrize("make", [lambda bad: np.array([-1.0, bad, -2.0]),
+                                  lambda bad: [-1 + 0j, complex(bad, 0), -2 + 0j]])
+@pytest.mark.parametrize("bad, message", [
+    (-math.inf, "eigenvalue 1 is (-inf+0j), must be finite"),
+    (math.nan, "eigenvalue 1 has Re lambda = nan, must be < 0"),
+    (0.0, "eigenvalue 1 has Re lambda = 0.0, must be < 0"),
+])
+def test_real_spectrum_errors_read_as_complex_ones(make, bad, message):
+    # float and complex input name a bad eigenvalue alike, as before real storage
+    with pytest.raises(ValueError) as err:
+        DiagonalSystem(make(bad), np.ones(3), 2.0)
+    assert str(err.value) == message
 
 
 def test_bad_eigenvalue_names_its_index():
