@@ -296,8 +296,7 @@ def c2_power_square(m: AtomicMeasure, p: float, q: float, symmetric_only: bool,
 def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
                          n_range=DEFAULT_N_RANGE) -> CriterionReport:
     """Dyadic-strip criterion for q < p: the ell^(p/(p-q)) norm of
-    2^(-n q/p') mu(S_n), with (when p' < q) the weighted balayage branch
-    reported in diagnostics.  The resolvent sequence of the same question is
+    2^(-n q/p') mu(S_n).  The resolvent sequence of the same question is
     ``halfplane.dyadic_kernel_sequence``, which ``admiss oracle`` reports."""
     if not 1 <= q < p:
         raise ValueError("hypothesis violated: strip criterion needs 1 <= q < p")
@@ -313,18 +312,8 @@ def c4_strip_summability(m: AtomicMeasure, p: float, q: float,
     terms[filled] = 2.0 ** (-ns[filled] * q / p_conj) * masses[filled]
     levels = dyadic_levels(terms, n_min, s)
     peak = int(np.argmax(terms))
-    diagnostics: dict = {"sequence_exponent": s, "n_range": list(n_range)}
-    if p_conj < q:
-        a = q * (2 - p) / p
-        try:
-            bal, bal_diag = balayage_norm(m, a, s)
-            diagnostics["balayage_norm"] = bal if math.isfinite(bal) else None
-            diagnostics["balayage_diagnostics"] = bal_diag
-        except ValueError as exc:
-            diagnostics["balayage_diagnostics"] = {"error": str(exc)}
-
     return ladder_report("C4", levels[-1], {"n": int(ns[peak])}, levels, stable_rtol=1e-6,
-                         **diagnostics)
+                         sequence_exponent=s, n_range=list(n_range))
 
 
 def _sobolev_factors(m: AtomicMeasure, q: float, beta: float) -> np.ndarray | None:
@@ -370,7 +359,7 @@ def c6_sobolev_balayage(m: AtomicMeasure, p: float, q: float, beta: float) -> Cr
         return CriterionReport("C6", math.inf, {"z": [0.0, 0.0]}, INCONCLUSIVE,
                                {"note": "atom at the origin has infinite Sobolev factor"})
     s = p / (p - q)
-    value, diag = balayage_norm(m.transformed(factors), 0.0, s)
+    value, diag = balayage_norm(m.transformed(factors), s)
     verdict = BOUNDED if math.isfinite(value) and diag["converged"] else INCONCLUSIVE
     return CriterionReport("C6", value, {}, verdict,
                            {"balayage_diagnostics": diag, "beta": beta, "exponent": s,

@@ -1,10 +1,8 @@
 """Geometry and measure evaluation on the right half-plane.
 
-Carleson squares and their right halves, dyadic strips, the Poisson balayage
-onto the boundary, the pseudo-hyperbolic metric, and truncated Blaschke-type
-products.  Membership conventions are half-open in both coordinates; atoms
-within 1e-12 of a tested boundary trigger a warning since the measure-theoretic
-convention is then load-bearing.
+Dyadic levels and strips, the Poisson balayage onto the boundary, the
+pseudo-hyperbolic metric, and truncated Blaschke-type products.  A dyadic
+strip is half-open, S_n = { 2^(n-1) < Re z <= 2^n }.
 
 ``kernel_sums`` is the one primitive behind every single-kernel spectral sum
 of the package, sum_k m_k |z + w_k|^(2 power) over the atoms w_k and masses
@@ -12,28 +10,25 @@ m_k of a measure: the resolvent criteria R1 and R7 and their pointwise
 quotients, the dyadic kernel sequence (``dyadic_kernel_sequence``), and the
 oracle's kernel sweep and single-kernel embedding values.
 
-Balayage integrals use a vectorised adaptive Gauss-Kronrod 10/21 rule
-(QUADPACK's qk21) whose first panels lie between the atoms' heights, with
-extra breakpoints around each height at the scale of its narrowest atom;
-each pass evaluates every active panel's 21 nodes in one array call.  The
-oracle's mixture norms use the same integrator.  Only the two infinite tails
-of ``balayage_integral`` go to ``scipy.integrate.quad``.
+``balayage_norm`` is the one balayage quadrature, and ``balayage_integral``
+is its s = 1 case.  It uses a vectorised adaptive Gauss-Kronrod 10/21 rule
+(QUADPACK's qk21) whose first panels are seeded geometrically around each
+atom height at the scale of its narrowest atom, and bounds the two infinite
+tails analytically; each pass evaluates every active panel's 21 nodes in one
+array call.  The oracle's mixture norms use the same integrator.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # noqa: F401 -- unused; benches/spans.py wraps this name
 
 from admiss.system_model import AtomicMeasure
 
 __all__ = [
-    "CarlesonSquare",
-    "measure_on_square",
     "dyadic_index",
     "strip_masses",
     "balayage",
@@ -45,7 +40,6 @@ __all__ = [
     "blaschke_products",
 ]
 
-_BOUNDARY_EPS = 1e-12
 # entries of one (points x atoms) block in ``balayage``, ``kernel_sums`` and
 # ``blaschke_products``: 2 MB of float64 per temporary, which stays in cache (2^16
 # to 2^20 measured alike, 2^21 and 2^22 slower)
@@ -85,58 +79,6 @@ _GK_MAX_PANELS = 50_000
 # quadrature tolerances: absolute, and relative to the integral
 _EPSABS = 1e-13
 _EPSREL = 1e-11
-
-
-@dataclass(frozen=True)
-class CarlesonSquare:
-    """Square over the interval [center_y - length/2, center_y + length/2) of
-    the imaginary axis, with 0 <= x < length.  The right half restricts to
-    x >= length/2."""
-
-    center_y: float
-    length: float
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("square side must be positive")
-
-    @property
-    def y_lo(self) -> float:
-        return self.center_y - self.length / 2
-
-    @property
-    def y_hi(self) -> float:
-        return self.center_y + self.length / 2
-
-
-def _warn_boundary(x: np.ndarray, y: np.ndarray, masses: np.ndarray, edges_x, edges_y) -> None:
-    pos = masses > 0
-    if not pos.any():
-        return
-    near = np.zeros(x.shape, dtype=bool)
-    for e in edges_x:
-        near |= np.abs(x - e) < _BOUNDARY_EPS * max(1.0, abs(e))
-    for e in edges_y:
-        near |= np.abs(y - e) < _BOUNDARY_EPS * max(1.0, abs(e))
-    if (near & pos).any():
-        warnings.warn(
-            "atom within 1e-12 of a tested square boundary; the half-open "
-            "membership convention decides its mass",
-            stacklevel=3,
-        )
-
-
-def measure_on_square(m: AtomicMeasure, sq: CarlesonSquare, part: str = "full") -> float:
-    """Mass of the atoms inside Q_I (part="full") or its right half T_I
-    (part="right_half")."""
-    if part not in ("full", "right_half"):
-        raise ValueError(f"part must be 'full' or 'right_half', got {part!r}")
-    x = m.x
-    y = np.zeros_like(x) if m.y is None else m.y
-    x_lo = sq.length / 2 if part == "right_half" else 0.0
-    _warn_boundary(x, y, m.masses, (x_lo, sq.length), (sq.y_lo, sq.y_hi))
-    inside = (x >= x_lo) & (x < sq.length) & (y >= sq.y_lo) & (y < sq.y_hi)
-    return float(m.masses[inside].sum())
 
 
 def dyadic_index(v: np.ndarray, n_first: int, count: int, strict: bool) -> np.ndarray:
@@ -314,19 +256,11 @@ def _power_in_place(d: np.ndarray, power: float) -> np.ndarray:
     return out
 
 
-def _quad_breakpoints(m: AtomicMeasure) -> tuple[np.ndarray, float]:
-    pos = m.masses > 0
-    if not pos.any():
-        return np.array([0.0]), 1.0
-    # a real measure has the one height 0
-    ys = np.zeros(1) if m.y is None else np.unique(np.round(m.y[pos], decimals=12))
-    return ys, float(m.x[pos].max())
-
-
 def _height_seeds(m: AtomicMeasure, lo: float, hi: float) -> np.ndarray:
     """Breakpoints y_h -+ x_h 2^j, j = 0, 1, ..., around every atom height y_h,
     out to the next height (or to lo / hi beyond the outermost heights), where
-    x_h is the width of the narrowest atom at that height.
+    x_h = min_k (x_k + |y_k - y_h|) is the narrowest width an atom shows at
+    that height: its own narrowest atom's, or a narrower one's close by.
 
     A peak of width x_h at the end of a panel much longer than x_h falls
     between the Gauss-Kronrod nodes, so both rules read ~0 and agree; the
@@ -343,6 +277,9 @@ def _height_seeds(m: AtomicMeasure, lo: float, hi: float) -> np.ndarray:
         heights, which = np.unique(m.y[pos], return_inverse=True)
         width = np.full(heights.size, np.inf)
         np.minimum.at(width, which, x)
+        # min_k (x_k + |y_k - y_h|) as a running min from each side
+        width = np.minimum(np.minimum.accumulate(width - heights) + heights,
+                           np.minimum.accumulate((width + heights)[::-1])[::-1] - heights)
     seeds = []
     for sign, neighbour in ((-1.0, np.concatenate(([lo], heights[:-1]))),
                             (1.0, np.concatenate((heights[1:], [hi])))):
@@ -394,90 +331,63 @@ def _integrate_with_breaks(f, lo: float, hi: float, breaks: np.ndarray
 
 
 def balayage_integral(m: AtomicMeasure) -> float:
-    """Quadrature value of the boundary integral of S_mu (conserves total mass)."""
-    if m.total_mass == 0:
-        return 0.0
-    ys, width = _quad_breakpoints(m)
-    # beyond lo and hi every atom is between 10 and 11 scale lengths away, so
-    # in units of that length quad's map of [0, inf) onto (0, 1] meets the
-    # Lorentzian tails at unit scale
-    scale = max(width, float(ys.max() - ys.min()))
-    lo = float(ys.min()) - 10 * scale
-    hi = float(ys.max()) + 10 * scale
-    breaks = np.concatenate((ys, _height_seeds(m, lo, hi)))
-    core, error, converged = _integrate_with_breaks(lambda t: balayage(m, t), lo, hi, breaks)
-    if not converged:
+    """Quadrature value of the boundary integral of S_mu, which conserves the
+    total mass: ``balayage_norm`` at s = 1, with a warning when its
+    integrator stopped at its panel cap unconverged."""
+    value, diag = balayage_norm(m, 1.0)
+    if not diag["converged"]:
         warnings.warn(f"balayage integral stopped at {_GK_MAX_PANELS} panels unconverged "
-                      f"(error estimate {error:.3g})", stacklevel=2)
-    tail_lo, _ = quad(lambda v: scale * balayage(m, lo - scale * v), 0, np.inf,
-                      epsabs=_EPSABS, epsrel=_EPSREL, limit=400)
-    tail_hi, _ = quad(lambda v: scale * balayage(m, hi + scale * v), 0, np.inf,
-                      epsabs=_EPSABS, epsrel=_EPSREL, limit=400)
-    return core + tail_lo + tail_hi
+                      f"(error estimate {diag['abserr']:.3g})", stacklevel=2)
+    return value
 
 
-def _norm_integrand(m: AtomicMeasure, a: float, s: float, s0: float):
-    """(|t|^a S_mu(t))^s on a 1-d array of t, with s0 = S_mu(0).  At t = 0 it
-    is s0^s for a = 0 and 0 otherwise: a > 0 vanishes there, and a < 0 is an
-    integrable singularity (the caller checks a s > -1)."""
-    at_zero = s0**s if a == 0 else 0.0
+def balayage_norm(m: AtomicMeasure, lebesgue_exponent: float) -> tuple[float, dict]:
+    """L^s norm of S_mu over the line, s = lebesgue_exponent >= 1.
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        vals = balayage(m, t)
-        if a != 0:
-            with np.errstate(divide="ignore"):
-                vals *= np.abs(t) ** a
-        return np.where(t == 0.0, at_zero, vals**s)
+    The integrand is (S_mu / peak)^s / w, where peak is the largest S_mu at
+    an atom height and w the narrowest atom's width, so the integrator's
+    absolute tolerance is relative to the answer and S_mu^s does not
+    underflow for large s; the root is multiplied back by the peak.  With
+    M1 = sum_k m_k x_k, S_mu(t) <= M1 / (pi (t - y_max)^2) above the highest
+    atom, and likewise below the lowest, so beyond d of the outermost heights
+    the two tails of S_mu^s hold at most 2 (M1/pi)^s d^(1-2s) / (2s - 1).
+    d is chosen to make that bound a thousandth of the absolute tolerance,
+    and the bound is added to the error.  The first panels lie between the
+    atom heights and their ``_height_seeds``.
 
-    return integrand
-
-
-def balayage_norm(m: AtomicMeasure, weight_exponent: float, lebesgue_exponent: float
-                  ) -> tuple[float, dict]:
-    """L^s norm of |t|^a * S_mu(t) over the line, a = weight_exponent,
-    s = lebesgue_exponent >= 1.
-
-    Returns (value, diagnostics).  Non-integrable endpoint behaviour is
-    detected analytically and reported as inf with the divergent end named.
-    The diagnostics carry ``abserr``, the quadrature error estimate of the
-    value (0 when no quadrature ran), and ``converged``, False when the
-    integrator stopped at its panel cap before meeting its tolerance.
+    Returns (value, diagnostics).  The diagnostics carry ``peak``,
+    ``abserr`` and ``converged``, False when the integrator stopped at its
+    panel cap before meeting its tolerance.  ``abserr`` is the quadrature and
+    tail error carried through the 1/s root, floored at the rounding of the
+    nodes: a node near height y is placed to within eps |y|, which moves a
+    Lorentzian of width x by eps |y| / x relative, so the floor is
+    value eps max_k |y_k| / x_k.
     """
-    a, s = weight_exponent, lebesgue_exponent
+    s = lebesgue_exponent
     if s < 1:
         raise ValueError("Lebesgue exponent must be >= 1")
-    analytic = {"abserr": 0.0, "converged": True}
     if m.total_mass == 0:
-        return 0.0, {"note": "zero measure", **analytic}
-    x = m.x
-    if ((x == 0) & (m.masses > 0)).any():
-        raise ValueError("balayage undefined: atom with Re z = 0")
-    s0 = float(balayage(m, 0.0))
-    if a * s <= -1 and s0 > 0:
-        return math.inf, {"divergent_end": "t=0", "exponent": a * s, **analytic}
-    # |t|^(a s) S^s ~ t^(a s - 2 s) at infinity.
-    if a * s - 2 * s >= -1:
-        return math.inf, {"divergent_end": "t=inf", "exponent": a * s - 2 * s, **analytic}
-    ys, width = _quad_breakpoints(m)
-    peak = max(s0, float(np.max(balayage(m, ys))))
-    first_moment = float((m.masses * x).sum())
-    # tail cutoff where the Lorentzian envelope drops below 1e-14 of the peak
-    t_cut = math.sqrt(first_moment / (math.pi * 1e-14 * peak))
-    core = max(float(np.abs(ys).max()) + 10 * width, width)
-    lo = min(float(ys.min()) - t_cut, -core)
-    hi = max(float(ys.max()) + t_cut, core)
-    # geometric panels bridge the scale gap between the atom cluster and t_cut
-    n_geo = max(0, int(math.ceil(math.log2(max(hi, -lo) / core))))
-    geo = core * 2.0 ** np.arange(n_geo + 1)
-    breaks = np.concatenate((ys, [0.0], geo, -geo, _height_seeds(m, lo, hi)))
+        return 0.0, {"note": "zero measure", "abserr": 0.0, "converged": True}
+    pos = m.masses > 0
+    heights = np.zeros(1) if m.y is None else np.unique(m.y[pos])
+    peak = float(balayage(m, heights).max())  # raises on an atom with Re z = 0
+    x = m.x[pos]
+    width = float(x.min())
+    tail = 1e-3 * _EPSABS
+    d = math.exp((math.log(2 / ((2 * s - 1) * width * tail))
+                  + s * math.log(float(m.masses[pos] @ x) / (math.pi * peak))) / (2 * s - 1))
+    lo, hi = heights[0] - d, heights[-1] + d
     integral, error, converged = _integrate_with_breaks(
-        _norm_integrand(m, a, s, s0), lo, hi, breaks)
-    value = integral ** (1 / s)
-    # first-order propagation of the integral's error through the 1/s root;
-    # an integral of 0 (S_mu^s underflowed at every node) only bounds the
-    # norm by error^(1/s)
-    abserr = error ** (1 / s) if integral == 0 else value * error / (s * integral)
-    return value, {"t_cut": t_cut, "peak": peak, "abserr": abserr, "converged": converged}
+        lambda t: (balayage(m, t) / peak) ** s / width, lo, hi,
+        np.concatenate((heights, _height_seeds(m, lo, hi))))
+    error += tail
+    value = peak * (width * integral) ** (1 / s)
+    # first-order propagation through the 1/s root; an integral of 0 only
+    # bounds the norm
+    abserr = peak * (width * error) ** (1 / s) if integral == 0 else value * error / (s * integral)
+    if m.y is not None:
+        abserr = max(abserr, value * np.finfo(float).eps * float((np.abs(m.y[pos]) / x).max()))
+    return value, {"peak": peak, "abserr": abserr, "converged": converged}
 
 
 def pseudo_hyperbolic(z: complex, w: complex) -> float:

@@ -199,7 +199,7 @@ def test_acceptance_6_exact_values():
     # balayage L^2 norm, oracle: quad of the squared Lorentzian
     oracle, _ = quad(lambda t: (1 / math.pi / (1 + t * t)) ** 2, -np.inf, np.inf)
     assert abs(oracle - 1 / (2 * math.pi)) < 1e-13
-    check("balayage L2 norm", balayage_norm(DELTA_1, 0.0, 2.0)[0], math.sqrt(oracle))
+    check("balayage L2 norm", balayage_norm(DELTA_1, 2.0)[0], math.sqrt(oracle))
 
     # pseudo-hyperbolic distances, oracle: hand fractions
     check("p(1,2)", pseudo_hyperbolic(1, 2), 1 / 3)

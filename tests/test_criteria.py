@@ -144,18 +144,6 @@ def test_c4_low_end_of_grid_does_not_overflow():
     assert low.constant == pytest.approx(default.constant, rel=1e-12)
 
 
-def test_c4_balayage_branch_present():
-    # the weighted balayage branch applies only when p' < q < p
-    m = AtomicMeasure(np.array([1 + 0j, 2 + 1j]), np.array([1.0, 2.0]))
-    report = c4_strip_summability(m, 1.5, 1.0)  # p' = 3 > q = 1: no branch
-    assert "balayage_diagnostics" not in report.diagnostics
-    report = c4_strip_summability(m, 4.0, 2.0)  # p' = 4/3 < 2: branch present
-    assert "balayage_diagnostics" in report.diagnostics
-    assert {"abserr", "converged"} <= report.diagnostics["balayage_diagnostics"].keys()
-    # the branch is diagnostics-only: the verdict comes from the strip sequence
-    assert report.verdict == "bounded-evidence"
-
-
 def test_c5_matches_unweighted_for_far_spectrum():
     # heat masses sit at k^2 pi^2 >> 1, so 1 + |z|^(-2) is essentially 1
     mu = spectral_measure(heat_system(1000))
@@ -191,10 +179,12 @@ def test_c6_reports_quadrature_error():
 def test_c6_unconverged_quadrature_is_inconclusive(monkeypatch):
     from admiss import halfplane
 
-    # the narrow atom at 0.05 needs bisection beyond the first pass
     m = AtomicMeasure(np.array([0.05 + 0j, 1 + 0.3j, 3 - 2j]), np.ones(3))
     assert c6_sobolev_balayage(m, 4.0, 2.0, 1.0).verdict == "bounded-evidence"
+    # one panel, and tolerances no pass can meet
     monkeypatch.setattr(halfplane, "_GK_MAX_PANELS", 1)
+    monkeypatch.setattr(halfplane, "_EPSABS", 1e-30)
+    monkeypatch.setattr(halfplane, "_EPSREL", 0.0)
     report = c6_sobolev_balayage(m, 4.0, 2.0, 1.0)
     assert report.diagnostics["balayage_diagnostics"]["converged"] is False
     assert math.isfinite(report.constant)
@@ -221,10 +211,15 @@ def test_c6_heat1d_matches_log_scale_reference():
 
 
 def test_c6_p_near_q_does_not_raise():
-    # s = p / (p - q) = 4001: S^s underflows to 0 at every node
+    # s = p / (p - q) = 4001: S^s alone underflows to 0 at every node.  The
+    # transformed mass is 2 delta_1, and the integral of (pi (1 + t^2))^(-s)
+    # is pi^(-s) sqrt(pi) Gamma(s - 1/2) / Gamma(s)
     report = c6_sobolev_balayage(DELTA_1, 2.0005, 2.0, 1.0)
     diag = report.diagnostics["balayage_diagnostics"]
-    assert math.isfinite(report.constant)
+    s = report.diagnostics["exponent"]
+    log_ratio = math.lgamma(s - 0.5) - math.lgamma(s)
+    expect = 2 / math.pi * math.exp((0.5 * math.log(math.pi) + log_ratio) / s)
+    assert report.constant == pytest.approx(expect, rel=1e-12)
     assert diag["converged"] is True and math.isfinite(diag["abserr"])
 
 
