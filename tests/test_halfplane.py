@@ -229,9 +229,9 @@ def test_balayage_wide_and_narrow_atoms_at_one_height(separation):
 
 @pytest.mark.parametrize("x", [1e-2, 1e-3, 1e-4])
 def test_balayage_narrow_atom_beside_a_wide_height(x):
-    # the heights are x/2 apart: seeds at the wide atom's own width left one
-    # panel from the narrow peak's flank to the end of the range, where
-    # (S/peak)^7 gave no sign of the peak.  S lies between the narrow
+    # the heights are x/2 apart: seeds at the wide atom's own width would
+    # leave one panel from the narrow peak's flank to the end of the range,
+    # where (S/peak)^7 gives no sign of the peak.  S lies between the narrow
     # Lorentzian and the sum of both, so the norm lies between the narrow
     # one's norm and the sum of both norms (Minkowski)
     s = 7.0
