@@ -148,17 +148,22 @@ def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms):
     dyadic translates.
 
     Atoms are sorted by x once, so the atoms with x < |I| are a prefix of that
-    order (found by ``searchsorted``).  The phase bins floor(y/|I| - phase)
-    are monotone in y: when the lowest and the highest y of a prefix (running
-    min and max) share a bin, every atom of the prefix lies in it, and its
-    mass is the prefix sum, which adds the same masses in the same order as
-    ``bincount`` would.  Only the other levels bin their atoms
-    (``_heaviest_bin``).  On a real measure every prefix lies in bin 0 of
-    phase 0 and bin -1 of phase 1/2, so no y is read.
+    order (found by ``searchsorted``).  A measure already sorted by x, as a
+    heat spectrum is, is read in place: a stable sort would leave it as it
+    is.  The phase bins floor(y/|I| - phase) are monotone in y: when the
+    lowest and the highest y of a prefix (running min and max) share a bin,
+    every atom of the prefix lies in it, and its mass is the prefix sum,
+    which adds the same masses in the same order as ``bincount`` would.
+    Only the other levels bin their atoms (``_heaviest_bin``).  On a real
+    measure every prefix lies in bin 0 of phase 0 and bin -1 of phase 1/2,
+    so no y is read.
     """
-    order = np.argsort(m.x, kind="stable")
-    xs = m.x[order]
-    ms = m.masses[order]
+    if (m.x[1:] >= m.x[:-1]).all():
+        order, xs, ms = slice(None), m.x, m.masses
+    else:
+        order = np.argsort(m.x, kind="stable")
+        xs = m.x[order]
+        ms = m.masses[order]
     hi = np.searchsorted(xs, lengths, side="left")
     filled = np.flatnonzero(hi)  # the levels with atoms
     tops = hi[filled] - 1  # the last atom of each of their prefixes

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma
 
 from admiss import halfplane
 from admiss.halfplane import (
@@ -41,7 +40,7 @@ from admiss.report import (
 )
 from admiss.spaces import InputSpace
 from admiss.system_model import DiagonalSystem, spectral_measure
-from admiss.zen_weight import RadialMeasure, WeightFunction
+from admiss.zen_weight import RadialMeasure, WeightFunction, gamma
 
 __all__ = [
     "TestFunction",
@@ -153,7 +152,8 @@ def _mix_lp_norm(f: TestFunction, p: float) -> tuple[float, float, bool]:
     c = np.array([abs(c) for c, _, _ in f.terms])
     k = np.array([n - 1 for _, n, _ in f.terms], dtype=float)
     x = np.array([lam.real for _, _, lam in f.terms])
-    scale = float((c**p * gamma(p * k + 1) / (p * x) ** (p * k + 1)).sum())
+    gammas = np.array([gamma(a) for a in p * k + 1])
+    scale = float((c**p * gammas / (p * x) ** (p * k + 1)).sum())
     if scale == 0:
         return 0.0, 0.0, True
 

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma
 
 __all__ = [
     "RadialMeasure",
@@ -27,10 +25,19 @@ __all__ = [
     "bergman",
 ]
 
-_QUAD_ABS_TOL = 1e-12
 # radii 2^lo to 2^hi of the doubling test, and its points per octave
 DOUBLING_OCTAVES = (-20, 40)
 DOUBLING_POINTS_PER_OCTAVE = 4
+
+
+def gamma(x: float) -> float:
+    """Gamma function at a real x > 0, inf where it exceeds the float range
+    (x > 171.6), where ``math.gamma`` raises.  The value is a numpy float, so
+    a division by a power that underflowed to 0 reads inf instead of raising."""
+    try:
+        return np.float64(math.gamma(x))
+    except OverflowError:
+        return np.float64(math.inf)
 
 
 @dataclass(frozen=True)
@@ -114,9 +121,9 @@ class WeightFunction:
     """Evaluation rule for w(t), t > 0, with closed-form components.
 
     provenance is "hardy" for a pure Dirac at 0, "bergman-<alpha>" for a pure
-    power density, "mixture" for closed-form sums, "quadrature" when the
-    fallback integrator produced the values, and "unchecked" for a rule built
-    without the doubling check of ``weight`` (the oracle's closed-form norms).
+    power density, "mixture" for closed-form sums, and "unchecked" for a rule
+    built without the doubling check of ``weight`` (the oracle's closed-form
+    norms).
     """
 
     measure: RadialMeasure
@@ -134,20 +141,6 @@ class WeightFunction:
             a = m.density_alpha
             out = out + 2 * math.pi * m.density_scale * gamma(a + 1) / (2 * t) ** (a + 1)
         return out if out.shape else float(out)
-
-    def by_quadrature(self, t: float) -> float:
-        """Adaptive-quadrature evaluation, used to cross-check the closed forms."""
-        m = self.measure
-        total = 2 * math.pi * m.atom_at_zero
-        for r, mass in m.atoms:
-            total += 2 * math.pi * mass * math.exp(-2 * r * t)
-        if m.has_density:
-            a = m.density_alpha
-            r_cap = max(1.0, -math.log(1e-16) / (2 * t))
-            val, _ = quad(lambda r: math.exp(-2 * r * t) * r**a, 0, r_cap,
-                          epsabs=_QUAD_ABS_TOL, limit=200)
-            total += 2 * math.pi * m.density_scale * val
-        return total
 
     def poly_exp_moment(self, power: float, decay_rate: float | complex) -> float | complex:
         """Closed form for integral of t^power * exp(-decay_rate * t) * w(t) dt,

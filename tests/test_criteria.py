@@ -479,6 +479,24 @@ def test_square_family_sup_permutation_invariant_and_monotone(symmetric, part, a
     assert all(a >= b for a, b in zip(more_levels, levels))
 
 
+
+@pytest.mark.parametrize("on_axis", [True, False], ids=["real", "complex"])
+def test_staggered_sups_of_a_sorted_measure_match_a_permutation(on_axis):
+    # a measure sorted by x is read in place, a permutation of it is sorted
+    # first; distinct x give one sorted order, so every sum and witness agrees
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.uniform(0.0, 300.0, 400))
+    y = np.zeros(x.size) if on_axis else rng.uniform(-300.0, 300.0, x.size)
+    masses = rng.uniform(0.0, 1.0, x.size)
+    perm = rng.permutation(x.size)
+    in_order = AtomicMeasure.from_atoms(list(zip(x + 1j * y, masses)))
+    permuted = AtomicMeasure.from_atoms(list(zip((x + 1j * y)[perm], masses[perm])))
+    assert (in_order.y is None) == on_axis
+    assert (np.diff(in_order.x) > 0).all() and not (np.diff(permuted.x) >= 0).all()
+    for denom in _DENOMS:
+        got = _square_family_sup(permuted, denom, (-6, 10), False)
+        assert got == _square_family_sup(in_order, denom, (-6, 10), False)
+
 def _dense_r1(sys, zen, n_res, points_per_decade=8):
     """R1 with the whole (lambda grid x K) complex matrix at once."""
     wf = weight(zen)

@@ -184,6 +184,20 @@ def test_gauss_kronrod_matches_quad_reference(seed):
     assert value == pytest.approx(reference, rel=1e-10)
 
 
+
+def test_balayage_norm_matches_the_poisson_closed_form_at_s2():
+    # an independent reference: P_a * P_b = P_(a+b) (the Poisson semigroup) gives
+    # ||S_mu||_2^2 = sum_jk m_j m_k (x_j + x_k) / (pi ((x_j + x_k)^2 + (y_j - y_k)^2))
+    rng = np.random.default_rng(0)
+    x = 10.0 ** rng.uniform(-2, 2, 105)
+    y = rng.uniform(-50, 50, 105)
+    masses = rng.uniform(0.0, 1.0, 105)
+    sx, dy = x[:, None] + x, y[:, None] - y
+    want = math.sqrt(masses @ (sx / (math.pi * (sx * sx + dy * dy))) @ masses)
+    got, diag = balayage_norm(AtomicMeasure(x + 1j * y, masses), 2.0)
+    assert diag["converged"]
+    assert abs(got - want) <= diag["abserr"]
+
 @pytest.mark.parametrize("x", 10.0 ** np.arange(-6, 7))
 def test_balayage_norm_single_atom_closed_form(x):
     # || P_x ||_2^2 = integral of (x / (pi (x^2 + t^2)))^2 dt = 1 / (2 pi x)

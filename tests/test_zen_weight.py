@@ -4,16 +4,34 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma as scipy_gamma
 
 from admiss.zen_weight import (
     RadialMeasure,
     bergman,
     delta2_constant,
+    gamma,
     hardy,
     load_radial_measure,
     nu_square_mass,
     weight,
 )
+
+
+def _weight_by_quadrature(w, t: float) -> float:
+    """w(t) with the density's integral by scipy's adaptive quadrature: an
+    independent reference for the closed forms."""
+    m = w.measure
+    total = 2 * math.pi * m.atom_at_zero
+    for r, mass in m.atoms:
+        total += 2 * math.pi * mass * math.exp(-2 * r * t)
+    if m.has_density:
+        a = m.density_alpha
+        r_cap = max(1.0, -math.log(1e-16) / (2 * t))
+        val, _ = quad(lambda r: math.exp(-2 * r * t) * r**a, 0, r_cap,
+                      epsabs=1e-12, limit=200)
+        total += 2 * math.pi * m.density_scale * val
+    return total
 
 
 def test_hardy_weight_constant():
@@ -32,7 +50,20 @@ def test_bergman_alpha1_closed_form():
 
 def test_quadrature_matches_closed_form():
     w = weight(bergman(0.5))
-    assert w.by_quadrature(1.0) == pytest.approx(w(1.0), rel=1e-10)
+    assert _weight_by_quadrature(w, 1.0) == pytest.approx(w(1.0), rel=1e-10)
+
+
+def test_gamma_matches_scipy_on_integers_and_half_integers():
+    for x in [*range(1, 65), *(k + 0.5 for k in range(65))]:
+        want = float(scipy_gamma(x))
+        assert abs(gamma(x) - want) <= 1e-15 * want, x
+
+
+def test_gamma_is_inf_past_the_float_range():
+    for x in (171.7, 172.0, 200.5, 1e3, 1e308):
+        with pytest.raises(OverflowError):
+            math.gamma(x)
+        assert gamma(x) == math.inf == scipy_gamma(x), x
 
 
 def test_weight_rejects_nonpositive_time():

@@ -9,7 +9,10 @@ first in odd ones.  The record keeps every run, the median and quartiles of
 each end-to-end metric per side, the pairs the change wins (reads lower) or
 ties, the change of the medians, and the parent's interquartile range.  With
 ``TRACED_PAIRS`` more ``--trace 1`` pairs of every workload it also keeps the
-median of every per-layer metric per side.  Runs take ``benches/run.py``'s own
+median of every per-layer metric per side.  ``IMPORT_RUNS`` alternating runs
+of ``python3 -X importtime`` per side record the import of admiss, which no
+span covers, as the sum of the cumulative times of its top-level imports.
+Runs take ``benches/run.py``'s own
 length, ``run_seconds`` in ``BENCHMARK.json``.  Lower is better for every
 metric.  The two trees go to a temporary directory under ``TMPDIR`` that is
 removed when the script ends.  Run from the root of a checkout.
@@ -36,6 +39,15 @@ PAIRS = 10
 # pairs and seeds of the traced runs that record every workload's per-layer metrics
 TRACED_PAIRS = 5
 TRACED_SEED_BASE = 401
+# alternating runs per side of each import program
+IMPORT_RUNS = 7
+IMPORT_PROGRAMS = {
+    "import admiss": "import admiss",
+    "import admiss and every submodule": (
+        "import importlib, pkgutil, admiss\n"
+        "for m in pkgutil.iter_modules(admiss.__path__):\n"
+        "    importlib.import_module('admiss.' + m.name)"),
+}
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -53,6 +65,33 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
             "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def import_seconds(tree: Path, program: str) -> float:
+    """Seconds ``program`` spends importing admiss in a fresh interpreter: the
+    cumulative ``-X importtime`` figures of its top-level admiss imports."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", program], cwd=tree,
+                          env=env, check=True, capture_output=True, text=True)
+    total_us = 0
+    for line in done.stderr.splitlines():
+        _, cumulative, name = line.split("|")
+        top_level = name.startswith(" ") and not name.startswith("  ")
+        if top_level and name.strip().split(".")[0] == "admiss":
+            total_us += int(cumulative)
+    return total_us / 1e6
+
+
+def import_times(trees: dict) -> dict:
+    out = {}
+    for label, program in IMPORT_PROGRAMS.items():
+        runs: dict[str, list[float]] = {"parent": [], "change": []}
+        for i in range(IMPORT_RUNS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side].append(import_seconds(trees[side], program))
+        out[label] = {f"{side}_median_s": float(np.median(runs[side])) for side in runs}
+        out[label].update({f"{side}_runs_s": runs[side] for side in runs})
+    return out
 
 
 def pairs(trees: dict, workload: str, seeds: list[int], trace: int) -> dict[str, list[dict]]:
@@ -146,6 +185,12 @@ def write_record(trees: dict, revs: dict, out: Path) -> None:
             "scipy": scipy.__version__,
             "blas_threads": 1,
             "note": "shared host; other containers run on the same machine",
+        },
+        "import_time": {
+            "runs": IMPORT_RUNS,
+            "note": ("sum of the cumulative `python3 -X importtime` times of the program's "
+                     "top-level admiss imports, in a fresh interpreter"),
+            **import_times(trees),
         },
         "workloads": {},
     }
