@@ -12,10 +12,10 @@ ties, the change of the medians, and the parent's interquartile range.  With
 median of every per-layer metric per side.  ``IMPORT_RUNS`` alternating runs
 of ``python3 -X importtime`` per side record the import of admiss, which no
 span covers, as the sum of the cumulative times of its top-level imports.
-Runs take ``benches/run.py``'s own
-length, ``run_seconds`` in ``BENCHMARK.json``.  Lower is better for every
-metric.  The two trees go to a temporary directory under ``TMPDIR`` that is
-removed when the script ends.  Run from the root of a checkout.
+Runs take ``benches/run.py``'s own length, ``run_seconds`` in
+``BENCHMARK.json``.  Lower is better for every metric.  The two trees go to a
+temporary directory under ``TMPDIR`` that is removed when the script ends.
+Run from the root of a checkout.
 """
 
 from __future__ import annotations
