@@ -29,8 +29,8 @@ from admiss.criteria import (
 )
 from admiss.laplace_oracle import (
     TestFunction,
+    _isometry,
     empirical_ratio,
-    isometry_check,
     kernel_condition_sweep,
 )
 from admiss.report import BOUNDED, UNBOUNDED, CriterionReport
@@ -254,12 +254,14 @@ def cmd_oracle(args) -> int:
 
     if args.isometry:
         zen = load_radial_measure(args.isometry)
-        worst = max(isometry_check(zen, TestFunction.poly_exp(n, 1.0))
-                    for n in range(2, 7))
+        # (mismatch, relative error bound) of the worst member
+        worst, abserr = max(_isometry(zen, TestFunction.poly_exp(n, 1.0)) for n in range(2, 7))
         reports.append(CriterionReport(
             "isometry", worst, {}, "pass" if worst < 1e-6 else "fail",
-            {"preset": args.isometry, "dictionary": "poly_exp N=2..6, lam=1"}))
-        print(f"isometry self-test ({args.isometry}): max relative error {worst:.3e}")
+            {"preset": args.isometry, "dictionary": "poly_exp N=2..6, lam=1",
+             "relative_abserr": abserr}))
+        print(f"isometry self-test ({args.isometry}): max relative error {worst:.3e} "
+              f"(quadrature error bound {abserr:.3e})")
         manifest = _manifest(args, inputs, reports, {"mode": "isometry"})
         _write(args.out, _to_json(manifest) + "\n")
         return EXIT_BOUNDED if worst < 1e-6 else EXIT_INCONCLUSIVE

@@ -15,7 +15,9 @@ is its s = 1 case.  It uses a vectorised adaptive Gauss-Kronrod 10/21 rule
 (QUADPACK's qk21) whose first panels are seeded geometrically around each
 atom height at the scale of its narrowest atom, and bounds the two infinite
 tails analytically; each pass evaluates every active panel's 21 nodes in one
-array call.  The oracle's mixture norms use the same integrator.
+array call.  The same integrator, which also integrates a row of values per
+node at once, serves the oracle's mixture L^p norms, its p = 2 Sobolev norm
+and its Zen-space norm (``laplace_oracle``), the package's one quadrature.
 """
 
 from __future__ import annotations
@@ -306,17 +308,17 @@ def _height_seeds(m: AtomicMeasure, lo: float, hi: float) -> np.ndarray:
     return np.concatenate(seeds)
 
 
-def _integrate_with_breaks(f, lo: float, hi: float, breaks: np.ndarray
-                           ) -> tuple[float, float, bool]:
+def _integrate_with_breaks(f, lo: float, hi: float, breaks: np.ndarray) -> tuple:
     """Vectorised adaptive Gauss-Kronrod 10/21 quadrature of f over [lo, hi].
 
     The initial panels are the intervals between the breakpoints.  Each pass
     evaluates the 21 nodes of every active panel in one call of f (1-d array
-    in, 1-d array out) and estimates a panel's error as |K21 - G10| * h.
-    Panels whose error is within their share of the remaining tolerance are
-    accepted, the rest are bisected, until the total error is at most
+    in; one value, or a row of m values, per node out) and estimates a
+    panel's error per component as |K21 - G10| * h.  Panels whose every
+    component is within its share of its remaining tolerance are accepted,
+    the rest are bisected, until each total error is at most
     max(_EPSABS, _EPSREL |I|) or bisecting would pass _GK_MAX_PANELS panels.
-    Returns (value, error estimate, converged).
+    Returns (value, error estimate, converged): floats, or arrays of m.
     """
     pts = np.unique(np.concatenate(([lo, hi], breaks[(breaks > lo) & (breaks < hi)])))
     a, b = pts[:-1], pts[1:]
@@ -325,23 +327,31 @@ def _integrate_with_breaks(f, lo: float, hi: float, breaks: np.ndarray
     while True:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         nodes = mid[:, None] + half[:, None] * _GK_NODES
-        sums = (f(nodes.ravel()).reshape(nodes.shape) @ _GK_WEIGHTS) * half[:, None]
-        errors = np.abs(sums[:, 0] - sums[:, 1])
-        value = done_value + float(sums[:, 0].sum())
-        error = done_error + float(errors.sum())
-        tol = max(_EPSABS, _EPSREL * abs(value))
-        if error <= tol:
-            return value, error, True
-        accept = errors <= (tol - done_error) / a.size
-        n_split = a.size - int(accept.sum())
+        values = f(nodes.ravel())
+        # one row of 21 node values per (panel, component)
+        rows = np.swapaxes(values.reshape(*nodes.shape, -1), 1, 2).reshape(-1, nodes.shape[1])
+        sums = (rows @ _GK_WEIGHTS).reshape(a.size, -1, 2) * half[:, None, None]
+        kronrod = sums[..., 0]
+        errors = np.abs(kronrod - sums[..., 1])
+        value = done_value + kronrod.sum(axis=0)
+        error = done_error + errors.sum(axis=0)
+        tol = np.maximum(_EPSABS, _EPSREL * np.abs(value))
+        if (error <= tol).all():
+            break
+        accept = (errors <= (tol - done_error) / a.size).all(axis=1)
+        n_split = a.size - np.count_nonzero(accept)
         if done_panels + a.size + n_split > _GK_MAX_PANELS:
-            return value, error, False
-        done_value += float(sums[accept, 0].sum())
-        done_error += float(errors[accept].sum())
+            break
+        done_value = done_value + kronrod[accept].sum(axis=0)
+        done_error = done_error + errors[accept].sum(axis=0)
         done_panels += a.size - n_split
         split = ~accept
         a, mid, b = a[split], mid[split], b[split]
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+    converged = bool((error <= tol).all())
+    if values.ndim == 1:
+        return float(value[0]), float(error[0]), converged
+    return value, error, converged
 
 
 def balayage_integral(m: AtomicMeasure) -> float:

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from admiss.cli import main
+from admiss.laplace_oracle import TestFunction, _isometry
+from admiss.zen_weight import hardy
 
 HEAT = json.dumps({"generator": "heat1d", "modes": 10000})
 
@@ -167,10 +170,16 @@ def test_sweep_writes_csv_file(heat_file, tmp_path, capsys):
     assert len(rows) > 2
 
 
-def test_oracle_isometry_exit_zero(heat_file, capsys):
-    code = main(["oracle", "--system", heat_file, "--isometry", "hardy"])
+def test_oracle_isometry_exit_zero(heat_file, tmp_path, capsys):
+    out_path = tmp_path / "isometry.json"
+    code = main(["oracle", "--system", heat_file, "--isometry", "hardy", "--out", str(out_path)])
     assert code == 0
     assert "relative error" in capsys.readouterr().out
+    abserr = json.loads(out_path.read_text())["reports"][0]["diagnostics"]["relative_abserr"]
+    assert math.isfinite(abserr)
+    for n in range(2, 7):
+        error, bound = _isometry(hardy(), TestFunction.poly_exp(n, 1.0))
+        assert error <= bound + 4 * np.finfo(float).eps
 
 
 def test_oracle_lower_bound_monotone(heat_file, capsys):

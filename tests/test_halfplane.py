@@ -184,6 +184,27 @@ def test_gauss_kronrod_matches_quad_reference(seed):
     assert value == pytest.approx(reference, rel=1e-10)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_gauss_kronrod_vector_components_match_scalar_calls(seed):
+    # a vector integral refines a panel until every component meets its
+    # tolerance, so each component agrees with its own scalar call to within
+    # the two error estimates; one component reproduces the scalar call exactly
+    rng = np.random.default_rng(seed)
+    measures = [_random_measure(rng) for _ in range(3)]
+    breaks = np.concatenate([m.locations.imag for m in measures])
+    vector = lambda t: np.stack([balayage(m, t) ** 2 for m in measures], axis=1)  # noqa: E731
+    values, errors, converged = halfplane._integrate_with_breaks(vector, -40.0, 40.0, breaks)
+    assert converged and values.shape == errors.shape == (3,)
+    for j, m in enumerate(measures):
+        scalar = lambda t, m=m: balayage(m, t) ** 2  # noqa: E731
+        value, error, _ = halfplane._integrate_with_breaks(scalar, -40.0, 40.0, breaks)
+        assert isinstance(value, float) and isinstance(error, float)
+        assert abs(values[j] - value) <= errors[j] + error
+        single = halfplane._integrate_with_breaks(lambda t, s=scalar: s(t)[:, None], -40.0,
+                                                  40.0, breaks)
+        assert (single[0][0], single[1][0]) == (value, error)
+
+
 
 def test_balayage_norm_matches_the_poisson_closed_form_at_s2():
     # an independent reference: P_a * P_b = P_(a+b) (the Poisson semigroup) gives

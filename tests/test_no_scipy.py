@@ -1,7 +1,8 @@
 """The package runs on numpy alone: scipy is a test dependency only.
 
 A fresh interpreter imports admiss and every submodule and answers one CLI
-``check``; no scipy module may be loaded by then.
+``check``; no scipy module, and no ``numpy.polynomial`` module, may be loaded
+by then.
 """
 
 import json
@@ -24,7 +25,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(["check", "--system", '{"generator": "heat1d", "modes": 100}',
                  "--space", '{"kind": "Lp", "p": 1.5}'])
 print(json.dumps({"code": code, "file": admiss.__file__,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "polynomial": sorted(m for m in sys.modules
+                                       if m.startswith("numpy.polynomial"))}))
 """
 
 
@@ -37,5 +40,7 @@ def test_import_and_cli_check_load_no_scipy():
     assert Path(result["file"]).resolve().parent == (SRC / "admiss").resolve()
     assert result["code"] == 0
     assert result["scipy"] == []
+    # the package's one quadrature rule carries its own nodes and weights
+    assert result["polynomial"] == []
     # the benchmark's span tracer wraps this name, which is bound on first use
     assert callable(halfplane.quad)

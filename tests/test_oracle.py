@@ -11,6 +11,7 @@ from admiss.laplace_oracle import (
     _kernel_norms,
     _mix_lp_norm,
     _sobolev_fft_norm,
+    _sobolev_surrogate_sq,
     embedding_value,
     empirical_ratio,
     isometry_check,
@@ -168,6 +169,18 @@ def test_sobolev_norm_beta_small_matches_plancherel():
     assert got == pytest.approx(math.sqrt(direct), rel=1e-7)
 
 
+@pytest.mark.parametrize("beta", [0.25, 0.4, 0.45, 0.49])
+def test_sobolev_norm_exp_matches_closed_form_within_abserr(beta):
+    # (1/2pi) integral of (1 + |xi|^(2 beta)) / (1 + xi^2) = (pi + pi/cos(pi beta)) / (2 pi);
+    # near beta = 1/2 most of it lies in the |xi|^(2 beta - 2) tail; cos(pi beta)
+    # is formed as sin(pi (1/2 - beta)), which keeps the reference accurate there
+    f = TestFunction.exp(1.0)
+    closed = (math.pi + math.pi / math.sin(math.pi * (0.5 - beta))) / (2 * math.pi)
+    sq, abserr = _sobolev_surrogate_sq(f, beta)
+    assert abs(sq - closed) <= abserr + 4 * np.finfo(float).eps * closed
+    assert space_norm(f, InputSpace("sobolev", p=2.0, beta=beta)) == math.sqrt(sq)
+
+
 def test_embedding_single_mode():
     assert embedding_value(SINGLE_MODE, TestFunction.exp(1.0)) == pytest.approx(0.5, rel=1e-14)
 
@@ -217,6 +230,18 @@ def test_zen_quadrature_hardy_exp():
 def test_isometry_hardy_and_bergman():
     assert isometry_check(hardy(), TestFunction.exp(1.0)) < 1e-8
     assert isometry_check(bergman(0.0), TestFunction.poly_exp(2, 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("zen", [hardy(), bergman(0.5)], ids=["hardy", "bergman0.5"])
+@pytest.mark.parametrize("rate", [1 + 50j, 1 + 500j])
+def test_isometry_mixture_with_separated_poles(zen, rate):
+    # the poles of Lf sit at heights 0 and -Im(rate); each needs its own panels
+    assert isometry_check(zen, TestFunction.mix([(1, 2, 1), (1, 2, rate)])) < 1e-10
+
+
+def test_isometry_power_kernel_slow_tail():
+    # |Lf(iy)|^2 decays like |y|^(-1.4): the y-tail is bounded, not cut off
+    assert isometry_check(hardy(), TestFunction.power_exp(0.3, 1.0)) < 1e-10
 
 
 def test_isometry_zero_function():
