@@ -534,7 +534,7 @@ def _zen_norm_sq(zen: RadialMeasure, f: TestFunction) -> tuple[float, float]:
             (k * breaks[-1] ** -decay / decay).sum()) / scale
         total += zen.density_scale * scale * integral
         error += zen.density_scale * scale * (outer_error + worst[0] * integral)
-    return total, error
+    return float(total), float(error)
 
 
 def _isometry(zen: RadialMeasure, f: TestFunction) -> tuple[float, float]:
