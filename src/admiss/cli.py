@@ -1,21 +1,21 @@
 """Command-line front end: ``admiss check``, ``admiss sweep``, ``admiss oracle``.
 
 Exit codes: 0 bounded-evidence consensus, 2 unbounded-evidence, 3 inconclusive
-or mixed, 1 usage or parse error.  Every run writes (or prints) a manifest
-echoing all inputs, digests, grids, and seeds, so reruns are byte-identical
-apart from the wall-clock field.
+or mixed, 1 usage or parse error.  Every command honours ``--format`` and
+``--out``, and every run writes (or prints) a manifest echoing all inputs,
+digests, the grid and the seed (``null`` where the command takes no such
+option), so reruns are byte-identical apart from the wall-clock field.
+``sweep`` evaluates its values in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import io
 import json
 import math
-import os
 import sys
 import time
 from importlib.metadata import PackageNotFoundError, version
@@ -56,11 +56,6 @@ def _tool_version() -> str:
         return "unknown"
 
 
-def _sha256_of(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _load_json_arg(arg: str) -> tuple[dict, dict]:
     """Inline JSON or a path to a JSON file; returns (config, manifest entry)."""
     stripped = arg.strip()
@@ -68,32 +63,28 @@ def _load_json_arg(arg: str) -> tuple[dict, dict]:
         config = json.loads(stripped)
         digest = hashlib.sha256(stripped.encode()).hexdigest()
         return config, {"inline": True, "sha256": digest}
-    with open(arg) as fh:
-        config = json.load(fh)
-    return config, {"path": arg, "sha256": _sha256_of(arg)}
+    with open(arg, "rb") as fh:
+        data = fh.read()  # one read: the digest is of the bytes parsed
+    config = json.loads(data)
+    if not isinstance(config, dict):
+        raise ValueError(f"{arg} must hold a JSON object")
+    return config, {"path": arg, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
     """``N_MIN:N_MAX``; argparse shows an ``ArgumentTypeError``'s message,
     where a ``ValueError`` only reads "invalid value"."""
     lo, _, hi = text.partition(":")
-    n_min, n_max = int(lo), int(hi)
+    try:
+        n_min, n_max = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N_MIN:N_MAX, got {text!r}") from None
     if n_min > n_max:
         raise argparse.ArgumentTypeError(f"empty grid range {text!r}")
     if n_min < N_RANGE_BOUNDS[0] or n_max > N_RANGE_BOUNDS[1]:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} outside [{N_RANGE_BOUNDS[0]}, {N_RANGE_BOUNDS[1]}], where 2^n overflows")
     return n_min, n_max
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("ADMISS_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    count = int(raw)
-    if count < 1:
-        raise ValueError("ADMISS_THREADS must be a positive integer")
-    return count
 
 
 def _evaluate(system: DiagonalSystem, space: InputSpace, criterion: str,
@@ -104,24 +95,22 @@ def _evaluate(system: DiagonalSystem, space: InputSpace, criterion: str,
     return [run_criterion(criterion, system, space, grid)]
 
 
-def _manifest(args, inputs: dict, reports: list[CriterionReport], extra: dict | None = None) -> dict:
-    out = {
+def _manifest(args, inputs: dict, reports: list[CriterionReport], extra: dict) -> dict:
+    return {
         "tool_version": _tool_version(),
         "command": args.command,
         "inputs": inputs,
-        "grid": list(getattr(args, "grid", DEFAULT_N_RANGE)),
+        "grid": getattr(args, "grid", None),
         "seed": getattr(args, "seed", None),
         "modes": getattr(args, "modes", None),
         "wall_clock": time.time(),
         "reports": [r.to_json() for r in reports],
+        **extra,
     }
-    if extra:
-        out.update(extra)
-    return out
 
 
 def _format_constant(c: float) -> str:
-    if c is None or (isinstance(c, float) and math.isnan(c)):
+    if math.isnan(c):
         return "-"
     if math.isinf(c):
         return "inf"
@@ -152,6 +141,12 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _emit(manifest: dict, reports: list[CriterionReport], fmt: str, out_path: str | None) -> None:
     payload = _to_json(manifest)
     _write(out_path, payload + "\n")
@@ -160,12 +155,8 @@ def _emit(manifest: dict, reports: list[CriterionReport], fmt: str, out_path: st
     elif fmt == "table":
         print(_render_table(reports))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["criterion", "constant", "verdict"])
-        for r in reports:
-            writer.writerow([r.criterion, _format_constant(r.constant), r.verdict])
-        print(buf.getvalue(), end="")
+        rows = [(r.criterion, _format_constant(r.constant), r.verdict) for r in reports]
+        print(_csv([("criterion", "constant", "verdict"), *rows]), end="")
 
 
 def _load_system_arg(args) -> tuple[DiagonalSystem, dict]:
@@ -210,19 +201,12 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty sweep range")
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"sweep values must be finite, got {args.values!r}")
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(pool.map(
-            lambda v: _sweep_row(system, space_config, args.param, v, args.criterion, args.grid),
-            values))
+    results = [_sweep_row(system, space_config, args.param, v, args.criterion, args.grid)
+               for v in values]
 
     rows = [row for row_group, _ in results for row in row_group]
     all_reports = {str(v): reps for v, (_, reps) in zip(values, results)}
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["param", "criterion", "constant", "verdict"])
-    for row in rows:
-        writer.writerow(row)
-    csv_text = buf.getvalue()
+    csv_text = _csv([("param", "criterion", "constant", "verdict"), *rows])
 
     manifest = _manifest(args, {"system": system_entry, "space": space_entry}, [],
                          {"param": args.param, "values": values, "criterion": args.criterion,
@@ -250,35 +234,28 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     system, system_entry = _load_system_arg(args)
     inputs: dict = {"system": system_entry}
-    reports: list[CriterionReport] = []
-
     if args.isometry:
         zen = load_radial_measure(args.isometry)
         # (mismatch, relative error bound) of the worst member
         worst, abserr = max(_isometry(zen, TestFunction.poly_exp(n, 1.0)) for n in range(2, 7))
-        reports.append(CriterionReport(
+        reports = [CriterionReport(
             "isometry", worst, {}, "pass" if worst < 1e-6 else "fail",
             {"preset": args.isometry, "dictionary": "poly_exp N=2..6, lam=1",
-             "relative_abserr": abserr}))
-        print(f"isometry self-test ({args.isometry}): max relative error {worst:.3e} "
-              f"(quadrature error bound {abserr:.3e})")
-        manifest = _manifest(args, inputs, reports, {"mode": "isometry"})
-        _write(args.out, _to_json(manifest) + "\n")
-        return EXIT_BOUNDED if worst < 1e-6 else EXIT_INCONCLUSIVE
-
-    space_config, space_entry = _load_json_arg(args.space)
-    inputs["space"] = space_entry
-    space = load_space(space_config)
-    lower = empirical_ratio(system, space, args.mix_size, args.seed)
-    sweep_report = kernel_condition_sweep(system, space)
-    reports = [
-        CriterionReport("empirical-lower-bound", lower, {}, "lower-bound",
-                        {"family_size": args.mix_size, "seed": args.seed}),
-        sweep_report,
-    ]
-    manifest = _manifest(args, inputs, reports, {"mix_size": args.mix_size})
-    _emit(manifest, reports, args.format, args.out)
-    return EXIT_BOUNDED
+             "relative_abserr": abserr})]
+        extra = {"mode": "isometry"}
+    elif args.space is None:
+        raise ValueError("oracle needs --space or --isometry")
+    else:
+        space_config, inputs["space"] = _load_json_arg(args.space)
+        space = load_space(space_config)
+        lower = empirical_ratio(system, space, args.mix_size, args.seed)
+        reports = [CriterionReport("empirical-lower-bound", lower, {}, "lower-bound",
+                                   {"family_size": args.mix_size, "seed": args.seed}),
+                   kernel_condition_sweep(system, space)]
+        extra = {"mix_size": args.mix_size}
+    _emit(_manifest(args, inputs, reports, extra), reports, args.format, args.out)
+    # a failed isometry self-test is the only oracle outcome that is not exit 0
+    return EXIT_INCONCLUSIVE if reports[0].verdict == "fail" else EXIT_BOUNDED
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -296,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            metavar="N_MIN:N_MAX")
         p.add_argument("--modes", type=int, default=None,
                        help="override the mode truncation K")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the manifest (or CSV) here")
         p.add_argument("--format", default="table", choices=["json", "table", "csv"])
 
@@ -313,6 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="embedding lower bounds and self-tests")
     common(p_oracle, oracle=True)
     p_oracle.add_argument("--mix-size", type=int, default=16, metavar="M")
+    p_oracle.add_argument("--seed", type=int, default=0,
+                          help="seed of the random --mix-size family")
     p_oracle.add_argument("--isometry", default=None, metavar="PRESET",
                           help="run the quadrature isometry self-test for a weight preset")
     p_oracle.set_defaults(func=cmd_oracle)

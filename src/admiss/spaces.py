@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from admiss.system_model import config_float
 from admiss.zen_weight import RadialMeasure, load_radial_measure
 
 __all__ = ["InputSpace", "load_space", "dual_space"]
@@ -59,13 +60,13 @@ def load_space(config: dict | str) -> InputSpace:
         config = json.loads(config)
     kind = config.get("kind")
     if kind == "Lp":
-        return InputSpace("Lp", p=float(config["p"]))
+        return InputSpace("Lp", p=config_float(config, "p"))
     if kind == "weightedL2":
         return InputSpace("weightedL2", measure=load_radial_measure(config["measure"]))
     if kind == "powerL2":
-        return InputSpace("powerL2", alpha=float(config["alpha"]))
+        return InputSpace("powerL2", alpha=config_float(config, "alpha"))
     if kind == "sobolev":
-        return InputSpace("sobolev", p=float(config["p"]), beta=float(config["beta"]))
+        return InputSpace("sobolev", p=config_float(config, "p"), beta=config_float(config, "beta"))
     raise ValueError(f"unknown space kind {kind!r}")
 
 

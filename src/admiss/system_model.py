@@ -292,12 +292,24 @@ def load_system(config: dict | str) -> DiagonalSystem:
         name = config["generator"]
         if name != "heat1d":
             raise ValueError(f"unknown system generator {name!r}")
-        return heat_system(int(config["modes"]))
+        modes = config_float(config, "modes")
+        if not modes.is_integer():
+            raise ValueError(f"config field 'modes' must be an integer, got {config['modes']!r}")
+        return heat_system(int(modes))
     for key in ("eigenvalues", "coeffs", "q"):
         if key not in config:
             raise ValueError(f"system config missing required field {key!r}")
     return DiagonalSystem(_complex_pairs(config["eigenvalues"], "eigenvalues"),
-                          _complex_pairs(config["coeffs"], "coeffs"), float(config["q"]))
+                          _complex_pairs(config["coeffs"], "coeffs"), config_float(config, "q"))
+
+
+def config_float(config: dict, key: str, default: float | None = None) -> float:
+    """``float`` of a config field, or a ``ValueError`` that names the field."""
+    value = config[key] if default is None else config.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"config field {key!r} must be a number, got {value!r}") from None
 
 
 def _complex_pairs(pairs, name: str) -> np.ndarray:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from admiss.system_model import config_float
+
 __all__ = [
     "RadialMeasure",
     "WeightFunction",
@@ -221,13 +223,19 @@ def load_radial_measure(config: dict | str) -> RadialMeasure:
         if text.startswith("bergman:"):
             return bergman(float(text.split(":", 1)[1]))
         config = json.loads(text)
-    atoms = tuple((float(r), float(mass)) for r, mass in config.get("atoms", []))
+    if not isinstance(config, dict):
+        raise ValueError(f"measure must be a preset name or a JSON object, got {config!r}")
+    try:
+        atoms = tuple((float(r), float(mass)) for r, mass in config.get("atoms", []))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"config field 'atoms' must be a list of [r, mass] pairs, "
+                         f"got {config['atoms']!r}") from None
+    atom0 = config_float(config, "atom0", 0.0)
     density = config.get("density")
+    if not isinstance(density, (dict, type(None))):
+        raise ValueError(f"config field 'density' must be an object, got {density!r}")
     if density is not None:
-        return RadialMeasure(
-            atom_at_zero=float(config.get("atom0", 0.0)),
-            atoms=atoms,
-            density_alpha=float(density["alpha"]),
-            density_scale=float(density.get("scale", 1.0)),
-        )
-    return RadialMeasure(atom_at_zero=float(config.get("atom0", 0.0)), atoms=atoms)
+        return RadialMeasure(atom_at_zero=atom0, atoms=atoms,
+                             density_alpha=config_float(density, "alpha"),
+                             density_scale=config_float(density, "scale", 1.0))
+    return RadialMeasure(atom_at_zero=atom0, atoms=atoms)

@@ -11,6 +11,7 @@ from admiss.laplace_oracle import TestFunction, _isometry
 from admiss.zen_weight import hardy
 
 HEAT = json.dumps({"generator": "heat1d", "modes": 10000})
+SMALL_HEAT = '{"generator":"heat1d","modes":50}'
 
 
 @pytest.fixture()
@@ -122,8 +123,7 @@ def test_check_determinism(heat_file, tmp_path, capsys):
     assert list(manifest["reports"]) == ["0.5", "1.5", "3.0"]
 
 
-def test_sweep_threshold_flip(heat_file, capsys, monkeypatch):
-    monkeypatch.setenv("ADMISS_THREADS", "2")
+def test_sweep_threshold_flip(heat_file, capsys):
     code = main(["sweep", "--system", heat_file, "--space", '{"kind":"Lp","p":2}',
                  "--param", "p",
                  "--values", "1.2,1.3,1.3333333333333333,1.4,2,3,4",
@@ -174,7 +174,8 @@ def test_oracle_isometry_exit_zero(heat_file, tmp_path, capsys):
     out_path = tmp_path / "isometry.json"
     code = main(["oracle", "--system", heat_file, "--isometry", "hardy", "--out", str(out_path)])
     assert code == 0
-    assert "relative error" in capsys.readouterr().out
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [(row[0], row[-1]) for row in rows[2:]] == [("isometry", "pass")]
     abserr = json.loads(out_path.read_text())["reports"][0]["diagnostics"]["relative_abserr"]
     assert math.isfinite(abserr)
     for n in range(2, 7):
@@ -205,13 +206,6 @@ def test_oracle_deterministic_with_seed(heat_file, capsys):
     assert outs[0] == outs[1]
 
 
-def test_bad_threads_env(heat_file, capsys, monkeypatch):
-    monkeypatch.setenv("ADMISS_THREADS", "0")
-    code = main(["sweep", "--system", heat_file, "--space", '{"kind":"Lp","p":2}',
-                 "--param", "p", "--values", "2", "--grid=-10:40"])
-    assert code == 1
-
-
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -224,7 +218,7 @@ def _reject_constant(name):
     (["check", "--space", '{"kind":"Lp","p":3}', "--criterion", "C4"], "", True),
     (["sweep", "--space", '{"kind":"Lp","p":2}', "--param", "p", "--values", "0.5,1.2,2",
       "--grid=-10:40"], ".manifest.json", True),
-    (["oracle", "--isometry", "hardy"], "", False),
+    (["oracle", "--isometry", "hardy"], "", True),
     (["oracle", "--space", '{"kind":"Lp","p":1.2}', "--mix-size", "4", "--modes", "200"],
      "", True),
 ])
@@ -292,12 +286,89 @@ def test_c4_at_the_low_end_of_the_grid_is_finite(capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("grid", ["--grid=0:1024", "--grid=-1023:0", "--grid=5:1"])
+@pytest.mark.parametrize("grid", ["--grid=0:1024", "--grid=-1023:0", "--grid=5:1", "--grid=5"])
 def test_grid_outside_float_range_is_usage_error(grid, capsys):
     code = main(["check", "--system", '{"generator":"heat1d","modes":50}',
                  "--space", '{"kind":"Lp","p":1.5}', grid])
+    err = capsys.readouterr().err
     assert code == 1
-    assert "error: argument --grid: " in capsys.readouterr().err
+    assert "error: argument --grid: " in err and "invalid" not in err
+    if ":" not in grid:
+        assert "expected N_MIN:N_MAX, got '5'" in err
+
+
+@pytest.mark.parametrize("system, space, field", [
+    ('{"generator":"heat1d","modes":null}', '{"kind":"Lp","p":2}', "'modes'"),
+    ('{"generator":"heat1d","modes":2.7}', '{"kind":"Lp","p":2}', "'modes' must be an integer"),
+    (SMALL_HEAT, '{"kind":"Lp","p":null}', "'p'"),
+    (SMALL_HEAT, '{"kind":"sobolev","p":3,"beta":[1]}', "'beta'"),
+    (SMALL_HEAT, '{"kind":"weightedL2","measure":5}', "measure"),
+    (SMALL_HEAT, '{"kind":"weightedL2","measure":{"density":{"alpha":"x"}}}', "'alpha'"),
+    (SMALL_HEAT, '{"kind":"weightedL2","measure":{"density":5}}', "'density'"),
+    (SMALL_HEAT, '{"kind":"weightedL2","measure":{"atoms":5}}', "'atoms'"),
+    (SMALL_HEAT, '{"kind":"weightedL2","measure":{"atoms":[[1,null]]}}', "'atoms'"),
+], ids=["modes-null", "modes-fraction", "p-null", "beta-list", "measure-number",
+        "density-alpha-string", "density-number", "atoms-number", "atoms-null-mass"])
+def test_wrong_typed_config_value_is_usage_error(system, space, field, capsys):
+    code = main(["check", "--system", system, "--space", space, "--grid=-10:40"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err
+
+
+def test_config_file_must_hold_an_object(heat_file, tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text("[1, 2]")
+    assert main(["check", "--system", heat_file, "--space", str(space)]) == 1
+    assert capsys.readouterr().err == f"error: {space} must hold a JSON object\n"
+
+
+def test_oracle_without_space_or_isometry_is_usage_error(heat_file, capsys):
+    assert main(["oracle", "--system", heat_file]) == 1
+    assert capsys.readouterr().err == "error: oracle needs --space or --isometry\n"
+
+
+def test_sweep_wrong_typed_value_writes_an_error_row(capsys):
+    code = main(["sweep", "--system", SMALL_HEAT,
+                 "--space", '{"kind":"weightedL2","measure":"hardy"}', "--param", "measure",
+                 "--values", "1", "--grid=-10:40", "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert code == 3
+    assert len(rows) == 1 and rows[0][:2] == ["1.0", "error"] and "measure" in rows[0][3]
+
+
+def test_sweep_rows_equal_check_reports(heat_file, capsys):
+    values = [1.2, 1.5, 3.0]
+    main(["sweep", "--system", heat_file, "--space", '{"kind":"Lp","p":2}', "--param", "p",
+          "--values", ",".join(map(str, values)), "--grid=-10:40", "--format", "json"])
+    swept = json.loads(capsys.readouterr().out)["reports"]
+    assert list(swept) == [str(v) for v in values]
+    for value in values:
+        main(["check", "--system", heat_file, "--space", json.dumps({"kind": "Lp", "p": value}),
+              "--grid=-10:40", "--format", "json"])
+        checked = json.loads(capsys.readouterr().out)["reports"]
+        assert json.dumps(swept[str(value)], sort_keys=True) == json.dumps(checked, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", [["check"], ["sweep", "--param", "p", "--values", "2"]])
+def test_seed_is_an_oracle_option_only(command, heat_file, capsys):
+    code = main([command[0], "--system", heat_file, "--space", '{"kind":"Lp","p":2}',
+                 *command[1:], "--seed", "1"])
+    assert code == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_manifest_records_null_for_options_a_command_does_not_take(heat_file, tmp_path, capsys):
+    check_path, oracle_path = tmp_path / "check.json", tmp_path / "oracle.json"
+    main(["check", "--system", heat_file, "--space", '{"kind":"Lp","p":2}', "--grid=-10:40",
+          "--out", str(check_path)])
+    main(["oracle", "--system", heat_file, "--space", '{"kind":"Lp","p":1.5}', "--mix-size", "2",
+          "--seed", "7", "--modes", "100", "--out", str(oracle_path)])
+    check, oracle = json.loads(check_path.read_text()), json.loads(oracle_path.read_text())
+    assert (check["grid"], check["seed"]) == ([-10, 40], None)
+    assert (oracle["grid"], oracle["seed"]) == (None, 7)
+    assert oracle["reports"][0]["diagnostics"]["seed"] == 7
 
 
 @pytest.mark.parametrize("system, modes", [('{"generator":"heat1d","modes":10000000000}', []),
