@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from admiss.halfplane import balayage_norm, dyadic_index, kernel_sums, strip_masses
+from admiss.halfplane import balayage_norm, dyadic_index, kernel_sums, segment_sums, strip_masses
 from admiss.report import (
     BOUNDED,
     INCONCLUSIVE,
@@ -32,7 +32,6 @@ from admiss.system_model import (
     AtomicMeasure,
     DiagonalSystem,
     dual_system,
-    max_sector_angle,
     spectral_measure,
 )
 from admiss.zen_weight import RadialMeasure, nu_square_mass, weight
@@ -74,8 +73,8 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     interval is then contained in a tested one of at most 4x its length).
     Membership is half-open: 0 <= x < |I| (|I|/2 <= x for the right half, a
     symmetric family only) and y_lo <= y < y_hi.  Every length is a power of
-    two, so an atom's level is read exactly from the binary exponent of its
-    coordinates (``dyadic_index``), never by a search.  Returns (ladder
+    two, compared exactly: by ``searchsorted`` in the measure's x-order, or
+    (y of a complex symmetric family) from binary exponents.  Returns (ladder
     levels, constant, witness, per-n best ratios).  A range outside
     ``N_RANGE_BOUNDS`` raises ValueError: above it 2^n overflows, below it
     a square shrinks to length 0.
@@ -109,30 +108,29 @@ def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, pa
     """Ratio and witness per dyadic length for the centred square (or its
     right half).
 
-    Each atom is placed once at the index of the level it belongs to: the
-    first n with x < 2^n, and the first with -y <= 2^(n-1) and y < 2^(n-1),
-    each read from a binary exponent by ``dyadic_index``.  The full squares
-    are nested, so an atom lies in every square from its entry level on (a
-    cumulative sum); the right halves are disjoint in x, so an atom lies in
-    at most one.  On a real measure every atom enters the centred intervals
-    at the lowest level, so only x is read.
+    On a real measure only x is read: the masses with x < 2^n (full) or
+    2^(n-1) <= x < 2^n (right half) are segments of the x-order between
+    ``searchsorted`` edges.  A complex atom is placed at the level it
+    enters: the first n with x < 2^n, -y <= 2^(n-1) and y < 2^(n-1), read
+    from binary exponents (``dyadic_index``).  The full squares are nested,
+    so their masses are cumulative sums; the right halves are disjoint.
     """
     n_min, count = ns.start, len(ns)
-    x, y = m.x, m.y
-    x_level = dyadic_index(x, n_min, count, strict=True)
-    if y is not None:
-        y_entry = np.maximum(dyadic_index(-y, n_min - 1, count, strict=False),
-                             dyadic_index(y, n_min - 1, count, strict=True))
-    if part == "right_half":
-        # x < |I| at x_level, and |I|/2 <= x there: x_level > 0 means
-        # x >= 2^n_min, so only the lowest level needs the test
-        inside = x >= lengths[0] / 2
-        if y is not None:
-            inside &= y_entry <= x_level
-        level = np.where(inside, x_level, count)
+    if m.y is None:
+        xs, ms, _ = m.x_order
+        low = lengths[0] / 2 if part == "right_half" else 0.0
+        masses = segment_sums(ms, np.searchsorted(xs, [low, *lengths], side="left"))
     else:
-        level = x_level if y is None else np.maximum(x_level, y_entry, out=x_level)
-    masses = np.bincount(level, weights=m.masses, minlength=count + 1)[:-1]
+        x_level = dyadic_index(m.x, n_min, count, strict=True)
+        y_entry = np.maximum(dyadic_index(-m.y, n_min - 1, count, strict=False),
+                             dyadic_index(m.y, n_min - 1, count, strict=True))
+        if part == "right_half":
+            # x < |I| at x_level, and |I|/2 <= x there: x_level > 0 means
+            # x >= 2^n_min, so only the lowest level needs the test
+            level = np.where((m.x >= lengths[0] / 2) & (y_entry <= x_level), x_level, count)
+        else:
+            level = np.maximum(x_level, y_entry, out=x_level)
+        masses = np.bincount(level, weights=m.masses, minlength=count + 1)[:-1]
     if part != "right_half":
         masses = np.cumsum(masses)
     per_n, witnesses = [], []
@@ -147,33 +145,27 @@ def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms):
     """Best ratio and witness per dyadic length over two staggered phases of
     dyadic translates.
 
-    Atoms are sorted by x once, so the atoms with x < |I| are a prefix of that
-    order (found by ``searchsorted``).  A measure already sorted by x, as a
-    heat spectrum is, is read in place: a stable sort would leave it as it
-    is.  The phase bins floor(y/|I| - phase) are monotone in y: when the
-    lowest and the highest y of a prefix (running min and max) share a bin,
-    every atom of the prefix lies in it, and its mass is the prefix sum,
-    which adds the same masses in the same order as ``bincount`` would.
-    Only the other levels bin their atoms (``_heaviest_bin``).  On a real
-    measure every prefix lies in bin 0 of phase 0 and bin -1 of phase 1/2,
-    so no y is read.
+    The atoms with x < |I| are a prefix of the measure's x-order
+    (``AtomicMeasure.x_order``), cut by ``searchsorted``; a prefix's mass is
+    the cumulative sum of the segments between the cuts.  The phase bins
+    floor(y/|I| - phase) are monotone in y: when the lowest and the highest
+    y of a prefix (running min and max) share a bin, every atom of the
+    prefix lies in it, and its mass is the prefix mass.  Only the other
+    levels bin their atoms (``_heaviest_bin``).  On a real measure every
+    prefix lies in bin 0 of phase 0 and bin -1 of phase 1/2, so no y is
+    read.
     """
-    if (m.x[1:] >= m.x[:-1]).all():
-        order, xs, ms = slice(None), m.x, m.masses
-    else:
-        order = np.argsort(m.x, kind="stable")
-        xs = m.x[order]
-        ms = m.masses[order]
+    xs, ms, order = m.x_order
     hi = np.searchsorted(xs, lengths, side="left")
     filled = np.flatnonzero(hi)  # the levels with atoms
-    tops = hi[filled] - 1  # the last atom of each of their prefixes
-    totals = np.cumsum(ms)[tops].tolist()
+    totals = np.cumsum(segment_sums(ms, np.concatenate(([0], hi))))[filled].tolist()
     # per phase and filled level: the one bin of all its atoms, or None
     if m.y is None:
         ys = None
         one_bin = {0.0: [0] * filled.size, 0.5: [-1] * filled.size}
     else:
         ys = m.y[order]
+        tops = hi[filled] - 1  # the last atom of each filled prefix
         scale = np.array(lengths)[filled]
         y_low = np.minimum.accumulate(ys)[tops] / scale
         y_high = np.maximum.accumulate(ys)[tops] / scale
@@ -479,7 +471,7 @@ def _measure_and_sector(sys: DiagonalSystem) -> tuple[AtomicMeasure, bool]:
     """The spectral measure and the sector gate: max |arg z| over its
     positive-mass atoms is below pi/2."""
     mu = spectral_measure(sys)
-    return mu, max_sector_angle(mu) < math.pi / 2
+    return mu, mu.sector_angle < math.pi / 2
 
 
 def run_criterion(name: str, sys: DiagonalSystem, space: InputSpace,

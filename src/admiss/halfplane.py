@@ -31,6 +31,7 @@ from admiss.system_model import AtomicMeasure
 
 __all__ = [
     "dyadic_index",
+    "segment_sums",
     "strip_masses",
     "balayage",
     "balayage_integral",
@@ -45,9 +46,9 @@ __all__ = [
 def __getattr__(name: str):
     """``halfplane.quad``, bound on first use: nothing in the package calls
     scipy's ``quad``, but the benchmark's span tracer wraps this name, so
-    scipy is imported only when something asks for it.  ROADMAP item 1
-    retargets the tracer's ``halfplane.quad`` metrics at the Gauss-Kronrod
-    integrator and then deletes this binding."""
+    scipy is imported only when something asks for it.  ROADMAP items 8
+    and 9 retarget the tracer's ``halfplane.quad`` metrics at the
+    Gauss-Kronrod integrator and then delete this binding."""
     if name == "quad":
         from scipy.integrate import quad
 
@@ -117,19 +118,27 @@ def dyadic_index(v: np.ndarray, n_first: int, count: int, strict: bool) -> np.nd
     return np.minimum(exp, count, out=exp)
 
 
+def segment_sums(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """sum(values[edges[i]:edges[i+1]]) per i, ``edges`` non-decreasing: one
+    ``np.add.reduceat`` over the non-empty segments, 0 for the empty ones."""
+    out = np.zeros(edges.size - 1)
+    filled = np.flatnonzero(edges[1:] > edges[:-1])
+    out[filled] = np.add.reduceat(values[:edges[-1]], edges[filled])
+    return out
+
+
 def strip_masses(m: AtomicMeasure, n_min: int, n_max: int) -> list[tuple[int, float]]:
     """Mass per dyadic strip S_n = { 2^(n-1) < Re z <= 2^n }, n in [n_min, n_max].
 
-    An atom's strip is the first n with Re z <= 2^n, read from its binary
-    exponent by ``dyadic_index``; atoms below the first strip, above the last
-    or on the imaginary axis fall in the two end bins, which are dropped.
+    The strips depend on Re z only: they are the segments of the x-order
+    between the ``searchsorted`` edges (side "right") of 2^(n_min-1) ... 2^n_max;
+    atoms below, above or on the imaginary axis (Re z = 0) lie in none.
     """
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
-    count = n_max - n_min + 1
-    strip = dyadic_index(m.x, n_min - 1, count + 1, strict=False)
-    out = np.bincount(strip, weights=m.masses, minlength=count + 2)[1:-1]
-    return [(n, float(v)) for n, v in zip(range(n_min, n_max + 1), out)]
+    xs, ms, _ = m.x_order
+    edges = np.searchsorted(xs, 2.0 ** np.arange(n_min - 1, n_max + 1), side="right")
+    return list(zip(range(n_min, n_max + 1), segment_sums(ms, edges).tolist()))
 
 
 def balayage(m: AtomicMeasure, t) -> np.ndarray | float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from admiss.system_model import config_float
+from admiss.system_model import config_field, config_float
 from admiss.zen_weight import RadialMeasure, load_radial_measure
 
 __all__ = ["InputSpace", "load_space", "dual_space"]
@@ -62,7 +62,7 @@ def load_space(config: dict | str) -> InputSpace:
     if kind == "Lp":
         return InputSpace("Lp", p=config_float(config, "p"))
     if kind == "weightedL2":
-        return InputSpace("weightedL2", measure=load_radial_measure(config["measure"]))
+        return InputSpace(kind, measure=load_radial_measure(config_field(config, "measure")))
     if kind == "powerL2":
         return InputSpace("powerL2", alpha=config_float(config, "alpha"))
     if kind == "sobolev":

@@ -209,6 +209,18 @@ class AtomicMeasure:
         """Imaginary parts of the locations (a view), None on a real measure."""
         return None if self.locations.dtype.kind == "f" else self.locations.imag
 
+    @functools.cached_property
+    def x_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice]:
+        """(x ascending, masses in that order, the order); an x-sorted measure is read in place."""
+        if (self.x[1:] >= self.x[:-1]).all():
+            return self.x, self.masses, slice(None)
+        order = np.argsort(self.x, kind="stable")
+        return self.x[order], self.masses[order], order
+
+    @functools.cached_property
+    def sector_angle(self) -> float:
+        return max_sector_angle(self)  # the sector gate's, taken once per measure
+
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
@@ -303,9 +315,16 @@ def load_system(config: dict | str) -> DiagonalSystem:
                           _complex_pairs(config["coeffs"], "coeffs"), config_float(config, "q"))
 
 
+def config_field(config: dict, key: str):
+    """``config[key]``, or a ``ValueError`` that names the missing field."""
+    if key not in config:
+        raise ValueError(f"config field {key!r} is missing")
+    return config[key]
+
+
 def config_float(config: dict, key: str, default: float | None = None) -> float:
     """``float`` of a config field, or a ``ValueError`` that names the field."""
-    value = config[key] if default is None else config.get(key, default)
+    value = config_field(config, key) if default is None else config.get(key, default)
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):

@@ -317,6 +317,32 @@ def test_wrong_typed_config_value_is_usage_error(system, space, field, capsys):
     assert field in captured.err
 
 
+@pytest.mark.parametrize("system, space, field", [
+    ('{"generator":"heat1d"}', '{"kind":"Lp","p":2}', "modes"),
+    (SMALL_HEAT, '{"kind":"Lp"}', "p"),
+    (SMALL_HEAT, '{"kind":"weightedL2"}', "measure"),
+], ids=["modes", "p", "measure"])
+def test_check_names_a_missing_config_field(system, space, field, capsys):
+    code = main(["check", "--system", system, "--space", space, "--grid=-10:40"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: config field '{field}' is missing\n"
+
+
+def test_sweep_names_a_missing_config_field(capsys):
+    code = main(["sweep", "--system", '{"generator":"heat1d"}', "--space",
+                 '{"kind":"Lp","p":2}', "--param", "p", "--values", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: config field 'modes' is missing\n"
+    # a space field missing from every row is an error row per value
+    for space, field in [('{"kind":"sobolev","p":2}', "beta"), ('{"kind":"weightedL2"}', "measure")]:
+        code = main(["sweep", "--system", SMALL_HEAT, "--space", space, "--param", "p",
+                     "--values", "1.5,2", "--grid=-10:40", "--format", "csv"])
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert code == 3
+        assert [row[3] for row in rows] == [f"error: config field '{field}' is missing"] * 2
+
+
 def test_config_file_must_hold_an_object(heat_file, tmp_path, capsys):
     space = tmp_path / "space.json"
     space.write_text("[1, 2]")

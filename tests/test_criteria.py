@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -496,6 +497,56 @@ def test_staggered_sups_of_a_sorted_measure_match_a_permutation(on_axis):
     for denom in _DENOMS:
         got = _square_family_sup(permuted, denom, (-6, 10), False)
         assert got == _square_family_sup(in_order, denom, (-6, 10), False)
+
+# real atoms in no order, at exact powers of two, at 0 and between, with
+# masses that are not integers: the level pass sums them in x-order, the
+# complex binning path in the given order, so they agree to rounding
+_REAL_ATOMS = st.lists(st.tuples(_ATOM_X, st.floats(0.0, 4.0)), min_size=1, max_size=40)
+
+
+@pytest.mark.parametrize("symmetric, part",
+                         [(True, "full"), (True, "right_half"), (False, "full")])
+@given(atoms=_REAL_ATOMS, n_min=st.integers(-6, 3), span=st.integers(0, 12),
+       denom=st.sampled_from(_DENOMS))
+@settings(max_examples=150, deadline=None)
+def test_real_level_pass_matches_complex_binning(symmetric, part, atoms, n_min, span, denom):
+    x = np.array([a for a, _ in atoms])
+    real = AtomicMeasure(x, np.array([mass for _, mass in atoms]))
+    as_complex = AtomicMeasure._at_checked_locations(x + 0j, real.masses)
+    assert real.y is None and as_complex.y is not None
+    n_range = (n_min, n_min + span)
+    levels, constant, witness, per_n = _square_family_sup(real, denom, n_range, symmetric, part)
+    want = _square_family_sup(as_complex, denom, n_range, symmetric, part)
+    assert witness == want[2]
+    assert constant == pytest.approx(want[1], rel=1e-14, abs=0)
+    assert levels == pytest.approx(want[0], rel=1e-14, abs=0)
+    assert per_n == pytest.approx(want[3], rel=1e-14, abs=0)
+
+
+def test_sweep_orders_and_gates_each_measure_once(monkeypatch, capsys):
+    from admiss.cli import main
+
+    built = {"x_order": [], "sector_angle": []}
+    for name, calls in built.items():
+        prop = AtomicMeasure.__dict__[name]
+
+        def counted(m, build=prop.func, calls=calls):
+            calls.append(m)
+            return build(m)
+
+        monkeypatch.setattr(prop, "func", counted)
+    # a real spectrum out of x-order: the order takes an argsort
+    eigenvalues = [[-float(k * k), 0.0] for k in (5, 1, 9, 2, 7, 3, 8, 4, 6, 10)]
+    system = json.dumps({"eigenvalues": eigenvalues, "coeffs": [[1.0, 0.0]] * 10, "q": 2})
+    code = main(["sweep", "--system", system, "--space", '{"kind":"Lp","p":2}', "--param", "p",
+                 "--values", "1.2,1.3,1.4,1.5,2,2.5,3,4", "--grid=-10:40"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code in (0, 2, 3)
+    assert {row.split(",")[1] for row in rows} == {"C2", "C3", "C4"}
+    # eight rows share the system's measure: one order, one sector angle
+    assert [len(calls) for calls in built.values()] == [1, 1]
+    assert built["x_order"][0] is built["sector_angle"][0]
+
 
 def _dense_r1(sys, zen, n_res, points_per_decade=8):
     """R1 with the whole (lambda grid x K) complex matrix at once."""

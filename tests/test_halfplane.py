@@ -16,6 +16,7 @@ from admiss.halfplane import (
     blaschke_products,
     dyadic_index,
     pseudo_hyperbolic,
+    segment_sums,
     strip_masses,
 )
 from admiss.system_model import AtomicMeasure, heat_system, spectral_measure
@@ -99,6 +100,33 @@ def test_strip_masses_matches_per_strip_scan(atoms, n_min, span):
     want = [(n, float(m.masses[(x > 2.0 ** (n - 1)) & (x <= 2.0**n)].sum()))
             for n in range(n_min, n_min + span + 1)]
     assert strip_masses(m, n_min, n_min + span) == want
+
+
+@given(values=st.lists(st.floats(0.0, 1e6), max_size=30), data=st.data())
+@settings(max_examples=200)
+def test_segment_sums_match_slice_sums(values, data):
+    v = np.array(values)
+    edges = np.sort(data.draw(st.lists(st.integers(0, v.size), min_size=1, max_size=12)))
+    want = [float(v[a:b].sum()) for a, b in zip(edges, edges[1:])]
+    assert segment_sums(v, edges).tolist() == pytest.approx(want, rel=1e-14, abs=0)
+    assert len(segment_sums(v, edges)) == len(edges) - 1
+
+
+@given(atoms=st.lists(st.tuples(_STRIP_X, st.floats(0.0, 4.0)), min_size=1, max_size=40),
+       n_min=st.integers(-14, 10), span=st.integers(0, 20))
+@settings(max_examples=200)
+def test_strip_masses_of_real_measures_match_complex_storage_and_a_scan(atoms, n_min, span):
+    # atoms in no order, with masses that sum differently in another order
+    x = np.array([a for a, _ in atoms])
+    m = AtomicMeasure(x, np.array([mass for _, mass in atoms]))
+    as_complex = AtomicMeasure._at_checked_locations(x + 0j, m.masses)
+    assert m.y is None and as_complex.y is not None
+    got = strip_masses(m, n_min, n_min + span)
+    assert strip_masses(as_complex, n_min, n_min + span) == got
+    want = [float(m.masses[(x > 2.0 ** (n - 1)) & (x <= 2.0**n)].sum())
+            for n in range(n_min, n_min + span + 1)]
+    assert [n for n, _ in got] == list(range(n_min, n_min + span + 1))
+    assert [v for _, v in got] == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_balayage_delta1_at_zero():
