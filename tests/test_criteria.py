@@ -498,6 +498,7 @@ def test_staggered_sups_of_a_sorted_measure_match_a_permutation(on_axis):
         got = _square_family_sup(permuted, denom, (-6, 10), False)
         assert got == _square_family_sup(in_order, denom, (-6, 10), False)
 
+
 # real atoms in no order, at exact powers of two, at 0 and between, with
 # masses that are not integers: the level pass sums them in x-order, the
 # complex binning path in the given order, so they agree to rounding
