@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from admiss.halfplane import balayage_norm, dyadic_index, kernel_sums, segment_sums, strip_masses
+from admiss.halfplane import balayage_norm, dyadic_index, kernel_sums, level_masses, strip_masses
 from admiss.report import (
     BOUNDED,
     INCONCLUSIVE,
@@ -73,11 +73,13 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     interval is then contained in a tested one of at most 4x its length).
     Membership is half-open: 0 <= x < |I| (|I|/2 <= x for the right half, a
     symmetric family only) and y_lo <= y < y_hi.  Every length is a power of
-    two, compared exactly: by ``searchsorted`` in the measure's x-order, or
-    (y of a complex symmetric family) from binary exponents.  Returns (ladder
-    levels, constant, witness, per-n best ratios).  A range outside
-    ``N_RANGE_BOUNDS`` raises ValueError: above it 2^n overflows, below it
-    a square shrinks to length 0.
+    two, compared exactly: x by ``searchsorted`` edges or binary exponents
+    (``level_masses``, or a search of the x-order), y by binary exponents.
+    On a real measure every atom with x < |I| lies in the phase-0 staggered
+    square over y in [0, |I|), so that family reads the centred family's
+    level masses with that witness.  Returns (ladder levels, constant,
+    witness, per-n best ratios).  A range outside ``N_RANGE_BOUNDS`` raises
+    ValueError: above it 2^n overflows, below it a square shrinks to length 0.
     """
     n_min, n_max = n_range
     if n_min < N_RANGE_BOUNDS[0] or n_max > N_RANGE_BOUNDS[1]:
@@ -86,12 +88,12 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     ns = range(n_min, n_max + 1)
     lengths = [2.0**n for n in ns]
     denoms = [denom_of_length(length) for length in lengths]
-    if symmetric:
-        per_n, witnesses = _symmetric_level_sups(m, ns, lengths, denoms, part)
-    elif part == "full":
-        per_n, witnesses = _staggered_level_sups(m, ns, lengths, denoms)
-    else:
+    if not symmetric and part != "full":
         raise ValueError(f"staggered square families test full squares only, got {part!r}")
+    if symmetric or m.y is None:
+        per_n, witnesses = _symmetric_level_sups(m, ns, lengths, denoms, part, not symmetric)
+    else:
+        per_n, witnesses = _staggered_level_sups(m, ns, lengths, denoms)
     best = int(np.argmax(per_n))
     return dyadic_levels(per_n, n_min), float(per_n[best]), witnesses[best] or {}, per_n
 
@@ -104,22 +106,26 @@ def _square_report(name: str, m: AtomicMeasure, denom_of_length, n_range, symmet
     return ladder_report(name, constant, witness, levels, n_range=list(n_range), **diagnostics)
 
 
-def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, part: str):
+def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, part: str,
+                          staggered: bool = False):
     """Ratio and witness per dyadic length for the centred square (or its
-    right half).
+    right half), or for the staggered squares [0, |I|) of a real measure.
 
     On a real measure only x is read: the masses with x < 2^n (full) or
-    2^(n-1) <= x < 2^n (right half) are segments of the x-order between
-    ``searchsorted`` edges.  A complex atom is placed at the level it
-    enters: the first n with x < 2^n, -y <= 2^(n-1) and y < 2^(n-1), read
-    from binary exponents (``dyadic_index``).  The full squares are nested,
-    so their masses are cumulative sums; the right halves are disjoint.
+    2^(n-1) <= x < 2^n (right half) are the levels of ``level_masses``.  The
+    staggered family reads them in the x-order, sorting as its complex path
+    does, so no storage order changes its sums.  A complex atom is placed at
+    the level it enters: the first n with x < 2^n, -y <= 2^(n-1) and
+    y < 2^(n-1), read from binary exponents (``dyadic_index``).  The full
+    squares are nested, so their masses are cumulative sums; the right
+    halves are disjoint.
     """
     n_min, count = ns.start, len(ns)
     if m.y is None:
-        xs, ms, _ = m.x_order
-        low = lengths[0] / 2 if part == "right_half" else 0.0
-        masses = segment_sums(ms, np.searchsorted(xs, [low, *lengths], side="left"))
+        if part == "right_half":
+            masses = level_masses(m, n_min - 1, count + 1, strict=True)[1:-1]
+        else:
+            masses = level_masses(m, n_min, count, strict=True, in_x_order=staggered)[:-1]
     else:
         x_level = dyadic_index(m.x, n_min, count, strict=True)
         y_entry = np.maximum(dyadic_index(-m.y, n_min - 1, count, strict=False),
@@ -133,47 +139,43 @@ def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, pa
         masses = np.bincount(level, weights=m.masses, minlength=count + 1)[:-1]
     if part != "right_half":
         masses = np.cumsum(masses)
+    y_from = 0.0 if staggered else -0.5
     per_n, witnesses = [], []
     for n, length, denom, mass in zip(ns, lengths, denoms, masses.tolist()):
         positive = mass > 0
         per_n.append((math.inf if denom == 0 else mass / denom) if positive else 0.0)
-        witnesses.append({"n": n, "interval": [-length / 2, length / 2]} if positive else None)
+        witnesses.append({"n": n, "interval": [y_from * length, (y_from + 1) * length]}
+                         if positive else None)
     return per_n, witnesses
 
 
 def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms):
     """Best ratio and witness per dyadic length over two staggered phases of
-    dyadic translates.
+    dyadic translates, on a complex measure.
 
     The atoms with x < |I| are a prefix of the measure's x-order
-    (``AtomicMeasure.x_order``), cut by ``searchsorted``; a prefix's mass is
-    the cumulative sum of the segments between the cuts.  The phase bins
+    (``AtomicMeasure.x_order``), cut by ``searchsorted``.  The phase bins
     floor(y/|I| - phase) are monotone in y: when the lowest and the highest
     y of a prefix (running min and max) share a bin, every atom of the
-    prefix lies in it, and its mass is the prefix mass.  Only the other
-    levels bin their atoms (``_heaviest_bin``).  On a real measure every
-    prefix lies in bin 0 of phase 0 and bin -1 of phase 1/2, so no y is
-    read.
+    prefix lies in it, and its mass is the prefix sum, which adds the same
+    masses in the same order as ``bincount`` would.  Only the other levels
+    bin their atoms (``_heaviest_bin``).
     """
     xs, ms, order = m.x_order
+    ys = m.y[order]
     hi = np.searchsorted(xs, lengths, side="left")
     filled = np.flatnonzero(hi)  # the levels with atoms
-    totals = np.cumsum(segment_sums(ms, np.concatenate(([0], hi))))[filled].tolist()
+    tops = hi[filled] - 1  # the last atom of each of their prefixes
+    totals = np.cumsum(ms)[tops].tolist()
     # per phase and filled level: the one bin of all its atoms, or None
-    if m.y is None:
-        ys = None
-        one_bin = {0.0: [0] * filled.size, 0.5: [-1] * filled.size}
-    else:
-        ys = m.y[order]
-        tops = hi[filled] - 1  # the last atom of each filled prefix
-        scale = np.array(lengths)[filled]
-        y_low = np.minimum.accumulate(ys)[tops] / scale
-        y_high = np.maximum.accumulate(ys)[tops] / scale
-        one_bin = {}
-        for phase in (0.0, 0.5):
-            low, high = np.floor(y_low - phase), np.floor(y_high - phase)
-            one_bin[phase] = [k if same else None for k, same in
-                              zip(low.astype(np.int64).tolist(), (low == high).tolist())]
+    scale = np.array(lengths)[filled]
+    y_low = np.minimum.accumulate(ys)[tops] / scale
+    y_high = np.maximum.accumulate(ys)[tops] / scale
+    one_bin = {}
+    for phase in (0.0, 0.5):
+        low, high = np.floor(y_low - phase), np.floor(y_high - phase)
+        one_bin[phase] = [k if same else None for k, same in
+                          zip(low.astype(np.int64).tolist(), (low == high).tolist())]
     per_n, witnesses = [0.0] * len(lengths), [None] * len(lengths)
     for i, j in enumerate(filled.tolist()):
         n, length, denom, b = ns[j], lengths[j], denoms[j], hi[j]

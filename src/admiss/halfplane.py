@@ -31,7 +31,7 @@ from admiss.system_model import AtomicMeasure
 
 __all__ = [
     "dyadic_index",
-    "segment_sums",
+    "level_masses",
     "strip_masses",
     "balayage",
     "balayage_integral",
@@ -118,27 +118,42 @@ def dyadic_index(v: np.ndarray, n_first: int, count: int, strict: bool) -> np.nd
     return np.minimum(exp, count, out=exp)
 
 
-def segment_sums(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """sum(values[edges[i]:edges[i+1]]) per i, ``edges`` non-decreasing: one
-    ``np.add.reduceat`` over the non-empty segments, 0 for the empty ones."""
-    out = np.zeros(edges.size - 1)
+def level_masses(m: AtomicMeasure, n_first: int, count: int, strict: bool,
+                 in_x_order: bool = False) -> np.ndarray:
+    """Mass per level of ``dyadic_index(m.x, n_first, count, strict)``: the
+    ``count + 1`` bins cut by the powers 2^n_first ... 2^(n_first+count-1).
+
+    An x-ascending measure (a heat spectrum), or any measure when
+    ``in_x_order``, is cut at the ``searchsorted`` edges of those powers in
+    its x-order (``AtomicMeasure.x_order``), and each non-empty segment is
+    summed by one ``np.add.reduceat``; any other is binned in storage order
+    by ``bincount``, so the pass takes no sort.
+    """
+    if not (in_x_order or m.x_ascending):
+        return np.bincount(dyadic_index(m.x, n_first, count, strict), weights=m.masses,
+                           minlength=count + 1)
+    xs, ms, _ = m.x_order
+    edges = np.searchsorted(xs, 2.0 ** np.arange(n_first, n_first + count),
+                            side="left" if strict else "right")
+    edges = np.concatenate(([0], edges, [len(m)]))
+    out = np.zeros(count + 1)
     filled = np.flatnonzero(edges[1:] > edges[:-1])
-    out[filled] = np.add.reduceat(values[:edges[-1]], edges[filled])
+    out[filled] = np.add.reduceat(ms, edges[filled])
     return out
 
 
 def strip_masses(m: AtomicMeasure, n_min: int, n_max: int) -> list[tuple[int, float]]:
     """Mass per dyadic strip S_n = { 2^(n-1) < Re z <= 2^n }, n in [n_min, n_max].
 
-    The strips depend on Re z only: they are the segments of the x-order
-    between the ``searchsorted`` edges (side "right") of 2^(n_min-1) ... 2^n_max;
-    atoms below, above or on the imaginary axis (Re z = 0) lie in none.
+    The strips depend on Re z only: they are the levels of ``level_masses``
+    cut by 2^(n_min-1) ... 2^n_max; atoms below, above or on the imaginary
+    axis fall in the two end bins, which are dropped.
     """
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
-    xs, ms, _ = m.x_order
-    edges = np.searchsorted(xs, 2.0 ** np.arange(n_min - 1, n_max + 1), side="right")
-    return list(zip(range(n_min, n_max + 1), segment_sums(ms, edges).tolist()))
+    count = n_max - n_min + 1
+    out = level_masses(m, n_min - 1, count + 1, strict=False)[1:-1]
+    return list(zip(range(n_min, n_max + 1), out.tolist()))
 
 
 def balayage(m: AtomicMeasure, t) -> np.ndarray | float:

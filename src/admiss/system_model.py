@@ -209,13 +209,28 @@ class AtomicMeasure:
         """Imaginary parts of the locations (a view), None on a real measure."""
         return None if self.locations.dtype.kind == "f" else self.locations.imag
 
+    _source = None  # the measure this one was ``transformed`` from: the same locations
+
+    @functools.cached_property
+    def x_ascending(self) -> bool:
+        """Whether x ascends in storage order, as a heat spectrum's does."""
+        if self._source is not None:
+            return self._source.x_ascending
+        return bool((self.x[1:] >= self.x[:-1]).all())
+
     @functools.cached_property
     def x_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice]:
-        """(x ascending, masses in that order, the order); an x-sorted measure is read in place."""
-        if (self.x[1:] >= self.x[:-1]).all():
+        """(x ascending, masses in that order, the order): read in place when
+        ``x_ascending``, else one stable argsort, shared with the measures
+        ``transformed`` from this one."""
+        if self.x_ascending:
             return self.x, self.masses, slice(None)
-        order = np.argsort(self.x, kind="stable")
-        return self.x[order], self.masses[order], order
+        if self._source is not None:
+            xs, _, order = self._source.x_order
+        else:
+            order = np.argsort(self.x, kind="stable")
+            xs = self.x[order]
+        return xs, self.masses[order], order
 
     @functools.cached_property
     def sector_angle(self) -> float:
@@ -231,8 +246,10 @@ class AtomicMeasure:
     def transformed(self, mass_factors: np.ndarray) -> "AtomicMeasure":
         """New measure with per-atom mass multipliers (same locations, checked
         once when this measure was built)."""
-        return AtomicMeasure._at_checked_locations(
+        m = AtomicMeasure._at_checked_locations(
             self.locations, self.masses * np.asarray(mass_factors, dtype=float))
+        object.__setattr__(m, "_source", self if self._source is None else self._source)
+        return m
 
 
 def spectral_measure(sys: DiagonalSystem) -> AtomicMeasure:

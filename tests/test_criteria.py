@@ -499,35 +499,76 @@ def test_staggered_sups_of_a_sorted_measure_match_a_permutation(on_axis):
         assert got == _square_family_sup(in_order, denom, (-6, 10), False)
 
 
-# real atoms in no order, at exact powers of two, at 0 and between, with
-# masses that are not integers: the level pass sums them in x-order, the
-# complex binning path in the given order, so they agree to rounding
+# real atoms at exact powers of two, at 0 and between, with masses that are
+# not integers: an x-ascending measure (or the staggered family) sums them
+# by segment of the x-order, the complex symmetric path in storage order
 _REAL_ATOMS = st.lists(st.tuples(_ATOM_X, st.floats(0.0, 4.0)), min_size=1, max_size=40)
 
 
 @pytest.mark.parametrize("symmetric, part",
                          [(True, "full"), (True, "right_half"), (False, "full")])
-@given(atoms=_REAL_ATOMS, n_min=st.integers(-6, 3), span=st.integers(0, 12),
-       denom=st.sampled_from(_DENOMS))
+@given(atoms=_REAL_ATOMS, ascending=st.booleans(), n_min=st.integers(-6, 3),
+       span=st.integers(0, 12), denom=st.sampled_from(_DENOMS))
 @settings(max_examples=150, deadline=None)
-def test_real_level_pass_matches_complex_binning(symmetric, part, atoms, n_min, span, denom):
+def test_real_level_pass_matches_complex_binning(symmetric, part, atoms, ascending, n_min, span,
+                                                 denom):
+    if ascending:
+        atoms = sorted(atoms)
     x = np.array([a for a, _ in atoms])
     real = AtomicMeasure(x, np.array([mass for _, mass in atoms]))
     as_complex = AtomicMeasure._at_checked_locations(x + 0j, real.masses)
     assert real.y is None and as_complex.y is not None
     n_range = (n_min, n_min + span)
     levels, constant, witness, per_n = _square_family_sup(real, denom, n_range, symmetric, part)
-    want = _square_family_sup(as_complex, denom, n_range, symmetric, part)
+    for want in (_square_family_sup(as_complex, denom, n_range, symmetric, part),
+                 _square_family_sup_reference(real, denom, n_range, symmetric, part)):
+        assert witness == want[2]
+        assert constant == pytest.approx(want[1], rel=1e-14, abs=0)
+        assert levels == pytest.approx(want[0], rel=1e-14, abs=0)
+        assert per_n == pytest.approx(want[3], rel=1e-14, abs=0)
+
+
+# complex atoms with masses that are not integers, zero included: a level
+# whose atoms share one bin reads a prefix sum, which must add the masses
+# as the binning of the other phase does, or equal phases tie by rounding
+_ROUNDING_ATOMS = st.tuples(
+    st.lists(st.tuples(_ATOM_X, st.just(0.0), st.sampled_from([0.0, 0.1, 0.7, 1.3])),
+             min_size=1, max_size=30),
+    st.lists(st.tuples(_ATOM_X, _ATOM_Y, st.sampled_from([0.0, 0.1, 0.7])), min_size=1,
+             max_size=6)).map(lambda parts: parts[0] + parts[1])
+
+
+@pytest.mark.parametrize("symmetric, part",
+                         [(True, "full"), (True, "right_half"), (False, "full")])
+@given(atoms=_ROUNDING_ATOMS, n_min=st.integers(-6, 3), span=st.integers(0, 12),
+       denom=st.sampled_from(_DENOMS))
+@settings(max_examples=150, deadline=None)
+def test_complex_square_families_with_rounding_masses_match_the_scan(symmetric, part, atoms,
+                                                                     n_min, span, denom):
+    m = AtomicMeasure.from_atoms([(complex(x, y), mass) for x, y, mass in atoms])
+    n_range = (n_min, n_min + span)
+    levels, constant, witness, per_n = _square_family_sup(m, denom, n_range, symmetric, part)
+    want = _square_family_sup_reference(m, denom, n_range, symmetric, part)
     assert witness == want[2]
     assert constant == pytest.approx(want[1], rel=1e-14, abs=0)
     assert levels == pytest.approx(want[0], rel=1e-14, abs=0)
     assert per_n == pytest.approx(want[3], rel=1e-14, abs=0)
 
 
+def test_staggered_phases_of_equal_mass_tie_exactly():
+    # at |I| = 2 phase 0 holds every atom (a prefix sum) and phase 1/2 all but
+    # the massless one (a bincount); both add 0.1 + 0.2 + 0.3 left to right,
+    # which rounds above 0.1 + (0.2 + 0.3), so the tie must go to phase 0
+    m = AtomicMeasure.from_atoms([(0.5, 0.1), (1.5, 0.2), (1.5, 0.3), (0.5 + 1j, 0.0)])
+    got = _square_family_sup(m, lambda length: length, (0, 3), False)
+    assert got == _square_family_sup_reference(m, lambda length: length, (0, 3), False)
+    assert got[2] == {"n": 1, "interval": [0.0, 2.0]}
+
+
 def test_sweep_orders_and_gates_each_measure_once(monkeypatch, capsys):
     from admiss.cli import main
 
-    built = {"x_order": [], "sector_angle": []}
+    built = {"x_ascending": [], "x_order": [], "sector_angle": []}
     for name, calls in built.items():
         prop = AtomicMeasure.__dict__[name]
 
@@ -536,7 +577,8 @@ def test_sweep_orders_and_gates_each_measure_once(monkeypatch, capsys):
             return build(m)
 
         monkeypatch.setattr(prop, "func", counted)
-    # a real spectrum out of x-order: the order takes an argsort
+    # a real spectrum out of x-order: C3 and C4 bin it in storage order, the
+    # staggered C2 sorts it once
     eigenvalues = [[-float(k * k), 0.0] for k in (5, 1, 9, 2, 7, 3, 8, 4, 6, 10)]
     system = json.dumps({"eigenvalues": eigenvalues, "coeffs": [[1.0, 0.0]] * 10, "q": 2})
     code = main(["sweep", "--system", system, "--space", '{"kind":"Lp","p":2}', "--param", "p",
@@ -545,8 +587,8 @@ def test_sweep_orders_and_gates_each_measure_once(monkeypatch, capsys):
     assert code in (0, 2, 3)
     assert {row.split(",")[1] for row in rows} == {"C2", "C3", "C4"}
     # eight rows share the system's measure: one order, one sector angle
-    assert [len(calls) for calls in built.values()] == [1, 1]
-    assert built["x_order"][0] is built["sector_angle"][0]
+    assert [len(calls) for calls in built.values()] == [1, 1, 1]
+    assert built["x_ascending"][0] is built["x_order"][0] is built["sector_angle"][0]
 
 
 def _dense_r1(sys, zen, n_res, points_per_decade=8):

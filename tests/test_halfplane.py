@@ -15,8 +15,8 @@ from admiss.halfplane import (
     balayage_norm,
     blaschke_products,
     dyadic_index,
+    level_masses,
     pseudo_hyperbolic,
-    segment_sums,
     strip_masses,
 )
 from admiss.system_model import AtomicMeasure, heat_system, spectral_measure
@@ -91,42 +91,42 @@ _STRIP_X = st.one_of(
 
 @given(atoms=st.lists(st.tuples(_STRIP_X, st.floats(-10.0, 10.0), st.integers(0, 4)),
                       min_size=1, max_size=40),
-       n_min=st.integers(-14, 10), span=st.integers(0, 20))
+       n_min=st.integers(-14, 10), span=st.integers(0, 20),
+       mass_scale=st.sampled_from([1.0, 0.3]), ascending=st.booleans())
 @settings(max_examples=200)
-def test_strip_masses_matches_per_strip_scan(atoms, n_min, span):
-    # integer masses make every sum exact in any order
-    m = AtomicMeasure.from_atoms([(complex(x, y), mass) for x, y, mass in atoms])
+def test_strip_masses_matches_per_strip_scan(atoms, n_min, span, mass_scale, ascending):
+    # integer masses make every sum exact in any order; scaled by 0.3 they
+    # round, and an x-ascending measure is summed by segment, not in order
+    if ascending:
+        atoms = sorted(atoms)
+    m = AtomicMeasure.from_atoms([(complex(x, y), mass * mass_scale) for x, y, mass in atoms])
     x = m.locations.real
     want = [(n, float(m.masses[(x > 2.0 ** (n - 1)) & (x <= 2.0**n)].sum()))
             for n in range(n_min, n_min + span + 1)]
-    assert strip_masses(m, n_min, n_min + span) == want
-
-
-@given(values=st.lists(st.floats(0.0, 1e6), max_size=30), data=st.data())
-@settings(max_examples=200)
-def test_segment_sums_match_slice_sums(values, data):
-    v = np.array(values)
-    edges = np.sort(data.draw(st.lists(st.integers(0, v.size), min_size=1, max_size=12)))
-    want = [float(v[a:b].sum()) for a, b in zip(edges, edges[1:])]
-    assert segment_sums(v, edges).tolist() == pytest.approx(want, rel=1e-14, abs=0)
-    assert len(segment_sums(v, edges)) == len(edges) - 1
+    got = strip_masses(m, n_min, n_min + span)
+    if mass_scale == 1.0:
+        assert got == want
+    else:
+        assert [n for n, _ in got] == [n for n, _ in want]
+        assert [v for _, v in got] == pytest.approx([v for _, v in want], rel=1e-14, abs=0)
 
 
 @given(atoms=st.lists(st.tuples(_STRIP_X, st.floats(0.0, 4.0)), min_size=1, max_size=40),
-       n_min=st.integers(-14, 10), span=st.integers(0, 20))
+       n_first=st.integers(-14, 10), count=st.integers(0, 20), strict=st.booleans(),
+       ascending=st.booleans(), in_x_order=st.booleans())
 @settings(max_examples=200)
-def test_strip_masses_of_real_measures_match_complex_storage_and_a_scan(atoms, n_min, span):
-    # atoms in no order, with masses that sum differently in another order
-    x = np.array([a for a, _ in atoms])
-    m = AtomicMeasure(x, np.array([mass for _, mass in atoms]))
-    as_complex = AtomicMeasure._at_checked_locations(x + 0j, m.masses)
-    assert m.y is None and as_complex.y is not None
-    got = strip_masses(m, n_min, n_min + span)
-    assert strip_masses(as_complex, n_min, n_min + span) == got
-    want = [float(m.masses[(x > 2.0 ** (n - 1)) & (x <= 2.0**n)].sum())
-            for n in range(n_min, n_min + span + 1)]
-    assert [n for n, _ in got] == list(range(n_min, n_min + span + 1))
-    assert [v for _, v in got] == pytest.approx(want, rel=1e-14, abs=0)
+def test_level_masses_match_binary_exponent_binning(atoms, n_first, count, strict, ascending,
+                                                    in_x_order):
+    if ascending:
+        atoms = sorted(atoms)
+    m = AtomicMeasure(np.array([x for x, _ in atoms]), np.array([mass for _, mass in atoms]))
+    want = np.bincount(dyadic_index(m.x, n_first, count, strict), weights=m.masses,
+                       minlength=count + 1).tolist()
+    got = level_masses(m, n_first, count, strict, in_x_order).tolist()
+    if in_x_order or m.x_ascending:  # summed by segment of the x-order
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+    else:  # binned in storage order, as ``want``
+        assert got == want
 
 
 def test_balayage_delta1_at_zero():

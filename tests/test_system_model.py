@@ -71,6 +71,18 @@ def test_transformed_keeps_locations_and_checks_masses():
             m.transformed(factors)
 
 
+def test_transformed_measures_share_the_x_order():
+    m = AtomicMeasure(np.array([3.0, 1.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0, 4.0]))
+    twice = m.transformed([1.0, 10.0, 100.0, 1000.0]).transformed([2.0, 2.0, 2.0, 2.0])
+    assert not twice.x_ascending
+    xs, ms, order = twice.x_order
+    # one stable argsort, taken on the first measure and read by the other
+    assert "x_order" in m.__dict__ and xs is m.x_order[0] and order is m.x_order[2]
+    assert xs.tolist() == [1.0, 1.0, 2.0, 3.0] and ms.tolist() == [40.0, 8000.0, 600.0, 2.0]
+    ascending = AtomicMeasure(np.array([1.0, 2.0]), np.array([1.0, 1.0])).transformed([2.0, 3.0])
+    assert ascending.x_order[0] is ascending.x and ascending.x_order[1] is ascending.masses
+
+
 def test_system_arrays_read_only():
     # complex input stays complex; the heat system is float-stored
     lam = np.array([-1 + 0j, -2 + 1j])
