@@ -352,9 +352,9 @@ def embedding_value(sys: DiagonalSystem, f: TestFunction) -> float:
 def _embeddings(sys: DiagonalSystem, fs: list[TestFunction]) -> np.ndarray:
     """``embedding_value`` of every test function in ``fs``.
 
-    A single term c t^(N-1) e^(-lam t) is |c| times its one ``kernel_sums``
-    value.  The mixtures share one table of their distinct kernels
-    (N, lam): row (N, lam) holds the kernel's transform Gamma(N)
+    A single term c t^(N-1) e^(-lam t) is |c| times its ``kernel_sums``
+    value, one call per order N.  The mixtures share one table of their
+    distinct kernels (N, lam): row (N, lam) holds the kernel's transform Gamma(N)
     (lam - lambda_k)^(-N) at every atom, and the mixtures' transforms are
     the product of their coefficient matrix with the table.  The table is
     formed one block of atoms at a time, so memory stays O(_BLOCK_ENTRIES)
@@ -362,13 +362,15 @@ def _embeddings(sys: DiagonalSystem, fs: list[TestFunction]) -> np.ndarray:
     the spectrum, the rates and the coefficients are all real.
     """
     out = np.empty(len(fs))
-    mixtures = []
+    mixtures, singles = [], {}
     for i, f in enumerate(fs):
         if len(f.terms) == 1:
-            c, n, lam = f.terms[0]
-            out[i] = abs(c) * _kernel_embeddings(sys, n, lam)[0]
+            singles.setdefault(f.terms[0][1], []).append(i)
         else:
             mixtures.append(i)
+    for n, members in singles.items():
+        coef = np.abs([fs[i].terms[0][0] for i in members])
+        out[members] = coef * _kernel_embeddings(sys, n, [fs[i].terms[0][2] for i in members])
     if not mixtures:
         return out
     kernels = list(dict.fromkeys((n, lam) for i in mixtures for _, n, lam in fs[i].terms))

@@ -233,6 +233,13 @@ class AtomicMeasure:
         return xs, self.masses[order], order
 
     @functools.cached_property
+    def taylor_bins(self) -> tuple | None:
+        """``halfplane.taylor_bins`` of a real measure, None on a complex one."""
+        from admiss.halfplane import taylor_bins  # halfplane imports this module
+
+        return None if self.y is not None else taylor_bins(self)
+
+    @functools.cached_property
     def sector_angle(self) -> float:
         return max_sector_angle(self)  # the sector gate's, taken once per measure
 

@@ -12,6 +12,7 @@ import math
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,3 +312,214 @@ def test_c4_resolvent_sequence_matches_pre_change_loop(name, p):
     want = float((resolvent**r_s).sum() ** (1 / r_s))
     seq = dyadic_kernel_sequence(m, ns, p, q)
     assert float((seq**r_s).sum() ** (1 / r_s)) == pytest.approx(want, rel=RTOL)
+
+
+# -- Taylor bins of real measures ----------------------------------------------
+
+def _fsum_reference(points, m, power):
+    """Every term summed exactly by ``math.fsum``: the dense sum's rounding
+    is left out of the reference."""
+    out = []
+    for z in np.atleast_1d(points):
+        terms = m.masses * ((z.real + m.x) ** 2 + z.imag**2) ** power
+        out.append(math.fsum(terms.tolist()))
+    return np.array(out)
+
+
+def _expand_every_bin():
+    # every bin with an atom expands, and every call expands
+    return mock.patch.multiple(halfplane, _TAYLOR_MIN_ATOMS=1, _TAYLOR_MIN_WORK=0)
+
+
+_POSITIVE = st.floats(-3.0, 9.0).map(lambda e: 10.0**e)
+_MASS = st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+_COORD = st.one_of(st.just(0.0), st.floats(-3.0, 10.0).map(lambda e: 10.0**e))
+
+
+@given(pool=st.lists(_POSITIVE, min_size=1, max_size=8),
+       picks=st.lists(st.tuples(st.integers(0, 7), _MASS), min_size=1, max_size=60),
+       at_zero=st.one_of(st.none(), st.floats(0.0, 10.0)), ascending=st.booleans(),
+       points=st.lists(st.tuples(_COORD, _COORD, st.booleans()), min_size=1, max_size=10),
+       power=st.sampled_from([-0.25, -0.5, -0.75, -1.0, -1.5, -2.0, -2.5, -3.0]))
+@settings(max_examples=300, deadline=None)
+def test_expanded_kernel_sums_match_exact_sums(pool, picks, at_zero, ascending, points, power):
+    # atoms repeat from a small pool over twelve decades with masses over
+    # twelve decades and zeros, with or without an atom at x = 0; points on
+    # and off the axis and on Re z = 0, and z = 0 when no atom sits there
+    atoms = [(pool[i % len(pool)], mass) for i, mass in picks]
+    z = [complex(a, -b if flip else b) for a, b, flip in points]
+    if at_zero is None:
+        z.append(0j)
+    else:
+        atoms.append((0.0, at_zero))
+        z = [p for p in z if p != 0] or [1j]
+    if ascending:
+        atoms.sort(key=lambda atom: atom[0])
+    m = AtomicMeasure(np.array([x for x, _ in atoms]), np.array([mass for _, mass in atoms]))
+    z = np.array(z)
+    with _expand_every_bin():
+        got = kernel_sums(z, m, power)
+    assert m.taylor_bins is not None
+    want = _fsum_reference(z, m, power)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@given(points=st.lists(st.floats(-3.0, 12.0), min_size=1, max_size=20),
+       power=st.sampled_from([-0.25, -0.5, -1.0, -2.0, -3.0, -4.0]))
+@settings(max_examples=40, deadline=None)
+def test_expanded_heat_sums_match_exact_sums(points, power):
+    # the default bin threshold on a heat spectrum: sparse low modes summed
+    # densely, every bin above them expanded
+    m = spectral_measure(heat_system(20_000))
+    z = 10.0 ** np.array(points)
+    z = np.concatenate((z, z * (1 + 0.7j)))
+    with mock.patch.object(halfplane, "_TAYLOR_MIN_WORK", 0):
+        got = kernel_sums(z, m, power)
+    centres, _, _, rest_x, _ = m.taylor_bins
+    assert centres.size > 10 and 0 < rest_x.size < 2000
+    np.testing.assert_allclose(got, _fsum_reference(z, m, power), rtol=1e-13, atol=0)
+
+
+def _cauchy_bound(eps, terms, power):
+    rho = np.linspace(eps, 1, 20_001)[1:-1]
+    return float((((1 + eps) / (1 - rho)) ** (2 * abs(power)) * (eps / rho) ** terms
+                  / (1 - eps / rho)).min())
+
+
+def _package_powers():
+    # R1: -N for the weights' resolvent powers; R7: alpha - 1; the oracle at
+    # q = 2: -N for its sweep orders (L^p, Sobolev up to beta = 2, weighted
+    # L^2, powerL2 1 - alpha) and its Monte-Carlo members (N = 1)
+    r1 = {WeightFunction(zen, "unchecked").resolvent_power()
+          for zen in (hardy(), bergman(0.0), bergman(0.5), bergman(1.0), bergman(1.99))}
+    sweep = {math.floor(beta + 0.5) + 1 for beta in (0.25, 0.5, 1.0, 2.0)}
+    sweep |= {WeightFunction(zen, "unchecked").resolvent_power(minimum=1)
+              for zen in (hardy(), bergman(0.5))}
+    alphas = (0.0, 0.25, 0.5, 0.9, 0.99)
+    return sorted({-float(n) for n in r1 | sweep | {1}} | {a - 1 for a in alphas})
+
+
+@pytest.mark.parametrize("power", _package_powers())
+def test_truncation_bound_holds_at_every_power_the_package_passes(power):
+    terms = halfplane._taylor_terms(power)
+    assert terms is not None and terms <= halfplane._TAYLOR_TERMS
+    eps = (halfplane._TAYLOR_RATIO - 1) / (halfplane._TAYLOR_RATIO + 1)
+    assert eps == pytest.approx(1 / 8, rel=1e-15)
+    assert _cauchy_bound(eps * (1 + 1e-12), terms, power) <= 2.0**-53
+    # the tail of the Taylor series itself, in 40-digit arithmetic, for one
+    # atom at the edge of a bin whose centre is 1 and point a + i b: at most
+    # the bound's share of that atom's term.  (s^2 + b^2)^p is
+    # (s - i b)^p (s + i b)^p, so its coefficients at t are the convolution of
+    # two binomial series.
+    with mpmath.workdps(40):
+        for a, b in ((0, 0), (0, 0.3), (0, 1), (0.5, 2), (0, 10)):
+            t = mpmath.mpf(a) + 1
+            series = [[mpmath.binomial(power, j) * w ** (power - j) for j in range(terms)]
+                      for w in (t - 1j * b, t + 1j * b)]
+            coeffs = [mpmath.fsum(series[0][i] * series[1][j - i] for i in range(j + 1)).real
+                      for j in range(terms)]
+            for h in (-eps, eps):
+                exact = (((t + h) ** 2 + mpmath.mpf(b) ** 2)) ** power
+                partial = mpmath.fsum(coeffs[j] * mpmath.mpf(h) ** j for j in range(terms))
+                assert abs(exact - partial) / exact <= 2.0**-53
+
+
+def test_powers_past_the_bound_are_summed_densely():
+    assert halfplane._taylor_terms(-5.0) is None
+    m = spectral_measure(heat_system(2000))
+    z = log_space(0.1, 1e8, 8)
+    with mock.patch.object(halfplane, "_taylor_sums", side_effect=AssertionError):
+        kernel_sums(z, m, -5.0)
+        kernel_sums(z, m, 0.5)
+
+
+def _block_reference(z, m, power):
+    # today's dense path in one block: points on the axis, then off it
+    on_axis = z.imag == 0 if m.y is None else np.zeros(z.size, dtype=bool)
+    out = np.empty(z.size)
+    for flag in (True, False):
+        idx = np.flatnonzero(on_axis == flag)
+        if idx.size:
+            out[idx] = halfplane._block_sums(z.real[idx], None if flag else z.imag[idx], m.x,
+                                             m.y, m.masses, power)
+    return out
+
+
+@pytest.mark.parametrize("power", [-2.0, -1.0, -0.5, 0.5, 1.0])
+def test_dense_rows_are_the_block_sums_bit_for_bit(power):
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(1, 1e4, 3000))
+    masses = rng.uniform(0, 2, 3000)
+    real = AtomicMeasure(x, masses)
+    complex_ = AtomicMeasure(x + 1j * rng.uniform(-50, 50, 3000), masses)
+    z_axis = np.unique(rng.uniform(0.1, 1e4, 64))
+    z_off = np.unique(rng.uniform(0.1, 1e4, 64)) + 3j
+    with _expand_every_bin():
+        # a complex-stored measure never expands
+        for z in (z_axis + 0j, z_off):
+            assert np.array_equal(kernel_sums(z, complex_, power),
+                                  _block_reference(z, complex_, power))
+        # nor do powers >= 0 or points with Re z < 0 on a real measure
+        left = -z_axis[::-1]
+        assert np.array_equal(kernel_sums(left, real, power), _block_reference(left, real, power))
+        if power >= 0:
+            assert np.array_equal(kernel_sums(z_axis, real, power),
+                                  _block_reference(z_axis, real, power))
+            assert np.array_equal(kernel_sums(z_off, real, power),
+                                  _block_reference(z_off, real, power))
+    assert "taylor_bins" not in complex_.__dict__ and complex_.taylor_bins is None
+
+
+def test_measure_without_a_bin_to_expand_gives_the_dense_sums():
+    # 30 atoms over six decades: no bin holds _TAYLOR_MIN_ATOMS atoms
+    m = AtomicMeasure(np.geomspace(1, 1e6, 30), np.linspace(0.5, 2, 30))
+    z = log_space(1e-2, 1e8, 30)
+    with mock.patch.object(halfplane, "_TAYLOR_MIN_WORK", 0):
+        got = kernel_sums(z, m, -1.0)
+    assert m.taylor_bins is None
+    assert np.array_equal(got, _block_reference(z + 0j, m, -1.0))
+
+
+def test_kernel_sums_memory_over_a_million_real_atoms():
+    # the first call also builds the bins and their moments; x ascends, as a
+    # heat spectrum's does, so the x-order is read in place
+    rng = np.random.default_rng(7)
+    m = AtomicMeasure(np.sort(rng.uniform(0.1, 1e6, 10**6)), rng.uniform(0, 2, 10**6))
+    z = log_space(1e-3, 1e8, 10)
+    z = np.concatenate((z, z + 1j * z))
+    tracemalloc.start()
+    try:
+        kernel_sums(z, m, -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.taylor_bins is not None
+    assert peak < 8 * 2**20
+
+
+def test_moments_are_built_once_per_measure():
+    sys_ = heat_system(20_000)
+    calls = []
+    real_bins = halfplane.taylor_bins
+
+    def counted(m):
+        calls.append(m)
+        return real_bins(m)
+
+    with mock.patch.object(halfplane, "taylor_bins", counted):
+        resolvent_ratio(sys_, hardy(), 3.0 + 1j, 2)
+        kernel_condition_sweep(sys_, InputSpace("Lp", p=1.5))
+        kernel_sums(log_space(1, 1e6, 20), spectral_measure(sys_), -0.5)
+    assert len(calls) == 1
+
+
+def test_single_terms_share_one_kernel_sum_per_order():
+    sys_ = _system("heat1d")
+    fs = [TestFunction.exp(2.0), TestFunction.poly_exp(2, 0.5), _MIXTURES[0],
+          TestFunction.exp(0.25 - 3j), TestFunction.mix([(-0.5, 2, 4.0)]),
+          TestFunction.power_exp(0.5, 1.0)]
+    with mock.patch("admiss.laplace_oracle.kernel_sums", wraps=kernel_sums) as spy:
+        got = _embeddings(sys_, fs)
+    assert spy.call_count == 3  # orders 1, 2 and 1/2
+    want = [_pre_embedding_value(sys_, f) for f in fs]
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)

@@ -1,17 +1,22 @@
-"""Compare the manifests of fixed ``admiss check`` and ``admiss sweep`` runs
-between two checkouts.
+"""Compare the manifests of fixed ``admiss check``, ``sweep`` and ``oracle``
+runs between two checkouts.
 
     python3 tools/manifest_parity.py <checkout A> <checkout B>
 
-Every run of ``ARGVS`` (heat1d at K = 10^3, 2 10^5 and 10^6; L^p, Sobolev,
-powerL2 and weightedL2 spaces; grids -10:45 and -20:40) is made with
-``--format json`` in one fresh interpreter per checkout that imports that
-checkout's ``src/``.  Its stdout is the run's manifest; ``wall_clock``, the
-one field that differs between reruns, is dropped before the manifests are
-compared as text.  The script prints one line per run that differs or
-exits differently, then the count of identical manifests and the largest
-relative difference between two constants at the same place in both
-manifests.  It exits 0 when every manifest is identical, else 1.
+The runs of ``ARGVS`` are heat1d ``check`` and ``sweep`` at K = 10^3,
+2 10^5 and 10^6 (L^p, Sobolev, powerL2 and weightedL2 spaces; grids -10:45
+and -20:40), the kernel-sums benchmark's ``check`` runs (weightedL2 hardy
+and bergman:0.5 at K = 5 10^3, powerL2 alpha = 0.25 and 0.5 at K = 10^5)
+and ``oracle`` runs at K = 10^4 (L^p p = 1.5 and 3, powerL2 alpha = 0.5,
+weightedL2 hardy).  Each is made with ``--format json`` in one fresh
+interpreter per checkout that imports that checkout's ``src/``.  Its
+stdout is the run's manifest; ``wall_clock``, the one field that differs
+between reruns, is dropped before the manifests are compared as text.
+The script prints one line per run that differs, marked ``FLIP`` when an
+exit code or a verdict differs, then the count of identical manifests, the
+count of flips and the largest relative difference between two constants
+at the same place in both manifests.  It exits 1 on any flip or on a
+relative constant difference above ``CONSTANT_RTOL``, else 0.
 """
 
 from __future__ import annotations
@@ -37,6 +42,22 @@ SWEEPS = (
     ({"kind": "Lp", "p": 2}, "p", "1.2,1.3,1.3333333333333333,1.4,1.5,2,3,4"),
     ({"kind": "sobolev", "p": 2, "beta": 0.5}, "beta", "0.25,0.5,1,2"),
 )
+# (modes, space) of the kernel-sums benchmark's ``check`` runs, on its grid
+KERNEL_CHECKS = (
+    (5_000, {"kind": "weightedL2", "measure": "hardy"}),
+    (5_000, {"kind": "weightedL2", "measure": "bergman:0.5"}),
+    (100_000, {"kind": "powerL2", "alpha": 0.25}),
+    (100_000, {"kind": "powerL2", "alpha": 0.5}),
+)
+ORACLE_MODES = 10_000
+ORACLE_SPACES = (
+    {"kind": "Lp", "p": 1.5},
+    {"kind": "Lp", "p": 3},
+    {"kind": "powerL2", "alpha": 0.5},
+    {"kind": "weightedL2", "measure": "hardy"},
+)
+# largest relative difference of two constants at the same place that passes
+CONSTANT_RTOL = 1e-13
 
 
 def _argvs() -> list[list[str]]:
@@ -48,6 +69,12 @@ def _argvs() -> list[list[str]]:
             argvs += [["check", *common, "--space", json.dumps(space)] for space in CHECK_SPACES]
             argvs += [["sweep", *common, "--space", json.dumps(space), "--param", param,
                        "--values", values] for space, param, values in SWEEPS]
+    for modes, space in KERNEL_CHECKS:
+        argvs.append(["check", "--system", json.dumps({"generator": "heat1d", "modes": modes}),
+                      "--grid=-20:40", "--format", "json", "--space", json.dumps(space)])
+    system = json.dumps({"generator": "heat1d", "modes": ORACLE_MODES})
+    argvs += [["oracle", "--system", system, "--space", json.dumps(space), "--mix-size", "64",
+               "--format", "json"] for space in ORACLE_SPACES]
     return argvs
 
 
@@ -80,17 +107,17 @@ def run_all(checkout: Path) -> list[tuple[int, dict]]:
     return results
 
 
-def constant_pairs(a, b):
-    """(a, b) of every ``constant`` field found at the same place in both trees."""
+def field_pairs(a, b, name):
+    """(a, b) of every field called ``name`` found at the same place in both trees."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in a.keys() & b.keys():
-            if key == "constant" and isinstance(a[key], float) and isinstance(b[key], float):
+            if key == name:
                 yield a[key], b[key]
             else:
-                yield from constant_pairs(a[key], b[key])
+                yield from field_pairs(a[key], b[key], name)
     elif isinstance(a, list) and isinstance(b, list):
         for x, y in zip(a, b):
-            yield from constant_pairs(x, y)
+            yield from field_pairs(x, y, name)
 
 
 def main() -> int:
@@ -98,19 +125,23 @@ def main() -> int:
         print(__doc__, file=sys.stderr)
         return 2
     first, second = (run_all(Path(arg).resolve()) for arg in sys.argv[1:])
-    identical, worst = 0, 0.0
+    identical, flips, worst = 0, 0, 0.0
     for argv, (code_a, man_a), (code_b, man_b) in zip(ARGVS, first, second):
         same = code_a == code_b and json.dumps(man_a, sort_keys=True) == json.dumps(
             man_b, sort_keys=True)
         identical += same
-        for a, b in constant_pairs(man_a, man_b):
-            if a != b:
+        for a, b in field_pairs(man_a, man_b, "constant"):
+            if isinstance(a, float) and isinstance(b, float) and a != b:
                 worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+        flip = code_a != code_b or any(a != b for a, b in field_pairs(man_a, man_b, "verdict"))
+        flips += flip
         if not same:
-            print(f"differs (exit {code_a} vs {code_b}): admiss {' '.join(argv)}")
+            print(f"{'FLIP' if flip else 'differs'} (exit {code_a} vs {code_b}): "
+                  f"admiss {' '.join(argv)}")
     print(f"{identical} of {len(ARGVS)} manifests identical apart from wall_clock; "
+          f"{flips} with an exit code or verdict flip; "
           f"largest relative constant difference {worst:.3g}")
-    return 0 if identical == len(ARGVS) else 1
+    return 0 if flips == 0 and worst <= CONSTANT_RTOL else 1
 
 
 if __name__ == "__main__":
