@@ -142,10 +142,12 @@ def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, pa
     y_from = 0.0 if staggered else -0.5
     per_n, witnesses = [], []
     for n, length, denom, mass in zip(ns, lengths, denoms, masses.tolist()):
-        positive = mass > 0
-        per_n.append((math.inf if denom == 0 else mass / denom) if positive else 0.0)
+        ratio = (math.inf if denom == 0 else mass / denom) if mass > 0 else 0.0
+        per_n.append(ratio)
+        # a staggered square is a witness only where its ratio beats 0, as
+        # on the complex path (a subnormal mass over 2 rounds to 0)
         witnesses.append({"n": n, "interval": [y_from * length, (y_from + 1) * length]}
-                         if positive else None)
+                         if (ratio if staggered else mass) > 0 else None)
     return per_n, witnesses
 
 

@@ -65,11 +65,10 @@ def __getattr__(name: str):
 # ``blaschke_products``: 2 MB of float64 per temporary, which stays in cache (2^16
 # to 2^20 measured alike, 2^21 and 2^22 slower)
 _BLOCK_ENTRIES = 1 << 18
-# Taylor bins (``taylor_bins``): bin ratio 9/7, so half-width / centre = 1/8;
-# most terms (moments per bin); fewest atoms a bin expands (it costs a point
-# up to _TAYLOR_TERMS terms against one per atom); fewest (point, atom) pairs
-# a call expands, below which the per-term numpy calls cost more; and the
-# span 2^(+-100), inside which D^power of ``_taylor_sums`` stays normal
+# Taylor bins: ratio 9/7 (half-width / centre 1/8); most terms; fewest atoms
+# a bin expands (a bin costs a point up to _TAYLOR_TERMS terms); fewest
+# (point, atom) pairs a call expands (below it per-term numpy calls cost
+# more); the span 2^(+-100) in which D^power of ``_taylor_sums`` stays normal
 _TAYLOR_RATIO = 9 / 7
 _TAYLOR_TERMS = 28
 _TAYLOR_MIN_ATOMS = _TAYLOR_TERMS
@@ -225,35 +224,26 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
     |Re z + w_k| is raised to 2 power, which saves the squaring and a square
     root.  A complex-stored measure takes the general path for every point.
 
-    On a real measure, at a power that ``_taylor_terms`` bounds, with at
-    least _TAYLOR_MIN_WORK (point, atom) pairs and every point in
-    Re z >= 0, |z| < 2^100, the points sum the bins of
-    ``AtomicMeasure.taylor_bins`` from their moments (``_taylor_sums``) and
-    only the other atoms one by one.
+    On a real measure at a power that ``_taylor_terms`` bounds, with
+    _TAYLOR_MIN_WORK (point, atom) pairs or more and every point in
+    Re z >= 0, |z| < 2^100, the bins of ``AtomicMeasure.taylor_bins`` are
+    summed from their moments (``_taylor_sums``) and only the other atoms
+    one by one.
     """
     z = np.atleast_1d(np.asarray(points, dtype=complex))
-    if m.y is not None:
-        return _dense_sums(z, m.x, m.y, m.masses, power)
-    z, back = np.unique(z.real + 1j * np.abs(z.imag), return_inverse=True)
-    bins = None
-    if (power < 0 and _taylor_terms(power) and z.size * len(m) >= _TAYLOR_MIN_WORK
-            and z.real.min() >= 0 and np.abs(z).max() < _TAYLOR_SPAN):
-        bins = m.taylor_bins
-    if bins is None:
-        return _dense_sums(z, m.x, None, m.masses, power)[back]
-    centres, halves, moments, rest_x, rest_m = bins
-    return (_taylor_sums(z, centres, halves, moments, power)
-            + _dense_sums(z, rest_x, None, rest_m, power))[back]
-
-
-def _dense_sums(z: np.ndarray, u: np.ndarray, v: np.ndarray | None, masses: np.ndarray,
-                power: float) -> np.ndarray:
-    """``kernel_sums`` at the points z over every atom u + i v (v None: real
-    atoms, z already folded), one ``_block_sums`` block at a time."""
+    u, v, masses = m.x, m.y, m.masses
+    real, taylor = v is None, None
+    if real:
+        z, back = np.unique(z.real + 1j * np.abs(z.imag), return_inverse=True)
+        if (power < 0 and _taylor_terms(power) and z.size * len(m) >= _TAYLOR_MIN_WORK
+                and z.real.min() >= 0 and np.abs(z).max() < _TAYLOR_SPAN
+                and m.taylor_bins is not None):
+            centres, halves, moments, u, masses = m.taylor_bins
+            taylor = _taylor_sums(z, centres, halves, moments, power)
     cols = min(max(1, u.size), _BLOCK_ENTRIES)
     rows = _BLOCK_ENTRIES // cols
     # over atoms off the axis every point takes the general path, in its order
-    on_axis_points = z.imag == 0 if v is None else np.zeros(z.size, dtype=bool)
+    on_axis_points = z.imag == 0 if real else np.zeros(z.size, dtype=bool)
     sums = np.empty(z.size)
     for on_axis in (True, False):
         idx = np.flatnonzero(on_axis_points == on_axis)
@@ -262,42 +252,40 @@ def _dense_sums(z: np.ndarray, u: np.ndarray, v: np.ndarray | None, masses: np.n
             block = slice(i, i + rows)
             sums[idx[block]] = sum(
                 _block_sums(re[block], None if on_axis else im[block], u[k:k + cols],
-                            None if v is None else v[k:k + cols], masses[k:k + cols], power)
+                            None if real else v[k:k + cols], masses[k:k + cols], power)
                 for k in range(0, u.size, cols))
-    return sums
+    if taylor is not None:
+        sums += taylor
+    return sums[back] if real else sums
 
 
 @functools.cache
 def _taylor_terms(power: float) -> int | None:
-    """Fewest terms J <= _TAYLOR_TERMS that truncate every bin's sum to
-    within 2^-53 of it at this power, or None.
+    """Fewest terms J <= _TAYLOR_TERMS that truncate every bin's sum within
+    2^-53 of it at this power, or None.
 
-    Atoms u of a bin lie within h of its centre c, h <= eps c, eps = 1/8 (with
-    a margin for rounding).  At a + i b, a >= 0, g(s) = (s^2 + b^2)^power is
-    analytic for |s - t| < R = |t + i b|, t = a + c >= c, so h <= eps R.  By
-    Cauchy's estimate on |s - t| = rho R the terms from J on are at most
+    A bin's atoms u lie within h <= eps c of its centre c, eps = 1/8 (plus a
+    rounding margin).  At a + i b, a >= 0, g(s) = (s^2 + b^2)^power is
+    analytic for |s - t| < R = |t + i b|, t = a + c, so h <= eps R; Cauchy's
+    estimate on |s - t| = rho R puts the terms from J on within
     ((1 + eps) / (1 - rho))^(2 |power|) (eps / rho)^J / (1 - eps / rho) of
-    g(u) >= ((1 + eps) R)^(2 power); the bound is minimised over rho.
+    g(u) >= ((1 + eps) R)^(2 power), here at the best rho of a grid.
     """
     eps = (_TAYLOR_RATIO - 1) / (_TAYLOR_RATIO + 1) * (1 + 2.0**-40)
-    rho = np.linspace(eps, 1, 258)[1:-1]
-    for terms in range(1, _TAYLOR_TERMS + 1):
-        bound = ((1 + eps) / (1 - rho)) ** (-2 * power) * (eps / rho) ** terms / (1 - eps / rho)
-        if bound.min() <= 2.0**-53:
-            return terms
-    return None
+    rho, terms = np.linspace(eps, 1, 258)[1:-1], np.arange(1, _TAYLOR_TERMS + 1)[:, None]
+    bound = ((1 + eps) / (1 - rho)) ** (-2 * power) * (eps / rho) ** terms / (1 - eps / rho)
+    met = np.flatnonzero(bound.min(axis=1) <= 2.0**-53)
+    return int(met[0]) + 1 if met.size else None
 
 
 def taylor_bins(m: AtomicMeasure) -> tuple | None:
     """(centres, half-widths, moments, x and masses of the other atoms) of
     the bins [x0 r^i, x0 r^(i+1)) of a real measure, or None if none expands.
 
-    x0 is the least positive atom and r = _TAYLOR_RATIO; the bins are cut at
-    ``searchsorted`` edges of the x-order, as in ``level_masses``.  A bin of
-    at least _TAYLOR_MIN_ATOMS atoms inside [2^-100, 2^100] keeps its
-    moments M_j = sum_k m_k ((u_k - c) / h)^j, j < _TAYLOR_TERMS, formed a
-    block of atoms at a time (memory O(_BLOCK_ENTRIES)); the atoms at x = 0
-    and in other bins are left to the dense sum.
+    x0 is the least positive atom, r = _TAYLOR_RATIO, and the bins are cut
+    at ``searchsorted`` edges of the x-order.  A bin inside [2^-100, 2^100]
+    of _TAYLOR_MIN_ATOMS atoms or more keeps M_j = sum_k m_k ((u_k - c) / h)^j,
+    j < _TAYLOR_TERMS, formed a block of atoms at a time.
     """
     xs, ms, _ = m.x_order
     first = int(np.searchsorted(xs, 0.0, side="right"))
@@ -319,10 +307,9 @@ def taylor_bins(m: AtomicMeasure) -> tuple | None:
     stop, block = cuts[expand[-1] + 1], _BLOCK_ENTRIES // 4 or 1
     for k in range(cuts[expand[0]], stop, block):
         seg = np.clip(cuts, k, min(k + block, stop))
-        sizes = np.diff(seg)
-        held = np.flatnonzero(sizes)
-        xi = xs[k:seg[-1]] - np.repeat(centres[held], sizes[held])
-        xi /= np.repeat(halves[held], sizes[held])
+        held = np.flatnonzero(np.diff(seg))
+        sizes = np.diff(seg)[held]
+        xi = (xs[k:seg[-1]] - np.repeat(centres[held], sizes)) / np.repeat(halves[held], sizes)
         term = ms[k:seg[-1]].copy()
         moments[held, 0] += np.add.reduceat(term, seg[held] - k)
         for j in range(1, _TAYLOR_TERMS):
@@ -335,23 +322,21 @@ def taylor_bins(m: AtomicMeasure) -> tuple | None:
 
 def _taylor_sums(z: np.ndarray, centres: np.ndarray, halves: np.ndarray,
                  moments: np.ndarray, power: float) -> np.ndarray:
-    """sum over bins of sum_(j < J) G_j M_j at each z = a + i b, a >= 0,
-    J = ``_taylor_terms(power)``, G_j = g^(j)(t) h^j / j! for
-    g(s) = (s^2 + b^2)^power and t = a + c.
+    """sum over bins of sum_(j < J) G_j M_j at each z = a + i b, a >= 0, for
+    J = ``_taylor_terms(power)`` and G_j = g^(j)(t) h^j / j!, t = a + c.
 
     (s^2 + b^2) g' = 2 power s g gives, with D = t^2 + b^2, G_0 = D^power,
     G_-1 = 0 and (j + 1) D G_(j+1) = 2 t h (power - j) G_j
-    + h^2 (2 power - j + 1) G_(j-1): one real recurrence on and off the axis.
-    It runs on F_j = G_j / kappa_j, kappa_(j+1) = kappa_j (power - j) / (j + 1),
-    as F_(j+1) = U F_j + gamma_j W F_(j-1), U = 2 t h / D, W = h^2 / D; the
-    kappa_j scale the moments.
+    + h^2 (2 power - j + 1) G_(j-1), on and off the axis alike.  It runs on
+    F_j = G_j / kappa_j, kappa_(j+1) = kappa_j (power - j) / (j + 1), as
+    F_(j+1) = U F_j + gamma_j W F_(j-1) with U = 2 t h / D, W = h^2 / D.
     """
     terms = _taylor_terms(power)
     j = np.arange(terms - 1.0)
     c1 = (power - j) / (j + 1)
-    gamma = (2 * power - j[1:] + 1) / (j[1:] + 1) / (c1[1:] * c1[:-1])
+    gamma = (2 * power - j + 1) / (j + 1) / (c1 * np.concatenate(([1.0], c1[:-1])))
     weighted = moments[:, :terms] * np.concatenate(([1.0], np.cumprod(c1)))
-    rows = max(1, _BLOCK_ENTRIES // (4 * centres.size))
+    rows = max(1, _BLOCK_ENTRIES // (5 * centres.size))
     out = np.empty(z.size)
     for i in range(0, z.size, rows):
         u = z.real[i:i + rows, None] + centres
@@ -360,20 +345,14 @@ def _taylor_sums(z: np.ndarray, centres: np.ndarray, halves: np.ndarray,
         u *= 2 * halves
         u /= d
         w = np.divide(halves * halves, d)
-        older, old = None, _power_in_place(d, power)
-        s = old @ weighted[:, 0]
-        tmp = np.empty_like(old)
-        for k in range(1, terms):
-            if older is None:
-                new = np.multiply(u, old)
-            else:  # F_k overwrites F_(k-2)
-                new = older
-                new *= w
-                new *= gamma[k - 2]
-                new += np.multiply(u, old, out=tmp)
-            s += new @ weighted[:, k]
-            older, old = old, new
-        out[i:i + rows] = s
+        older, old, tmp = np.zeros_like(d), _power_in_place(d, power), np.empty_like(d)
+        out[i:i + rows] = old @ weighted[:, 0]
+        for k in range(1, terms):  # F_k overwrites F_(k-2)
+            older *= w
+            older *= gamma[k - 1]
+            older += np.multiply(u, old, out=tmp)
+            out[i:i + rows] += older @ weighted[:, k]
+            older, old = old, older
     return out
 
 
@@ -490,8 +469,7 @@ def _integrate_with_breaks(f, lo: float, hi: float, breaks: np.ndarray) -> tuple
     """
     pts = np.sort(np.concatenate(([lo, hi], breaks[(breaks > lo) & (breaks < hi)])))
     a, b = pts[:-1], pts[1:]
-    nonempty = a < b  # repeated breaks: the panels between distinct points
-    a, b = a[nonempty], b[nonempty]
+    a, b = a[a < b], b[a < b]  # the panels of ``np.unique(pts)``, at less cost
     done_value = done_error = 0.0
     done_panels = 0
     while True:
@@ -500,12 +478,9 @@ def _integrate_with_breaks(f, lo: float, hi: float, breaks: np.ndarray) -> tuple
         values = f(nodes.ravel())
         # one row of 21 node values per (panel, component)
         rows = np.swapaxes(values.reshape(*nodes.shape, -1), 1, 2).reshape(-1, nodes.shape[1])
-        sums = (rows @ _GK_WEIGHTS).reshape(a.size, -1, 2)
-        sums *= half[:, None, None]
-        # per (panel, component): the Kronrod value and, in place of the
-        # Gauss value, the error estimate
-        kronrod, errors = sums[..., 0], sums[..., 1]
-        np.abs(np.subtract(kronrod, errors, out=errors), out=errors)
+        sums = (rows @ _GK_WEIGHTS).reshape(a.size, -1, 2) * half[:, None, None]
+        kronrod = sums[..., 0]
+        errors = np.abs(kronrod - sums[..., 1])
         value = done_value + kronrod.sum(axis=0)
         error = done_error + errors.sum(axis=0)
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(value))
