@@ -9,9 +9,9 @@ of the package, sum_k m_k |z + w_k|^(2 power) over the atoms w_k and masses
 m_k of a measure: the resolvent criteria R1 and R7 and their pointwise
 quotients, the dyadic kernel sequence (``dyadic_kernel_sequence``), and the
 oracle's kernel sweep and single-kernel embedding values.  On a real measure
-at -4 <= power < 0 (every call the package makes) a point sums geometric
-bins of atoms from their Taylor moments, cached on the measure, to within
-2^-53 of each bin's sum: O(bins), not O(atoms).
+at -4 <= power < 0 (R1, R7 and the oracle's kernels at q = 2) a point sums
+geometric bins of atoms from their Taylor moments, cached on the measure,
+to within 2^-53 of each bin's sum: O(bins), not O(atoms).
 
 ``balayage_norm`` is the one balayage quadrature, and ``balayage_integral``
 is its s = 1 case.  It uses a vectorised adaptive Gauss-Kronrod 10/21 rule
@@ -237,8 +237,8 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
         z, back = np.unique(z.real + 1j * np.abs(z.imag), return_inverse=True)
         if (power < 0 and _taylor_terms(power) and z.size * len(m) >= _TAYLOR_MIN_WORK
                 and z.real.min() >= 0 and np.abs(z).max() < _TAYLOR_SPAN
-                and m.taylor_bins is not None):
-            centres, halves, moments, u, masses = m.taylor_bins
+                and (bins := m.taylor_bins) is not None):
+            centres, halves, moments, u, masses = bins
             taylor = _taylor_sums(z, centres, halves, moments, power)
     cols = min(max(1, u.size), _BLOCK_ENTRIES)
     rows = _BLOCK_ENTRIES // cols
