@@ -94,8 +94,18 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
         per_n, witnesses = _symmetric_level_sups(m, ns, lengths, denoms, part, not symmetric)
     else:
         per_n, witnesses = _staggered_level_sups(m, ns, lengths, denoms)
-    best = int(np.argmax(per_n))
-    return dyadic_levels(per_n, n_min), float(per_n[best]), witnesses[best] or {}, per_n
+    best = max(per_n)
+    witness = witnesses[int(np.argmax(per_n))]
+    # the level pass adds masses in another order than a scan of the atoms
+    # as stored, so ratios that tie exactly may round either way: levels
+    # within the rounding of two sums of nonnegative masses and a division,
+    # (atoms + 2) 2^-51 relative, are scanned and the first best names the
+    # witness (a complex staggered level may also tie two of its bins)
+    near = [i for i, r in enumerate(per_n) if r >= best * (1 - (len(m) + 2) * 2.0**-51)]
+    if 0 < best < math.inf and (len(near) > 1 or not (symmetric or m.y is None)):
+        scans = [_scanned_level(m, ns[i], lengths[i], denoms[i], symmetric, part) for i in near]
+        witness = max(scans, key=lambda scan: scan[0])[1]  # the first of equal maxima
+    return dyadic_levels(per_n, n_min), float(best), witness or {}, per_n
 
 
 def _square_report(name: str, m: AtomicMeasure, denom_of_length, n_range, symmetric: bool,
@@ -193,6 +203,31 @@ def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms):
                     lo_y = (k_bin + phase) * length
                     witnesses[j] = {"n": n, "interval": [lo_y, lo_y + length]}
     return per_n, witnesses
+
+
+def _scanned_level(m: AtomicMeasure, n: int, length: float, denom: float, symmetric: bool,
+                   part: str) -> tuple[float, dict | None]:
+    """Ratio and witness of one dyadic length from a scan of every atom in
+    storage order: a centred square's mass is one ``sum``, a staggered
+    bin's a ``bincount`` (``_heaviest_bin``), phase 0 first."""
+    x_lo = length / 2 if part == "right_half" else 0.0
+    inside = (m.x >= x_lo) & (m.x < length)
+    y = np.zeros(len(m)) if m.y is None else m.y
+    if symmetric:
+        inside &= (y >= -length / 2) & (y < length / 2)
+        found = [(-0.5, float(m.masses[inside].sum()))]
+    else:
+        found = []
+        for phase in (0.0, 0.5):
+            bins = np.floor(y[inside] / length - phase).astype(np.int64)
+            k, mass = _heaviest_bin(bins, m.masses[inside])
+            found.append((k + phase, mass))
+    best, witness = 0.0, None
+    for lo, mass in found:
+        ratio = (math.inf if denom == 0 else mass / denom) if mass > 0 else 0.0
+        if ratio > best:
+            best, witness = ratio, {"n": n, "interval": [lo * length, (lo + 1) * length]}
+    return best, witness
 
 
 def _heaviest_bin(bins: np.ndarray, weights: np.ndarray) -> tuple[int, float]:

@@ -388,10 +388,8 @@ def test_report_json_serializable():
     assert "bounded-evidence" in text
 
 
-def _square_family_sup_reference(m, denom_of_length, n_range, symmetric, part="full",
-                                 per_level_witnesses=False):
-    """Per-level mask loop: every level scans every atom.  With
-    ``per_level_witnesses`` it returns the witness of every level instead."""
+def _square_family_sup_reference(m, denom_of_length, n_range, symmetric, part="full"):
+    """Per-level mask loop: every level scans every atom."""
     n_min, n_max = n_range
     x, y, masses = m.locations.real, m.locations.imag, m.masses
     per_n, witnesses = [], []
@@ -408,10 +406,7 @@ def _square_family_sup_reference(m, denom_of_length, n_range, symmetric, part="f
                 best = math.inf if denom == 0 else mass / denom
                 best_witness = {"n": n, "interval": [-length / 2, length / 2]}
         elif in_depth.any():
-            # in the x-order, so each bin adds its masses in the order of the
-            # level pass's prefix sums, and rounding breaks ties alike
-            order = np.argsort(x[in_depth], kind="stable")
-            ys, ms = y[in_depth][order], masses[in_depth][order]
+            ys, ms = y[in_depth], masses[in_depth]
             for phase in (0.0, 0.5):
                 bins = np.floor(ys / length - phase).astype(np.int64)
                 uniq, inv = np.unique(bins, return_inverse=True)
@@ -426,8 +421,6 @@ def _square_family_sup_reference(m, denom_of_length, n_range, symmetric, part="f
                         best_witness = {"n": n, "interval": [lo, lo + length]}
         per_n.append(best)
         witnesses.append(best_witness)
-    if per_level_witnesses:
-        return [w or {} for w in witnesses]
     per_n_arr = np.asarray(per_n)
     levels = [float(per_n_arr[: cut - n_min + 1].max()) for cut in ladder_cuts(n_min, n_max)]
     best_idx = int(np.argmax(per_n_arr))
@@ -512,17 +505,6 @@ def test_staggered_sups_of_a_sorted_measure_match_a_permutation(on_axis):
 _REAL_ATOMS = st.lists(st.tuples(_ATOM_X, st.floats(0.0, 4.0)), min_size=1, max_size=40)
 
 
-def _assert_reference_witness(witness, m, denom, n_range, symmetric, part):
-    """The witness is the reference's or, where levels tie within the 1e-14
-    that the ratios are compared to, the reference witness of a tied level:
-    sums in another order may round either way, so either level wins."""
-    _, constant, want, per_n = _square_family_sup_reference(m, denom, n_range, symmetric, part)
-    if witness != want:
-        witnesses = _square_family_sup_reference(m, denom, n_range, symmetric, part, True)
-        tied = [w for r, w in zip(per_n, witnesses) if r >= constant * (1 - 1e-14)]
-        assert len(tied) > 1 and witness in tied
-
-
 @pytest.mark.parametrize("symmetric, part",
                          [(True, "full"), (True, "right_half"), (False, "full")])
 @given(atoms=_REAL_ATOMS, ascending=st.booleans(), n_min=st.integers(-6, 3),
@@ -540,11 +522,10 @@ def test_real_level_pass_matches_complex_binning(symmetric, part, atoms, ascendi
     levels, constant, witness, per_n = _square_family_sup(real, denom, n_range, symmetric, part)
     for want in (_square_family_sup(as_complex, denom, n_range, symmetric, part),
                  _square_family_sup_reference(real, denom, n_range, symmetric, part)):
-        _assert_reference_witness(want[2], real, denom, n_range, symmetric, part)
+        assert witness == want[2]
         assert constant == pytest.approx(want[1], rel=1e-14, abs=0)
         assert levels == pytest.approx(want[0], rel=1e-14, abs=0)
         assert per_n == pytest.approx(want[3], rel=1e-14, abs=0)
-    _assert_reference_witness(witness, real, denom, n_range, symmetric, part)
 
 
 # complex atoms with masses that are not integers, zero included: a level
@@ -568,10 +549,28 @@ def test_complex_square_families_with_rounding_masses_match_the_scan(symmetric, 
     n_range = (n_min, n_min + span)
     levels, constant, witness, per_n = _square_family_sup(m, denom, n_range, symmetric, part)
     want = _square_family_sup_reference(m, denom, n_range, symmetric, part)
-    _assert_reference_witness(witness, m, denom, n_range, symmetric, part)
+    assert witness == want[2]
     assert constant == pytest.approx(want[1], rel=1e-14, abs=0)
     assert levels == pytest.approx(want[0], rel=1e-14, abs=0)
     assert per_n == pytest.approx(want[3], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("atoms, n_range, symmetric", [
+    # 0.8 / sqrt(2) at n = 1 and 1.6 / sqrt(8) at n = 3 tie exactly; summed
+    # in storage order the n = 3 mass rounds up, by levels it rounds down
+    ([(4.0, 0.0, 0.7), (0.0, 0.0, 0.7), (1.0, 0.0, 0.1), (2.0, 0.0, 0.1)], (1, 3), True),
+    # 0.8 / 1 at n = 0 and 1.6 / 2 at n = 2, the staggered prefix sums in x-order
+    ([(0.0, 0.0, 0.7), (0.0, 0.0, 0.1), (2.0, 0.5, 0.7), (1.0, 0.0, 0.1)], (0, 2), False),
+])
+def test_levels_that_tie_by_rounding_name_the_scans_witness(atoms, n_range, symmetric):
+    m = AtomicMeasure.from_atoms([(complex(x, y), mass) for x, y, mass in atoms])
+    # as built (float-stored when every atom is on the axis) and complex-stored
+    for measure in (m, AtomicMeasure._at_checked_locations(m.locations + 0j, m.masses)):
+        got = _square_family_sup(measure, lambda length: length**0.5, n_range, symmetric)
+        want = _square_family_sup_reference(measure, lambda length: length**0.5, n_range,
+                                            symmetric)
+        assert got[2] == want[2] == {"n": n_range[1], "interval": got[2]["interval"]}
+        assert got[1] == pytest.approx(want[1], rel=1e-15, abs=0)
 
 
 def test_staggered_phases_of_equal_mass_tie_exactly():

@@ -212,61 +212,6 @@ def test_gauss_kronrod_matches_quad_reference(seed):
     assert value == pytest.approx(reference, rel=1e-10)
 
 
-def _integrate_with_breaks_reference(f, lo, hi, breaks):
-    """The integrator's bookkeeping as it was written first: the panels from
-    ``np.unique`` of the breakpoints, and fresh arrays for every Kronrod
-    value, error estimate and running total."""
-    gk_nodes, gk_weights = halfplane._GK_NODES, halfplane._GK_WEIGHTS
-    pts = np.unique(np.concatenate(([lo, hi], breaks[(breaks > lo) & (breaks < hi)])))
-    a, b = pts[:-1], pts[1:]
-    done_value = done_error = 0.0
-    done_panels = 0
-    while True:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes = mid[:, None] + half[:, None] * gk_nodes
-        values = f(nodes.ravel())
-        rows = np.swapaxes(values.reshape(*nodes.shape, -1), 1, 2).reshape(-1, nodes.shape[1])
-        sums = (rows @ gk_weights).reshape(a.size, -1, 2) * half[:, None, None]
-        kronrod = sums[..., 0]
-        errors = np.abs(kronrod - sums[..., 1])
-        value = done_value + kronrod.sum(axis=0)
-        error = done_error + errors.sum(axis=0)
-        tol = np.maximum(halfplane._EPSABS, halfplane._EPSREL * np.abs(value))
-        if (error <= tol).all():
-            break
-        accept = (errors <= (tol - done_error) / a.size).all(axis=1)
-        n_split = a.size - np.count_nonzero(accept)
-        if done_panels + a.size + n_split > halfplane._GK_MAX_PANELS:
-            break
-        done_value = done_value + kronrod[accept].sum(axis=0)
-        done_error = done_error + errors[accept].sum(axis=0)
-        done_panels += a.size - n_split
-        split = ~accept
-        a, mid, b = a[split], mid[split], b[split]
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-    converged = bool((error <= tol).all())
-    if values.ndim == 1:
-        return float(value[0]), float(error[0]), converged
-    return value, error, converged
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_gauss_kronrod_bookkeeping_is_bit_identical_to_the_reference(seed):
-    # one and several components, repeated breakpoints, one pass and many
-    rng = np.random.default_rng(seed)
-    measures = [_random_measure(rng) for _ in range(3)]
-    breaks = np.concatenate([m.locations.imag for m in measures] + [[0.0, 0.0, 1.5]])
-    scalar = lambda t: balayage(measures[0], t) ** 1.5  # noqa: E731
-    vector = lambda t: np.stack([balayage(m, t) ** 2 for m in measures], axis=1)  # noqa: E731
-    smooth = lambda t: np.exp(-t * t)  # noqa: E731
-    for f, lo, hi in ((scalar, -40.0, 40.0), (vector, -40.0, 40.0), (smooth, -3.0, 3.0)):
-        got = halfplane._integrate_with_breaks(f, lo, hi, breaks)
-        want = _integrate_with_breaks_reference(f, lo, hi, breaks)
-        assert got[2] == want[2]
-        for g, w in zip(got[:2], want[:2]):
-            assert np.array_equal(g, w) and np.asarray(g).dtype == np.asarray(w).dtype
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_gauss_kronrod_vector_components_match_scalar_calls(seed):
     # a vector integral refines a panel until every component meets its

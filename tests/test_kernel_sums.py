@@ -15,7 +15,6 @@ import math
 import tracemalloc
 from unittest import mock
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -405,6 +404,8 @@ def _package_powers():
 
 @pytest.mark.parametrize("power", _package_powers())
 def test_truncation_bound_holds_at_every_power_the_package_passes(power):
+    import mpmath  # only this test needs it
+
     terms = halfplane._taylor_terms(power)
     assert terms is not None and terms <= halfplane._TAYLOR_TERMS
     eps = (halfplane._TAYLOR_RATIO - 1) / (halfplane._TAYLOR_RATIO + 1)
