@@ -161,19 +161,21 @@ def main() -> int:
     first, second = (run_all(Path(arg).resolve()) for arg in sys.argv[1:])
     identical, flips, failed, worst = 0, 0, 0, 0.0
     for argv, (code_a, man_a, real_a), (code_b, man_b, real_b) in zip(ARGVS, first, second):
-        moved = drift(man_a, man_b)
-        same = code_a == code_b and moved == 0.0
+        same_text = json.dumps(man_a, sort_keys=True) == json.dumps(man_b, sort_keys=True)
+        same = code_a == code_b and same_text
         identical += same
-        flip = code_a != code_b or any(a != b for a, b in field_pairs(man_a, man_b, "verdict"))
-        flips += flip
-        allowed = FLOAT_RTOL if real_a or real_b else 0.0
-        failed += flip or moved > allowed
+        moved = 0.0 if same_text else drift(man_a, man_b)
         if moved < math.inf:
             worst = max(worst, moved)
+        flip = code_a != code_b or any(a != b for a, b in field_pairs(man_a, man_b, "verdict"))
+        flips += flip
+        kernel = real_a or real_b
+        fails = flip or (moved > FLOAT_RTOL if kernel else not same)
+        failed += fails
         if not same:
-            kind = "FLIP" if flip else "differs" if moved > allowed else "drifts"
+            kind = "FLIP" if flip else "differs" if fails else "drifts"
             print(f"{kind} (exit {code_a} vs {code_b}, relative {moved:.3g}"
-                  f"{'' if allowed else ', no real-measure kernel sum'}): "
+                  f"{'' if kernel else ', no real-measure kernel sum'}): "
                   f"admiss {' '.join(argv)}")
     print(f"{identical} of {len(ARGVS)} manifests identical apart from wall_clock; "
           f"{flips} with an exit code or verdict flip; {failed} failing; "
