@@ -77,9 +77,19 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     (``level_masses``, or a search of the x-order), y by binary exponents.
     On a real measure every atom with x < |I| lies in the phase-0 staggered
     square over y in [0, |I|), so that family reads the centred family's
-    level masses with that witness.  Returns (ladder levels, constant,
-    witness, per-n best ratios).  A range outside ``N_RANGE_BOUNDS`` raises
-    ValueError: above it 2^n overflows, below it a square shrinks to length 0.
+    level masses.  Returns (ladder levels, constant, witness, per-n best
+    ratios).  A range outside ``N_RANGE_BOUNDS`` raises ValueError: above it
+    2^n overflows, below it a square shrinks to length 0.
+
+    The witness is the first best level's square: [-|I|/2, |I|/2) for a
+    symmetric family if that level holds mass, [0, |I|) for a real
+    staggered family if its ratio beats 0, else none.  The level pass adds
+    masses in another order than a scan of the atoms as stored, so ratios
+    that tie exactly may round either way: when the best ratio beats 0 and
+    several levels lie within the rounding of two sums of nonnegative masses
+    and a division, (atoms + 2) 2^-51 relative, or the family is staggered
+    on a complex-stored measure (whose two phases may tie too), those levels
+    are scanned (``_scanned_level``) and the first best names the witness.
     """
     n_min, n_max = n_range
     if n_min < N_RANGE_BOUNDS[0] or n_max > N_RANGE_BOUNDS[1]:
@@ -90,19 +100,20 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     denoms = [denom_of_length(length) for length in lengths]
     if not symmetric and part != "full":
         raise ValueError(f"staggered square families test full squares only, got {part!r}")
-    if symmetric or m.y is None:
-        per_n, witnesses = _symmetric_level_sups(m, ns, lengths, denoms, part, not symmetric)
+    staggered_complex = not (symmetric or m.y is None)
+    if staggered_complex:
+        masses = _staggered_level_masses(m, lengths)
     else:
-        per_n, witnesses = _staggered_level_sups(m, ns, lengths, denoms)
+        masses = _symmetric_level_masses(m, ns, part, not symmetric)
+    per_n = [(math.inf if denom == 0 else mass / denom) if mass > 0 else 0.0
+             for mass, denom in zip(masses, denoms)]
     best = max(per_n)
-    witness = witnesses[int(np.argmax(per_n))]
-    # the level pass adds masses in another order than a scan of the atoms
-    # as stored, so ratios that tie exactly may round either way: levels
-    # within the rounding of two sums of nonnegative masses and a division,
-    # (atoms + 2) 2^-51 relative, are scanned and the first best names the
-    # witness (a complex staggered level may also tie two of its bins)
+    first = per_n.index(best)
+    y_from, length = (-0.5 if symmetric else 0.0), lengths[first]
+    witness = ({"n": ns[first], "interval": [y_from * length, (y_from + 1) * length]}
+               if (masses[first] if symmetric else best) > 0 else None)
     near = [i for i, r in enumerate(per_n) if r >= best * (1 - (len(m) + 2) * 2.0**-51)]
-    if 0 < best < math.inf and (len(near) > 1 or not (symmetric or m.y is None)):
+    if best > 0 and (len(near) > 1 or staggered_complex):
         scans = [_scanned_level(m, ns[i], lengths[i], denoms[i], symmetric, part) for i in near]
         witness = max(scans, key=lambda scan: scan[0])[1]  # the first of equal maxima
     return dyadic_levels(per_n, n_min), float(best), witness or {}, per_n
@@ -116,10 +127,10 @@ def _square_report(name: str, m: AtomicMeasure, denom_of_length, n_range, symmet
     return ladder_report(name, constant, witness, levels, n_range=list(n_range), **diagnostics)
 
 
-def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, part: str,
-                          staggered: bool = False):
-    """Ratio and witness per dyadic length for the centred square (or its
-    right half), or for the staggered squares [0, |I|) of a real measure.
+def _symmetric_level_masses(m: AtomicMeasure, ns, part: str,
+                            staggered: bool = False) -> list[float]:
+    """Mass per dyadic length in the centred square (or its right half), or
+    in the staggered square [0, |I|) of a real measure.
 
     On a real measure only x is read: the masses with x < 2^n (full) or
     2^(n-1) <= x < 2^n (right half) are the levels of ``level_masses``.  The
@@ -143,26 +154,17 @@ def _symmetric_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms, pa
         if part == "right_half":
             # x < |I| at x_level, and |I|/2 <= x there: x_level > 0 means
             # x >= 2^n_min, so only the lowest level needs the test
-            level = np.where((m.x >= lengths[0] / 2) & (y_entry <= x_level), x_level, count)
+            level = np.where((m.x >= 2.0 ** (n_min - 1)) & (y_entry <= x_level), x_level, count)
         else:
             level = np.maximum(x_level, y_entry, out=x_level)
         masses = np.bincount(level, weights=m.masses, minlength=count + 1)[:-1]
     if part != "right_half":
         masses = np.cumsum(masses)
-    y_from = 0.0 if staggered else -0.5
-    per_n, witnesses = [], []
-    for n, length, denom, mass in zip(ns, lengths, denoms, masses.tolist()):
-        ratio = (math.inf if denom == 0 else mass / denom) if mass > 0 else 0.0
-        per_n.append(ratio)
-        # a staggered square is a witness only where its ratio beats 0, as
-        # on the complex path (a subnormal mass over 2 rounds to 0)
-        witnesses.append({"n": n, "interval": [y_from * length, (y_from + 1) * length]}
-                         if (ratio if staggered else mass) > 0 else None)
-    return per_n, witnesses
+    return masses.tolist()
 
 
-def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms):
-    """Best ratio and witness per dyadic length over two staggered phases of
+def _staggered_level_masses(m: AtomicMeasure, lengths: list[float]) -> list[float]:
+    """Heaviest bin's mass per dyadic length over two staggered phases of
     dyadic translates, on a complex measure.
 
     The atoms with x < |I| are a prefix of the measure's x-order
@@ -179,30 +181,22 @@ def _staggered_level_sups(m: AtomicMeasure, ns, lengths: list[float], denoms):
     filled = np.flatnonzero(hi)  # the levels with atoms
     tops = hi[filled] - 1  # the last atom of each of their prefixes
     totals = np.cumsum(ms)[tops].tolist()
-    # per phase and filled level: the one bin of all its atoms, or None
+    # per phase and filled level: whether all its atoms share one bin
     scale = np.array(lengths)[filled]
     y_low = np.minimum.accumulate(ys)[tops] / scale
     y_high = np.maximum.accumulate(ys)[tops] / scale
-    one_bin = {}
-    for phase in (0.0, 0.5):
-        low, high = np.floor(y_low - phase), np.floor(y_high - phase)
-        one_bin[phase] = [k if same else None for k, same in
-                          zip(low.astype(np.int64).tolist(), (low == high).tolist())]
-    per_n, witnesses = [0.0] * len(lengths), [None] * len(lengths)
+    one_bin = {phase: (np.floor(y_low - phase) == np.floor(y_high - phase)).tolist()
+               for phase in (0.0, 0.5)}
+    masses = [0.0] * len(lengths)
     for i, j in enumerate(filled.tolist()):
-        n, length, denom, b = ns[j], lengths[j], denoms[j], hi[j]
+        length, b = lengths[j], hi[j]
         for phase in (0.0, 0.5):
-            k_bin, mass = one_bin[phase][i], totals[i]
-            if k_bin is None:
+            mass = totals[i]
+            if not one_bin[phase][i]:
                 bins = np.floor(ys[:b] / length - phase).astype(np.int64)
-                k_bin, mass = _heaviest_bin(bins, ms[:b])
-            if mass > 0:
-                ratio = math.inf if denom == 0 else mass / denom
-                if ratio > per_n[j]:
-                    per_n[j] = ratio
-                    lo_y = (k_bin + phase) * length
-                    witnesses[j] = {"n": n, "interval": [lo_y, lo_y + length]}
-    return per_n, witnesses
+                mass = _heaviest_bin(bins, ms[:b])[1]
+            masses[j] = max(masses[j], mass)
+    return masses
 
 
 def _scanned_level(m: AtomicMeasure, n: int, length: float, denom: float, symmetric: bool,

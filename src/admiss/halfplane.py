@@ -215,17 +215,15 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
     such sum.  The squared distances are formed in real arithmetic, one
     block of (points x atoms) at a time; a block holds at most
     _BLOCK_ENTRIES entries, so memory stays O(_BLOCK_ENTRIES) whatever the
-    number of points and atoms.
+    number of points and atoms.  Atoms of mass 0 are left out, so one at a
+    point adds 0, not 0 * inf.
 
     On a real measure (float-stored, ``m.y`` None: the measure decided its
     realness when it was built, so no imaginary part is scanned here) the
     sums at z and conj(z) are equal, so the points are folded onto
     (Re z, |Im z|), each distinct folded point is summed once and the sums
     are scattered back: conjugate points get bit-identical sums.  There a
-    point off the axis adds (Im z)^2 as one scalar to every (Re z + w_k)^2
-    of its row; on the axis, for |power| < 1 with 4 power an integer,
-    |Re z + w_k| is raised to 2 power, which saves the squaring and a square
-    root.  A complex-stored measure takes the general path for every point.
+    point adds (Im z)^2 as one scalar to every (Re z + w_k)^2 of its row.
 
     On a real measure at a power that ``_taylor_terms`` bounds, with
     _TAYLOR_MIN_WORK (point, atom) pairs or more and every point in
@@ -243,20 +241,17 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
                 and (bins := m.taylor_bins) is not None):
             centres, halves, moments, u, masses = bins
             taylor = _taylor_sums(z, centres, halves, moments, power)
+    if not (held := masses > 0).all():
+        u, v, masses = u[held], None if real else v[held], masses[held]
     cols = min(max(1, u.size), _BLOCK_ENTRIES)
     rows = _BLOCK_ENTRIES // cols
-    # over atoms off the axis every point takes the general path, in its order
-    on_axis_points = z.imag == 0 if real else np.zeros(z.size, dtype=bool)
     sums = np.empty(z.size)
-    for on_axis in (True, False):
-        idx = np.flatnonzero(on_axis_points == on_axis)
-        re, im = z.real[idx], z.imag[idx]
-        for i in range(0, idx.size, rows):
-            block = slice(i, i + rows)
-            sums[idx[block]] = sum(
-                _block_sums(re[block], None if on_axis else im[block], u[k:k + cols],
-                            None if real else v[k:k + cols], masses[k:k + cols], power)
-                for k in range(0, u.size, cols))
+    for i in range(0, z.size, rows):
+        re, im = z.real[i:i + rows], z.imag[i:i + rows]
+        sums[i:i + rows] = sum(
+            _block_sums(re, im, u[k:k + cols], None if real else v[k:k + cols],
+                        masses[k:k + cols], power)
+            for k in range(0, u.size, cols))
     if taylor is not None:
         sums += taylor
     return sums[back] if real else sums
@@ -372,22 +367,18 @@ def dyadic_kernel_sequence(m: AtomicMeasure, ns, p: float, q: float) -> np.ndarr
     return 2.0 ** (ns / p) * kernel_sums(2.0**ns, m, -q / 2) ** (1 / q)
 
 
-def _block_sums(re: np.ndarray, im: np.ndarray | None, u: np.ndarray, v: np.ndarray | None,
+def _block_sums(re: np.ndarray, im: np.ndarray, u: np.ndarray, v: np.ndarray | None,
                 masses: np.ndarray, power: float) -> np.ndarray:
     """sum_k m_k |z + w_k|^(2 power) at z = re + i im over w_k = u_k + i v_k;
-    v is None for real atoms, and only then may im be None (z on the axis)."""
+    v is None for real atoms."""
     d = re[:, None] + u
-    quarters = 4 * power
-    if im is None and 0 < abs(quarters) < 4 and quarters == round(quarters):
-        np.abs(d, out=d)
-        return _power_in_place(d, 2 * power) @ masses
     d *= d
-    if v is not None:
+    if v is None:
+        d += (im * im)[:, None]
+    else:
         dy = im[:, None] + v
         dy *= dy
         d += dy
-    elif im is not None:
-        d += (im * im)[:, None]
     return _power_in_place(d, power) @ masses
 
 

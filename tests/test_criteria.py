@@ -552,6 +552,12 @@ _ROUNDING_ATOMS = st.tuples(
          span=2, denom=_DENOMS[0])
 @example(atoms=[(0.0, 0.0, 0.7), (0.0, 0.0, 0.1), (2.0, 0.5, 0.7), (1.0, 0.0, 0.1)], n_min=0,
          span=2, denom=_DENOMS[0])
+# at n = 0 the two phase-0 bins hold 0.3 + 0.2 + 0.1 and 0.3 + 0.3 over a
+# denominator 0: in storage order they tie and the lower bin [-1, 0) names
+# the infinite level; in x-order the upper bin's sum rounds above
+@example(atoms=[(0.5, 0.0, 0.3), (0.125, -0.015625, 0.3), (4.0, -5.0, 0.3),
+                (0.0, -0.0078125, 0.3), (0.25, 0.0, 0.2), (6.0, 0.001953125, 1.3),
+                (0.0625, 0.03125, 0.1)], n_min=0, span=3, denom=_DENOMS[3])
 @settings(max_examples=150, deadline=None)
 def test_complex_square_families_with_rounding_masses_match_the_scan(symmetric, part, atoms,
                                                                      n_min, span, denom):
@@ -573,6 +579,19 @@ def test_staggered_phases_of_equal_mass_tie_exactly():
     got = _square_family_sup(m, lambda length: length, (0, 3), False)
     assert got == _square_family_sup_reference(m, lambda length: length, (0, 3), False)
     assert got[2] == {"n": 1, "interval": [0.0, 2.0]}
+
+
+@pytest.mark.parametrize("location", [0.5, 0.5 + 0.25j], ids=["real", "complex"])
+def test_zero_ratio_names_the_symmetric_square_that_holds_mass(location):
+    # 5e-324 / 1e300 rounds to 0 at every level: a symmetric square names the
+    # first level, which holds mass; a staggered square names none
+    m = AtomicMeasure.from_atoms([(location, 5e-324)])
+    for symmetric, part in [(True, "full"), (True, "right_half"), (False, "full")]:
+        got = _square_family_sup(m, lambda length: 1e300, (0, 3), symmetric, part)
+        assert got == _square_family_sup_reference(m, lambda length: 1e300, (0, 3), symmetric,
+                                                   part)
+        assert got[1] == 0.0
+        assert got[2] == ({"n": 0, "interval": [-0.5, 0.5]} if symmetric else {})
 
 
 def test_sweep_orders_and_gates_each_measure_once(monkeypatch, capsys):

@@ -439,15 +439,8 @@ def test_powers_past_the_bound_are_summed_densely():
 
 
 def _block_reference(z, m, power):
-    # today's dense path in one block: points on the axis, then off it
-    on_axis = z.imag == 0 if m.y is None else np.zeros(z.size, dtype=bool)
-    out = np.empty(z.size)
-    for flag in (True, False):
-        idx = np.flatnonzero(on_axis == flag)
-        if idx.size:
-            out[idx] = halfplane._block_sums(z.real[idx], None if flag else z.imag[idx], m.x,
-                                             m.y, m.masses, power)
-    return out
+    # the dense path in one block
+    return halfplane._block_sums(z.real, z.imag, m.x, m.y, m.masses, power)
 
 
 @pytest.mark.parametrize("power", [-2.0, -1.0, -0.5, 0.5, 1.0])
@@ -483,6 +476,16 @@ def test_measure_without_a_bin_to_expand_gives_the_dense_sums():
         got = kernel_sums(z, m, -1.0)
     assert m.taylor_bins is None
     assert np.array_equal(got, _block_reference(z + 0j, m, -1.0))
+
+
+@pytest.mark.parametrize("stored", ["real", "complex"])
+def test_massless_atom_at_the_point_adds_nothing(stored):
+    # 0 * inf would read NaN: the atom at 0 has no mass, the others sum to 1 + 1/4
+    x, masses = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0])
+    m = AtomicMeasure(x, masses) if stored == "real" else \
+        AtomicMeasure._at_checked_locations(x + 0j, masses)
+    assert (m.y is None) == (stored == "real")
+    assert kernel_sums([0.0, 1j], m, -1.0).tolist() == [1.25, 1 / 2 + 1 / 5]
 
 
 def test_kernel_sums_memory_over_a_million_real_atoms():

@@ -6,9 +6,11 @@ runs between two checkouts.
 The runs of ``ARGVS`` are heat1d ``check`` and ``sweep`` at K = 10^3,
 2 10^5 and 10^6 (L^p, Sobolev, powerL2 and weightedL2 spaces; grids -10:45
 and -20:40), the kernel-sums benchmark's ``check`` runs (weightedL2 hardy
-and bergman:0.5 at K = 5 10^3, powerL2 alpha = 0.25 and 0.5 at K = 10^5)
-and ``oracle`` runs at K = 10^4 (L^p p = 1.5 and 3, powerL2 alpha = 0.5,
-weightedL2 hardy).  Each is made with ``--format json`` in one fresh
+and bergman:0.5 at K = 5 10^3, powerL2 alpha = 0.25 and 0.5 at K = 10^5),
+``oracle`` runs at K = 10^4 (L^p p = 1.5 and 3, powerL2 alpha = 0.5,
+weightedL2 hardy), and ``check`` runs of two complex-stored spectra given
+inline (``COMPLEX_SYSTEMS``) over spaces that run C1-C8, R1 and R7
+(``COMPLEX_SPACES``).  Each is made with ``--format json`` in one fresh
 interpreter per checkout that imports that checkout's ``src/``.  Its
 stdout is the run's manifest; ``wall_clock``, the one field that differs
 between reruns, is dropped.  The interpreter also records whether the run
@@ -33,6 +35,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 HEAT_MODES = (1000, 200_000, 1_000_000)
 GRIDS = ("-10:45", "-20:40")
@@ -63,6 +67,15 @@ ORACLE_SPACES = (
     {"kind": "powerL2", "alpha": 0.5},
     {"kind": "weightedL2", "measure": "hardy"},
 )
+COMPLEX_SPACES = (
+    {"kind": "Lp", "p": 1.5},
+    {"kind": "Lp", "p": 2},
+    {"kind": "Lp", "p": 3},
+    {"kind": "weightedL2", "measure": "hardy"},
+    {"kind": "powerL2", "alpha": 0.5},
+    {"kind": "sobolev", "p": 2, "beta": 0.5},
+    {"kind": "sobolev", "p": 3, "beta": 0.5},
+)
 # largest relative difference of two floats at the same place that passes,
 # in a run that called a real-measure kernel sum
 FLOAT_RTOL = 1e-13
@@ -83,9 +96,30 @@ def _argvs() -> list[list[str]]:
     system = json.dumps({"generator": "heat1d", "modes": ORACLE_MODES})
     argvs += [["oracle", "--system", system, "--space", json.dumps(space), "--mix-size", "64",
                "--format", "json"] for space in ORACLE_SPACES]
+    argvs += [["check", "--system", json.dumps(system), "--format", "json", "--space",
+               json.dumps(space)] for system in COMPLEX_SYSTEMS for space in COMPLEX_SPACES]
     return argvs
 
 
+def _complex_systems() -> list[dict]:
+    """q = 2 systems whose measures are stored complex: 60 modes in the
+    sector of half-angle pi/6 drawn as the acceptance tests draw theirs, and
+    the Carleson-separated lambda_n = -2^n e^(i theta_n), n = 1..40, theta_n
+    uniform in +-pi/4, |b_n|^2 = Re(-lambda_n) (the benchmark's
+    ``separated_spectrum(40, 0)``)."""
+    rng = np.random.default_rng(60)
+    radius = 10.0 ** rng.uniform(math.log10(0.5), math.log10(50.0), 60)
+    z = radius * np.exp(1j * rng.uniform(-0.95, 0.95, 60) * (math.pi / 6))
+    b = rng.uniform(0.5, 2.0, 60) * np.exp(1j * rng.uniform(0, 2 * math.pi, 60))
+    rng = np.random.default_rng([7, 0])
+    w = 2.0 ** np.arange(1, 41) * np.exp(1j * rng.uniform(-math.pi / 4, math.pi / 4, 40))
+    c = np.sqrt(w.real) * np.exp(1j * rng.uniform(0, 2 * math.pi, 40))
+    return [{"eigenvalues": [[v.real, v.imag] for v in (-lam).tolist()],
+             "coeffs": [[v.real, v.imag] for v in coeffs.tolist()], "q": 2}
+            for lam, coeffs in ((z, b), (w, c))]
+
+
+COMPLEX_SYSTEMS = _complex_systems()
 ARGVS = _argvs()
 
 # run in each checkout's interpreter: every argv's (exit code, stdout,
