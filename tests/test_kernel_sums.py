@@ -482,8 +482,8 @@ def test_measure_without_a_bin_to_expand_gives_the_dense_sums():
 def test_massless_atom_at_the_point_adds_nothing(stored):
     # 0 * inf would read NaN: the atom at 0 has no mass, the others sum to 1 + 1/4
     x, masses = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0])
-    m = AtomicMeasure(x, masses) if stored == "real" else \
-        AtomicMeasure._at_checked_locations(x + 0j, masses)
+    m = (AtomicMeasure(x, masses) if stored == "real"
+         else AtomicMeasure._at_checked_locations(x + 0j, masses))
     assert (m.y is None) == (stored == "real")
     assert kernel_sums([0.0, 1j], m, -1.0).tolist() == [1.25, 1 / 2 + 1 / 5]
 

@@ -114,9 +114,9 @@ def _complex_systems() -> list[dict]:
     rng = np.random.default_rng([7, 0])
     w = 2.0 ** np.arange(1, 41) * np.exp(1j * rng.uniform(-math.pi / 4, math.pi / 4, 40))
     c = np.sqrt(w.real) * np.exp(1j * rng.uniform(0, 2 * math.pi, 40))
-    return [{"eigenvalues": [[v.real, v.imag] for v in (-lam).tolist()],
+    return [{"eigenvalues": [[v.real, v.imag] for v in (-atoms).tolist()],
              "coeffs": [[v.real, v.imag] for v in coeffs.tolist()], "q": 2}
-            for lam, coeffs in ((z, b), (w, c))]
+            for atoms, coeffs in ((z, b), (w, c))]
 
 
 COMPLEX_SYSTEMS = _complex_systems()
