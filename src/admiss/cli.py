@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Admissibility and controllability tests for diagonal semigroup systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, oracle=False):
+    def common(p, oracle=False, formats=("json", "table", "csv")):
         p.add_argument("--system", required=True, help="system JSON file or inline JSON")
         p.add_argument("--space", required=not oracle, help="space JSON file or inline JSON")
         if not oracle:
@@ -274,14 +274,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modes", type=int, default=None,
                        help="override the mode truncation K")
         p.add_argument("--out", default=None, help="write the manifest (or CSV) here")
-        p.add_argument("--format", default="table", choices=["json", "table", "csv"])
+        # the second format is the default: table, or csv for sweep
+        p.add_argument("--format", default=formats[1], choices=formats)
 
     p_check = sub.add_parser("check", help="evaluate admissibility criteria")
     common(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_sweep = sub.add_parser("sweep", help="sweep a space parameter")
-    common(p_sweep)
+    common(p_sweep, formats=("json", "csv"))
     p_sweep.add_argument("--param", required=True, help="space config key to sweep")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)

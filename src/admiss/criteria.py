@@ -250,26 +250,12 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure,
                  resolvent_power: int | None = None) -> CriterionReport:
     """Resolvent criterion for weighted L^2 admissibility (Hilbert case):
     sup over lambda of sum_k |lambda - lambda_k|^(-2N) |b_k|^2 divided by the
-    kernel moment of the weight."""
-    if sys.q != 2:
-        raise ValueError("resolvent criterion R1 is stated for q = 2")
-    wf = weight(zen)
-    n_res = wf.resolvent_power() if resolvent_power is None else resolvent_power
-    if n_res < 1 or math.isinf(wf.poly_exp_moment(2 * n_res - 2, 1.0)):
-        raise ValueError("kernel moment diverges for this weight: increase N")
-
-    mu = spectral_measure(sys)
-    re_grid = spectral_grid(mu.x, R1_POINTS_PER_DECADE)
+    kernel moment of the weight (``_r1_quotients``)."""
+    re_grid = spectral_grid(spectral_measure(sys).x, R1_POINTS_PER_DECADE)
     im_mag = np.concatenate(([0.0], re_grid[:: max(1, len(re_grid) // 12)]))
     im_grid = np.unique(np.concatenate((-im_mag, im_mag)))
-    lam_re = np.repeat(re_grid, im_grid.size)
-    lam = lam_re + 1j * np.tile(im_grid, re_grid.size)
-
-    num = kernel_sums(lam, mu, -n_res)
-    den = np.array([wf.poly_exp_moment(2 * n_res - 2, 2 * r) for r in re_grid])
-    den = np.repeat(den, im_grid.size)
-    ratios = num / den
-    levels, constant, witness = nested_log_sup(lam_re, ratios)
+    n_res, lam, ratios = _r1_quotients(sys, zen, resolvent_power, re_grid, im_grid)
+    levels, constant, witness = nested_log_sup(lam.real, ratios)
     return ladder_report(
         "R1", constant, {"lambda": [float(lam[witness].real), float(lam[witness].imag)]},
         levels, resolvent_power=n_res)
@@ -277,28 +263,48 @@ def r1_resolvent(sys: DiagonalSystem, zen: RadialMeasure,
 
 def resolvent_ratio(sys: DiagonalSystem, zen: RadialMeasure, lam: complex,
                     resolvent_power: int = 1) -> float:
-    """Pointwise value of the R1 quotient at one lambda, Re lambda > 0."""
+    """Pointwise value of the R1 quotient at one lambda, Re lambda > 0, with
+    N = ``resolvent_power``.  R1 defaults to the weight's resolvent power
+    instead, which is 2 for ``hardy()`` and for ``bergman(0.5)``."""
+    lam = complex(lam)
+    return float(_r1_quotients(sys, zen, resolvent_power, np.array([lam.real]),
+                               np.array([lam.imag]))[2][0])
+
+
+def _r1_quotients(sys: DiagonalSystem, zen: RadialMeasure, resolvent_power: int | None,
+                  re: np.ndarray, im: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """R1's quotient at every lambda = re_i + i im_j (ordered by i, then j),
+    with the kernel moment of the weight, integral of t^(2N-2)
+    e^(-2 Re lambda t) w(t) dt, evaluated once per real part.  Returns N (the
+    weight's resolvent power when ``resolvent_power`` is None), the lambdas
+    and the quotients."""
     if sys.q != 2:
         raise ValueError("resolvent criterion R1 is stated for q = 2")
-    lam = complex(lam)
-    if lam.real <= 0:
+    if (re <= 0).any():
         raise ValueError("lambda must lie in the open right half-plane")
     wf = weight(zen)
-    num = float(kernel_sums(lam, spectral_measure(sys), -resolvent_power)[0])
-    den = wf.poly_exp_moment(2 * resolvent_power - 2, 2 * lam.real)
-    if math.isinf(den):
+    n = wf.resolvent_power() if resolvent_power is None else resolvent_power
+    if n < 1 or math.isinf(wf.poly_exp_moment(2 * n - 2, 1.0)):
         raise ValueError("kernel moment diverges for this weight: increase N")
-    return num / den
+    lam = np.repeat(re, im.size) + 1j * np.tile(im, re.size)
+    den = np.repeat([wf.poly_exp_moment(2 * n - 2, 2 * r) for r in re], im.size)
+    return n, lam, kernel_sums(lam, spectral_measure(sys), -n) / den
 
 
 def fractional_resolvent_ratio(sys: DiagonalSystem, alpha: float, lam: float) -> float:
     """Pointwise value of the R7 quotient at one positive lambda."""
+    return float(_r7_quotients(sys, alpha, np.array([lam], dtype=float))[0])
+
+
+def _r7_quotients(sys: DiagonalSystem, alpha: float, lam: np.ndarray) -> np.ndarray:
+    """R7's quotient at every positive lambda, 0 <= alpha < 1."""
     if sys.q != 2:
         raise ValueError("resolvent criterion R7 is stated for q = 2")
-    if lam <= 0:
+    if not 0 <= alpha < 1:
+        raise ValueError("power exponent must lie in [0, 1)")
+    if (lam <= 0).any():
         raise ValueError("lambda must be positive")
-    num = math.sqrt(float(kernel_sums(lam, spectral_measure(sys), alpha - 1)[0]))
-    return num / lam ** ((alpha - 1) / 2)
+    return np.sqrt(kernel_sums(lam, spectral_measure(sys), alpha - 1)) / lam ** ((alpha - 1) / 2)
 
 
 def c2_power_square(m: AtomicMeasure, p: float, q: float, symmetric_only: bool,
@@ -407,16 +413,10 @@ def c7_halfsquare(m: AtomicMeasure, alpha: float, n_range=DEFAULT_N_RANGE) -> Cr
 
 def r7_fractional_resolvent(sys: DiagonalSystem, alpha: float) -> CriterionReport:
     """Fractional resolvent criterion on the positive axis:
-    sup of (sum |b_k|^2 |lam - lambda_k|^(2 alpha - 2))^(1/2) / lam^((alpha-1)/2)."""
-    if sys.q != 2:
-        raise ValueError("resolvent criterion R7 is stated for q = 2")
-    if not 0 <= alpha < 1:
-        raise ValueError("power exponent must lie in [0, 1)")
-    mu = spectral_measure(sys)
-    grid = spectral_grid(mu.x, R7_POINTS_PER_DECADE)
-    num = np.sqrt(kernel_sums(grid, mu, alpha - 1))
-    ratios = num / grid ** ((alpha - 1) / 2)
-    levels, constant, witness = nested_log_sup(grid, ratios)
+    sup of (sum |b_k|^2 |lam - lambda_k|^(2 alpha - 2))^(1/2) / lam^((alpha-1)/2)
+    (``_r7_quotients``)."""
+    grid = spectral_grid(spectral_measure(sys).x, R7_POINTS_PER_DECADE)
+    levels, constant, witness = nested_log_sup(grid, _r7_quotients(sys, alpha, grid))
     return ladder_report("R7", constant, {"lambda": float(grid[witness])}, levels, alpha=alpha)
 
 

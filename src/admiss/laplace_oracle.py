@@ -12,7 +12,8 @@ Where no closed form exists, the mixture L^p norms, the p = 2 Sobolev norm
 and the Zen-space norm of the isometry check (an iterated integral over the
 half-plane) use the Gauss-Kronrod integrator of ``admiss.halfplane``, with
 their infinite tails bounded in closed form and counted in the error; only
-the p != 2 Sobolev norm samples an FFT instead.
+the p != 2 Sobolev norm samples an FFT instead.  ``_space_norm`` is the one
+dispatch from a space to the norm of a test function.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _pair_sum_norm_sq(f: TestFunction, moment) -> float:
     for ci, ni, li in f.terms:
         for cj, nj, lj in f.terms:
             val = moment(ni + nj - 2, li + lj.conjugate())
-            if val == complex(math.inf) or (isinstance(val, float) and math.isinf(val)):
+            if math.isinf(abs(val)):
                 return math.inf
             total += ci * cj.conjugate() * val
     return float(total.real)
@@ -229,26 +230,6 @@ def _sobolev_surrogate_sq(f: TestFunction, beta: float) -> tuple[float, float]:
     return tuple((v + t) * scale / (2 * math.pi) for v, t in zip((integral, error), tails(x)))
 
 
-def _sobolev_fft_norm(f: TestFunction, p: float, beta: float, base_scale=1.0,
-                      frac_scale=1.0) -> tuple:
-    """Two-term Sobolev norm for general p via FFT fractional derivative, and
-    whether the L^p term converged (see ``_single_lp_norm``).
-
-    The L^p part is multiplied by ``base_scale`` and the derivative's part by
-    ``frac_scale`` before they are combined; arrays of scales give an array
-    of norms (see ``_kernel_norms``).
-
-    Quadrature-grade: sampled frequency inversion, intended for exploratory
-    sweeps only; the p = 2 path uses the exact Plancherel surrogate instead.
-    """
-    if not _sobolev_tail_ok(f, beta):
-        return math.inf * np.ones_like(base_scale * frac_scale), True
-    frac = _fft_derivative_norm(f, p, beta) * frac_scale
-    base, converged = _single_lp_norm(f, p)
-    base = base * base_scale
-    return (base**p + frac**p) ** (1 / p), converged
-
-
 def _fft_derivative_norm(f: TestFunction, p: float, beta: float) -> float:
     """L^p norm of the fractional derivative D^beta f, by inverting its
     transform (i xi)^beta Lf(i xi) sampled on a 2^16-point FFT grid that
@@ -280,28 +261,17 @@ def _kernel_norms(n: float, rates: np.ndarray, space: InputSpace) -> np.ndarray:
     if space.kind != "sobolev" or space.p == 2:
         return np.array([space_norm(TestFunction(((1, n, z),)), space) for z in rates])
     p, beta = space.p, space.beta
-    return _sobolev_fft_norm(TestFunction(((1, n, 1.0),)), p, beta,
-                             rates ** (-(n - 1) - 1 / p), rates ** (beta - (n - 1) - 1 / p))[0]
-
-
-def _single_lp_norm(f: TestFunction, p: float) -> tuple[float, bool]:
-    """L^p norm, and False when a mixture's quadrature did not converge."""
-    if len(f.terms) > 1:
-        value, _, converged = _mix_lp_norm(f, p)
-        return value, converged
-    c, n, lam = f.terms[0]
-    s = p * (n - 1)  # |f|^p = |c|^p t^s e^(-p Re lam t), integrable near 0 iff s > -1
-    if s <= -1:
-        return math.inf, True
-    return abs(c) * (gamma(s + 1) / (p * lam.real) ** (s + 1)) ** (1 / p), True
+    unit = TestFunction(((1, n, 1.0),))
+    if not _sobolev_tail_ok(unit, beta):
+        return np.full(rates.shape, math.inf)
+    base = _space_norm(unit, InputSpace("Lp", p=p))[0] * rates ** (-(n - 1) - 1 / p)
+    frac = _fft_derivative_norm(unit, p, beta) * rates ** (beta - (n - 1) - 1 / p)
+    return (base**p + frac**p) ** (1 / p)
 
 
 def space_norm(f: TestFunction, space: InputSpace) -> float:
-    """Norm of the test function in the given input space.
+    """Norm of the test function in the given input space (``_space_norm``).
 
-    Closed Gamma forms everywhere they exist; mixtures in L^p fall back to
-    adaptive quadrature; Sobolev norms use the exact frequency surrogate at
-    p = 2 and an FFT fractional derivative (quadrature-grade) otherwise.
     Divergent norms are reported as inf rather than raising.  A mixture norm
     whose quadrature stopped at the integrator's panel cap is returned with a
     warning.
@@ -314,31 +284,41 @@ def space_norm(f: TestFunction, space: InputSpace) -> float:
 
 
 def _space_norm(f: TestFunction, space: InputSpace) -> tuple[float, bool]:
-    """``space_norm`` and whether its quadrature converged."""
+    """``space_norm`` and whether its quadrature converged; the one dispatch
+    on space kind.  L^p: a closed Gamma form for one term, ``_mix_lp_norm``
+    for a mixture.  Sobolev p != 2: (||f||_p^p + ||D^beta f||_p^p)^(1/p)
+    with the FFT derivative (quadrature-grade).  Sobolev p = 2: ``_sobolev_surrogate_sq``.
+    Weighted L^2 scales: ``_pair_sum_norm_sq`` with the weight's moment."""
+    p = space.p
     if space.kind == "Lp":
-        return _single_lp_norm(f, space.p)
-    if space.kind == "sobolev" and space.p != 2:
-        return _sobolev_fft_norm(f, space.p, space.beta)
-    return _hilbert_norm(f, space), True
-
-
-def _hilbert_norm(f: TestFunction, space: InputSpace) -> float:
-    """Norm in weighted L^2, power-weighted L^2 or the p = 2 Sobolev space."""
+        if len(f.terms) > 1:
+            value, _, converged = _mix_lp_norm(f, p)
+            return value, converged
+        c, n, lam = f.terms[0]
+        s = p * (n - 1)  # |f|^p = |c|^p t^s e^(-p Re lam t), integrable near 0 iff s > -1
+        if s <= -1:
+            return math.inf, True
+        return abs(c) * (gamma(s + 1) / (p * lam.real) ** (s + 1)) ** (1 / p), True
+    if space.kind == "sobolev" and p != 2:
+        if not _sobolev_tail_ok(f, space.beta):
+            return math.inf, True
+        base, converged = _space_norm(f, InputSpace("Lp", p=p))
+        frac = _fft_derivative_norm(f, p, space.beta)
+        return (base**p + frac**p) ** (1 / p), converged
+    if space.kind == "sobolev":
+        return math.sqrt(_sobolev_surrogate_sq(f, space.beta)[0]), True
     if space.kind == "weightedL2":
-        wf = WeightFunction(space.measure, "unchecked")
-        return math.sqrt(_pair_sum_norm_sq(f, wf.poly_exp_moment))
-    if space.kind == "powerL2":
+        moment = WeightFunction(space.measure, "unchecked").poly_exp_moment
+    elif space.kind == "powerL2":
         a = space.alpha
 
         def moment(power, decay):
             if power + a <= -1:
                 return complex(math.inf)
             return gamma(power + a + 1) / decay ** (power + a + 1)
-
-        return math.sqrt(_pair_sum_norm_sq(f, moment))
-    if space.kind == "sobolev":
-        return math.sqrt(_sobolev_surrogate_sq(f, space.beta)[0])
-    raise ValueError(f"unknown space kind {space.kind!r}")
+    else:
+        raise ValueError(f"unknown space kind {space.kind!r}")
+    return math.sqrt(_pair_sum_norm_sq(f, moment)), True
 
 
 def embedding_value(sys: DiagonalSystem, f: TestFunction) -> float:

@@ -148,6 +148,19 @@ def test_sweep_empty_values_exit_one(heat_file, capsys):
                  "--param", "p", "--values", ""]) == 1
 
 
+def test_sweep_format_is_csv_or_json(capsys):
+    # sweep prints rows as CSV; a table format would only be a second name for it
+    argv = ["sweep", "--system", SMALL_HEAT, "--space", '{"kind":"Lp","p":2}',
+            "--param", "p", "--values", "2", "--grid=-10:40"]
+    assert main([*argv, "--format", "table"]) == 1
+    assert "invalid choice: 'table'" in capsys.readouterr().err
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == default
+    assert default.splitlines()[0] == "param,criterion,constant,verdict"
+
+
 def test_sweep_failing_row_does_not_abort(heat_file, capsys):
     code = main(["sweep", "--system", heat_file, "--space", '{"kind":"Lp","p":2}',
                  "--param", "p", "--values", "0.5,2", "--grid=-10:40",

@@ -256,6 +256,31 @@ def test_c7_range_check():
         c7_halfsquare(DELTA_1, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [1.5, -0.5, 1.0])
+def test_fractional_resolvent_ratio_refuses_alpha_outside_r7(alpha):
+    sys100 = heat_system(100)
+    for run in (lambda: r7_fractional_resolvent(sys100, alpha),
+                lambda: fractional_resolvent_ratio(sys100, alpha, 3.0)):
+        with pytest.raises(ValueError, match=r"power exponent must lie in \[0, 1\)"):
+            run()
+
+
+@pytest.mark.parametrize("modes", [2000, 100_000])
+def test_pointwise_quotients_equal_r1_and_r7_at_their_witness(modes):
+    # one point sums densely, the grid may sum Taylor bins: equal to rounding
+    sys_ = heat_system(modes)
+    for zen in (hardy(), bergman(0.5)):
+        r1 = r1_resolvent(sys_, zen)
+        lam = complex(*r1.witness["lambda"])
+        n = r1.diagnostics["resolvent_power"]
+        assert n == 2
+        assert resolvent_ratio(sys_, zen, lam, n) == pytest.approx(r1.constant, rel=1e-13)
+    for alpha in (0.0, 0.25, 0.5, 0.9):
+        r7 = r7_fractional_resolvent(sys_, alpha)
+        got = fractional_resolvent_ratio(sys_, alpha, r7.witness["lambda"])
+        assert got == pytest.approx(r7.constant, rel=1e-13)
+
+
 def test_r7_single_mode_hand_value():
     ratio = fractional_resolvent_ratio(SINGLE_MODE, 0.5, 1.0)
     assert ratio == pytest.approx(2 ** -0.5, rel=1e-14)

@@ -8,9 +8,9 @@ from scipy.integrate import quad
 from admiss import halfplane
 from admiss.laplace_oracle import (
     TestFunction,
+    _fft_derivative_norm,
     _kernel_norms,
     _mix_lp_norm,
-    _sobolev_fft_norm,
     _sobolev_surrogate_sq,
     embedding_value,
     empirical_ratio,
@@ -139,13 +139,30 @@ def test_unconverged_mixture_norm_warns_and_is_skipped(monkeypatch):
         assert empirical_ratio(sys50, space, 2, seed=0) == first
 
 
+def test_sobolev_mixture_norm_combines_lp_and_derivative_parts(monkeypatch):
+    # p != 2: (||f||_p^p + ||D^beta f||_p^p)^(1/p), the L^p part by mixture quadrature
+    space = InputSpace("sobolev", p=3.0, beta=0.25)
+    mixture = TestFunction.mix([(1.0, 1, 1.0), (0.5, 1, 4.0 + 2j)])
+    base, _, converged = _mix_lp_norm(mixture, 3.0)
+    assert converged
+    frac = _fft_derivative_norm(mixture, 3.0, 0.25)
+    assert space_norm(mixture, space) == (base**3 + frac**3) ** (1 / 3)
+    # the L^p part's convergence flag reaches the Sobolev norm
+    monkeypatch.setattr(halfplane, "_GK_MAX_PANELS", 1)
+    monkeypatch.setattr(halfplane, "_EPSABS", 0.0)
+    monkeypatch.setattr(halfplane, "_EPSREL", 0.0)
+    with pytest.warns(UserWarning, match="unconverged"):
+        space_norm(mixture, space)
+
+
 @pytest.mark.parametrize("p, beta", [(3.0, 0.25), (3.0, 0.75), (1.5, 1.5), (4.0, 0.5)])
 def test_sobolev_kernel_norms_scale_from_rate_one(p, beta):
     # one FFT at rate 1, scaled as powers of the rate, against one FFT per rate
     n = math.floor(beta + 0.5) + 1
     rates = log_space(1e-2, 1e6, 3)
     got = _kernel_norms(n, rates, InputSpace("sobolev", p=p, beta=beta))
-    want = [_sobolev_fft_norm(TestFunction(((1, n, z),)), p, beta)[0] for z in rates]
+    want = [space_norm(TestFunction(((1, n, z),)), InputSpace("sobolev", p=p, beta=beta))
+            for z in rates]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
     # exponentials have infinite H^beta norm from beta = 1/2 on, at every rate
     inf = _kernel_norms(1, rates, InputSpace("sobolev", p=p, beta=max(beta, 0.5)))

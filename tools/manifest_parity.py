@@ -8,7 +8,7 @@ The runs of ``ARGVS`` are heat1d ``check`` and ``sweep`` at K = 10^3,
 and -20:40), the kernel-sums benchmark's ``check`` runs (weightedL2 hardy
 and bergman:0.5 at K = 5 10^3, powerL2 alpha = 0.25 and 0.5 at K = 10^5),
 ``oracle`` runs at K = 10^4 (L^p p = 1.5 and 3, powerL2 alpha = 0.5,
-weightedL2 hardy), and ``check`` runs of two complex-stored spectra given
+weightedL2 hardy and bergman:0.5, Sobolev p = 2 and 3 at beta = 0.25), and ``check`` runs of two complex-stored spectra given
 inline (``COMPLEX_SYSTEMS``) over spaces that run C1-C8, R1 and R7
 (``COMPLEX_SPACES``).  Each is made with ``--format json`` in one fresh
 interpreter per checkout that imports that checkout's ``src/``.  Its
@@ -66,6 +66,11 @@ ORACLE_SPACES = (
     {"kind": "Lp", "p": 3},
     {"kind": "powerL2", "alpha": 0.5},
     {"kind": "weightedL2", "measure": "hardy"},
+    # every branch of the oracle's norm dispatch; at beta >= 1/2 no exponential
+    # member has a finite Sobolev norm, so the mixtures would not run
+    {"kind": "sobolev", "p": 2, "beta": 0.25},
+    {"kind": "sobolev", "p": 3, "beta": 0.25},
+    {"kind": "weightedL2", "measure": "bergman:0.5"},
 )
 COMPLEX_SPACES = (
     {"kind": "Lp", "p": 1.5},
