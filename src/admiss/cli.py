@@ -248,9 +248,11 @@ def cmd_oracle(args) -> int:
     else:
         space_config, inputs["space"] = _load_json_arg(args.space)
         space = load_space(space_config)
-        lower = empirical_ratio(system, space, args.mix_size, args.seed)
-        reports = [CriterionReport("empirical-lower-bound", lower, {}, "lower-bound",
-                                   {"family_size": args.mix_size, "seed": args.seed}),
+        diagnostics = {"family_size": args.mix_size, "seed": args.seed}
+        lower = empirical_ratio(system, space, args.mix_size, args.seed, diagnostics)
+        if not diagnostics["members_used"]:
+            diagnostics["note"] = "no dictionary member has a finite norm: 0 bounds nothing"
+        reports = [CriterionReport("empirical-lower-bound", lower, {}, "lower-bound", diagnostics),
                    kernel_condition_sweep(system, space)]
         extra = {"mix_size": args.mix_size}
     _emit(_manifest(args, inputs, reports, extra), reports, args.format, args.out)

@@ -373,12 +373,12 @@ def _block_sums(re: np.ndarray, im: np.ndarray, u: np.ndarray, v: np.ndarray | N
     v is None for real atoms."""
     d = re[:, None] + u
     d *= d
-    if v is None:
-        d += (im * im)[:, None]
-    else:
+    if v is not None:
         dy = im[:, None] + v
         dy *= dy
         d += dy
+    elif im.any():  # rows on the axis add nothing
+        d += (im * im)[:, None]
     return _power_in_place(d, power) @ masses
 
 
@@ -590,9 +590,12 @@ def blaschke_products(points) -> tuple[np.ndarray, dict]:
     tail_factor = np.ones(n)
     degenerate = False
     rows = max(1, _BLOCK_ENTRIES // n)
+    # real points: numpy's complex quotient (Smith's form) in real arithmetic, bit for bit
+    x = None if z.imag.any() else z.real
     for i in range(0, n, rows):
         zk = z[i:i + rows, None]
-        factors = np.abs((z - zk) / (z + zk.conjugate()))
+        factors = (np.abs((z - zk) / (z + zk.conjugate())) if x is None
+                   else np.abs(x - zk.real) * (1.0 / (x + zk.real)))
         factors[np.arange(zk.size), np.arange(i, i + zk.size)] = 1.0
         degenerate = degenerate or bool((factors == 0).any())
         products[i:i + rows] = np.prod(factors, axis=1)

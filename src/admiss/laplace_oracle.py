@@ -537,7 +537,7 @@ def isometry_check(zen: RadialMeasure, f: TestFunction) -> float:
 
 
 def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
-                    seed: int) -> float:
+                    seed: int, diagnostics: dict | None = None) -> float:
     """Monte-Carlo LOWER bound on the embedding norm: max of
     embedding_value / space_norm over a family of dictionary mixtures.
 
@@ -547,7 +547,8 @@ def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
     ``family_size`` and the bound is monotone.  Member 0 is the pure kernel at
     rate 1, matching the kernel sweep at that point.  A member whose norm
     quadrature did not converge is skipped, so the result stays a lower
-    bound.
+    bound; with none left it is 0.  The number of members used is stored
+    under ``members_used`` in ``diagnostics`` when one is given.
     """
     if family_size < 1:
         raise ValueError("family size must be >= 1")
@@ -567,5 +568,7 @@ def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
             continue
         members.append(f)
         denoms.append(denom)
+    if diagnostics is not None:
+        diagnostics["members_used"] = len(members)
     ratios = (_embeddings(sys, members) / np.array(denoms)).tolist() if members else []
     return max([0.0, *ratios])

@@ -7,9 +7,9 @@ system's spectral measure (``spectral_measure``, built once per system), so
 every downstream module works with points z_k = -lambda_k, Re z_k > 0.
 
 Arrays are float64 when no entry has an imaginary part and complex128
-otherwise; realness is decided once, when a system or measure is built.  The
-1-d heat equation's spectrum -n^2 pi^2 is real from ``heat_system`` on, and a
-real measure's ``y`` is None, so no kernel scans its imaginary parts again.
+otherwise; realness is decided once, when a system or measure is built, and a
+real measure's ``y`` is None.  ``heat_system`` builds its measure with the
+system, on shared arrays: atoms n^2 pi^2, known to ascend, and unit masses.
 """
 
 from __future__ import annotations
@@ -63,8 +63,12 @@ class DiagonalSystem:
         if self.q < 1:
             raise ValueError(f"state exponent q must be >= 1, got {self.q}")
         bounds = _finite_real_bounds(lam)
-        if bounds is None or bounds[1] >= 0:
-            _refuse_eigenvalues(np.asarray(self.eigenvalues, dtype=complex))
+        if bounds is None or bounds[1] >= 0:  # refuse, naming the first eigenvalue at fault
+            given = np.asarray(self.eigenvalues, dtype=complex)
+            if not (given.real < 0).all():
+                k = int(np.argmax(~(given.real < 0)))
+                raise ValueError(f"eigenvalue {k} has Re lambda = {given[k].real}, must be < 0")
+            _check_finite(given, "eigenvalue")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "coeffs", b)
 
@@ -79,6 +83,14 @@ class DiagonalSystem:
         masses = np.abs(self.coeffs)
         masses **= self.q
         return AtomicMeasure._at_checked_locations(-self.eigenvalues, masses)
+
+    @classmethod
+    def _with_measure(cls, measure: "AtomicMeasure", *args) -> "DiagonalSystem":
+        """``DiagonalSystem(*args)``, checked as any other, holding the spectral
+        measure its generator built from the same arrays in place of ``_measure``."""
+        sys = cls(*args)
+        object.__setattr__(sys, "_measure", measure)
+        return sys
 
     def with_modes(self, modes: int) -> "DiagonalSystem":
         """Rematerialize a tagged system at a different truncation."""
@@ -98,15 +110,6 @@ def _finite_real_bounds(values: np.ndarray) -> tuple[float, float] | None:
                                          and values.imag.max() < math.inf):
         return None
     return float(lo), float(hi)
-
-
-def _refuse_eigenvalues(lam: np.ndarray) -> None:
-    """Raise naming the first eigenvalue with Re lambda >= 0 (or NaN), else
-    the first non-finite one."""
-    if not (lam.real < 0).all():
-        k = int(np.argmax(~(lam.real < 0)))
-        raise ValueError(f"eigenvalue {k} has Re lambda = {lam[k].real}, must be < 0")
-    _check_finite(lam, "eigenvalue")
 
 
 def _check_finite(values: np.ndarray, name: str) -> None:
@@ -182,12 +185,15 @@ class AtomicMeasure:
         object.__setattr__(self, "masses", mass)
 
     @classmethod
-    def _at_checked_locations(cls, locations: np.ndarray, masses) -> "AtomicMeasure":
+    def _at_checked_locations(cls, locations: np.ndarray, masses,
+                              x_ascending: bool | None = None) -> "AtomicMeasure":
         """A measure on a float or complex array of locations already known
         finite and in the closed right half-plane, stored as given: only the
-        masses are checked."""
+        masses are checked, and an ``x_ascending`` the caller knows is kept."""
         m = object.__new__(cls)
         m._set(locations, masses)
+        if x_ascending is not None:
+            object.__setattr__(m, "x_ascending", x_ascending)
         return m
 
     @classmethod
@@ -279,14 +285,15 @@ def heat_system(modes: int) -> DiagonalSystem:
         raise ValueError(f"number of modes must be >= 1, got {modes}")
     if modes > MAX_MODES:
         raise ValueError(f"number of modes {modes} exceeds the cap of {MAX_MODES}")
-    n = np.arange(1, modes + 1, dtype=float)
-    n *= n
-    n *= math.pi**2
-    eig = np.negative(n, out=n)
-    coeffs = np.ones(modes)
-    eig.setflags(write=False)  # nothing else holds them: spare DiagonalSystem the copy
-    coeffs.setflags(write=False)
-    return DiagonalSystem(eig, coeffs, 2.0, generator="heat1d")
+    x = np.arange(1, modes + 1, dtype=float)
+    x *= x
+    x *= math.pi**2
+    eig, coeffs = np.negative(x), np.ones(modes)
+    for arr in (x, eig, coeffs):  # nothing else holds them: spare the copies
+        arr.setflags(write=False)
+    # the measure's atoms are x itself and its masses |1|^2 = 1 the coefficients
+    measure = AtomicMeasure._at_checked_locations(x, coeffs, x_ascending=True)
+    return DiagonalSystem._with_measure(measure, eig, coeffs, 2.0, "heat1d")
 
 
 def dual_system(sys: DiagonalSystem, obs_coeffs) -> DiagonalSystem:

@@ -290,6 +290,22 @@ def test_oracle_sobolev_sweep_has_finite_norm_kernels(capsys):
     assert sweep["diagnostics"]["sup_interior"]
 
 
+def test_oracle_notes_a_lower_bound_from_no_member(capsys):
+    # at beta = 1/2 no exponential mixture has a finite H^beta norm, so the
+    # family's bound of 0 bounds nothing, and the report says so
+    code = main(["oracle", "--system", '{"generator":"heat1d","modes":10000}',
+                 "--space", '{"kind":"sobolev","p":2,"beta":0.5}', "--format", "json"])
+    lower, sweep = json.loads(capsys.readouterr().out)["reports"]
+    assert code == 0
+    assert lower["constant"] == 0 and sweep["constant"] > 0
+    assert lower["diagnostics"]["members_used"] == 0
+    assert "no dictionary member has a finite norm" in lower["diagnostics"]["note"]
+    main(["oracle", "--system", SMALL_HEAT, "--space", '{"kind":"Lp","p":1.5}',
+          "--format", "json"])
+    diagnostics = json.loads(capsys.readouterr().out)["reports"][0]["diagnostics"]
+    assert diagnostics["members_used"] == 16 and "note" not in diagnostics
+
+
 def test_c4_at_the_low_end_of_the_grid_is_finite(capsys, recwarn):
     code = main(["check", "--system", '{"generator":"heat1d","modes":50}',
                  "--space", '{"kind":"Lp","p":3}', "--grid=-1022:40", "--format", "json"])

@@ -393,11 +393,12 @@ def _blaschke_per_point(z, window=8):
 @given(pool=st.lists(st.tuples(st.floats(0.01, 20.0), st.floats(-20.0, 20.0)), min_size=1,
                      max_size=39),
        picks=st.lists(st.integers(0, 38), min_size=1, max_size=39),
-       block=st.sampled_from([None, 1, 7, 64]))
+       block=st.sampled_from([None, 1, 7, 64]), real=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_blaschke_products_match_per_point_loop(pool, picks, block):
-    # points picked from a pool repeat; small blocks run several row blocks
-    z = np.array([complex(*pool[i % len(pool)]) for i in picks])
+def test_blaschke_products_match_per_point_loop(pool, picks, block, real):
+    # points picked from a pool repeat; small blocks run several row blocks;
+    # an all-real draw takes the real-arithmetic path
+    z = np.array([complex(x, 0.0 if real else y) for x, y in (pool[i % len(pool)] for i in picks)])
     with mock.patch.object(halfplane, "_BLOCK_ENTRIES", block or halfplane._BLOCK_ENTRIES), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,47 @@ def test_heat_eigenvalues():
     assert sys2.eigenvalues[1] == pytest.approx(-4 * math.pi**2)
     assert np.array_equal(sys2.coeffs, (1.0, 1.0))
     assert sys2.q == 2.0
+
+
+@pytest.mark.parametrize("modes", [1, 2, 1000, 10**5])
+def test_heat_measure_equals_the_generic_measure(modes):
+    h = heat_system(modes)
+    fused = spectral_measure(h)
+    generic = spectral_measure(DiagonalSystem(h.eigenvalues, h.coeffs, 2.0))
+    pairs = [(fused.locations, generic.locations), (fused.masses, generic.masses),
+             *zip(fused.x_order[:2], generic.x_order[:2])]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert fused.x_order[2] == generic.x_order[2]
+    assert fused.x_ascending is generic.x_ascending is True
+    for arr in (h.eigenvalues, h.coeffs, fused.locations, fused.masses):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda: heat_system(50),
+    lambda: heat_system(3).with_modes(50),
+    lambda: load_system({"generator": "heat1d", "modes": 50}),
+], ids=["heat_system", "with_modes", "load_system"])
+def test_heat_generators_build_the_measure_with_the_system(build):
+    # the unit coefficients are the masses, and x ascends by construction
+    h = build()
+    m = spectral_measure(h)
+    assert m.masses is h.coeffs
+    assert vars(m)["x_ascending"] is True
+    assert spectral_measure(h) is m
+
+
+def test_heat_system_and_measure_hold_three_arrays():
+    # eigenvalues, coefficients (the masses too) and x (the atoms), 8 MB each
+    tracemalloc.start()
+    try:
+        m = spectral_measure(heat_system(10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(m) == 10**6
+    assert peak <= 3 * 8 * 10**6 + 10**6
 
 
 def test_heat_rejects_nonpositive_modes():
