@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from importlib.metadata import PackageNotFoundError, version
 
 from admiss.criteria import (
     DEFAULT_N_RANGE,
@@ -26,12 +25,6 @@ from admiss.criteria import (
     REGISTRY,
     dispatch,
     run_criterion,
-)
-from admiss.laplace_oracle import (
-    TestFunction,
-    _isometry,
-    empirical_ratio,
-    kernel_condition_sweep,
 )
 from admiss.report import BOUNDED, UNBOUNDED, CriterionReport
 from admiss.spaces import InputSpace, load_space
@@ -50,6 +43,9 @@ _VERDICT_EXIT = {
 
 
 def _tool_version() -> str:
+    # imported here: importlib.metadata costs every command about 16 ms
+    from importlib.metadata import PackageNotFoundError, version
+
     try:
         return version("admiss")
     except PackageNotFoundError:
@@ -232,6 +228,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # imported here: check and sweep never need the oracle's 11 ms import
+    from admiss.laplace_oracle import (
+        TestFunction,
+        _isometry,
+        empirical_ratio,
+        kernel_condition_sweep,
+    )
+
     system, system_entry = _load_system_arg(args)
     inputs: dict = {"system": system_entry}
     if args.isometry:

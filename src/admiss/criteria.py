@@ -15,7 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from admiss.halfplane import balayage_norm, dyadic_index, kernel_sums, level_masses, strip_masses
+from admiss.halfplane import (
+    _BLOCK_ENTRIES,
+    balayage_norm,
+    dyadic_index,
+    kernel_sums,
+    level_masses,
+    strip_masses,
+)
 from admiss.report import (
     BOUNDED,
     INCONCLUSIVE,
@@ -112,7 +119,8 @@ def _square_family_sup(m: AtomicMeasure, denom_of_length, n_range, symmetric: bo
     y_from, length = (-0.5 if symmetric else 0.0), lengths[first]
     witness = ({"n": ns[first], "interval": [y_from * length, (y_from + 1) * length]}
                if (masses[first] if symmetric else best) > 0 else None)
-    near = [i for i, r in enumerate(per_n) if r >= best * (1 - (len(m) + 2) * 2.0**-51)]
+    tie = best * (1 - (len(m) + 2) * 2.0**-51)
+    near = [i for i, r in enumerate(per_n) if r >= tie]
     if best > 0 and (len(near) > 1 or staggered_complex):
         scans = [_scanned_level(m, ns[i], lengths[i], denoms[i], symmetric, part) for i in near]
         witness = max(scans, key=lambda scan: scan[0])[1]  # the first of equal maxima
@@ -172,31 +180,65 @@ def _staggered_level_masses(m: AtomicMeasure, lengths: list[float]) -> list[floa
     floor(y/|I| - phase) are monotone in y: when the lowest and the highest
     y of a prefix (running min and max) share a bin, every atom of the
     prefix lies in it, and its mass is the prefix sum, which adds the same
-    masses in the same order as ``bincount`` would.  Only the other levels
-    bin their atoms (``_heaviest_bin``).
+    masses in the same order as ``bincount`` would.  Only the other (level,
+    phase) segments bin their atoms (``_heaviest_bins``), in runs of
+    segments that start within _BLOCK_ENTRIES atoms of each other, so memory
+    stays O(atoms + _BLOCK_ENTRIES) for any number of levels.
     """
     xs, ms, order = m.x_order
     ys = m.y[order]
     hi = np.searchsorted(xs, lengths, side="left")
     filled = np.flatnonzero(hi)  # the levels with atoms
     tops = hi[filled] - 1  # the last atom of each of their prefixes
-    totals = np.cumsum(ms)[tops].tolist()
-    # per phase and filled level: whether all its atoms share one bin
+    # per phase (rows) and filled level: whether all its atoms share one bin
     scale = np.array(lengths)[filled]
+    phases = np.array([[0.0], [0.5]])
     y_low = np.minimum.accumulate(ys)[tops] / scale
     y_high = np.maximum.accumulate(ys)[tops] / scale
-    one_bin = {phase: (np.floor(y_low - phase) == np.floor(y_high - phase)).tolist()
-               for phase in (0.0, 0.5)}
+    one_bin = np.floor(y_low - phases) == np.floor(y_high - phases)
+    best = np.where(one_bin, np.cumsum(ms)[tops], 0.0)
+    phase_of, level_of = np.nonzero(~one_bin)
+    sizes = hi[filled][level_of]
+    runs = (np.cumsum(sizes) - sizes) // _BLOCK_ENTRIES
+    for run in np.split(np.arange(sizes.size), np.flatnonzero(np.diff(runs)) + 1):
+        if run.size:
+            best[phase_of[run], level_of[run]] = _heaviest_bins(
+                ys, ms, sizes[run], scale[level_of[run]], phases[phase_of[run], 0])
     masses = [0.0] * len(lengths)
-    for i, j in enumerate(filled.tolist()):
-        length, b = lengths[j], hi[j]
-        for phase in (0.0, 0.5):
-            mass = totals[i]
-            if not one_bin[phase][i]:
-                bins = np.floor(ys[:b] / length - phase).astype(np.int64)
-                mass = _heaviest_bin(bins, ms[:b])[1]
-            masses[j] = max(masses[j], mass)
+    for j, mass, mass_half in zip(filled.tolist(), *best.tolist()):
+        masses[j] = max(max(0.0, mass), mass_half)
     return masses
+
+
+def _heaviest_bins(ys: np.ndarray, ms: np.ndarray, sizes: np.ndarray, lengths: np.ndarray,
+                   phases: np.ndarray) -> list[float]:
+    """``_heaviest_bin``'s mass of each segment: the bins floor(y/length -
+    phase) of the first ``size`` atoms of ys, weighted by ms.
+
+    Each segment whose bins span at most 4 size + 64 keys (where
+    ``_heaviest_bin`` counts them densely) is offset past the previous one's
+    keys, so one ``bincount`` adds every bin's masses in the order
+    ``_heaviest_bin`` would and ``maximum.reduceat`` takes each segment's
+    heaviest bin; a wider segment keeps ``_heaviest_bin``'s ``unique`` path.
+    """
+    starts = np.cumsum(sizes) - sizes
+    atom = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    bins = np.floor(ys[atom] / np.repeat(lengths, sizes)
+                    - np.repeat(phases, sizes)).astype(np.int64)
+    low = np.minimum.reduceat(bins, starts)
+    spans = [high - lo + 1 for lo, high in
+             zip(low.tolist(), np.maximum.reduceat(bins, starts).tolist())]
+    dense = [span <= 4 * size + 64 for span, size in zip(spans, sizes.tolist())]
+    room = np.array([span if counts else 0 for span, counts in zip(spans, dense)])
+    dense = np.array(dense)
+    base = np.cumsum(room) - room
+    counted = np.repeat(dense, sizes)
+    keys = bins[counted] - np.repeat(low[dense], sizes[dense])
+    keys += np.repeat(base[dense], sizes[dense])
+    sums = np.bincount(keys, weights=ms[atom[counted]], minlength=int(room.sum()))
+    heaviest = iter(np.maximum.reduceat(sums, base[dense]).tolist())
+    return [next(heaviest) if counts else _heaviest_bin(bins[start:start + size], ms[:size])[1]
+            for counts, start, size in zip(dense.tolist(), starts.tolist(), sizes.tolist())]
 
 
 def _scanned_level(m: AtomicMeasure, n: int, length: float, denom: float, symmetric: bool,

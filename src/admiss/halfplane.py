@@ -63,7 +63,8 @@ def __getattr__(name: str):
 
 # entries of one (points x atoms) block in ``balayage``, ``kernel_sums`` and
 # ``blaschke_products``: 2 MB of float64 per temporary, which stays in cache (2^16
-# to 2^20 measured alike, 2^21 and 2^22 slower)
+# to 2^20 measured alike, 2^21 and 2^22 slower); each call allocates its block
+# buffers once.  ``criteria`` bins staggered squares in runs of this many atoms
 _BLOCK_ENTRIES = 1 << 18
 # Taylor bins: ratio 9/7 (half-width / centre 1/8); most terms; fewest atoms
 # a bin expands (a bin costs a point up to _TAYLOR_TERMS terms; on heat
@@ -177,8 +178,9 @@ def balayage(m: AtomicMeasure, t) -> np.ndarray | float:
 
     Every atom must lie strictly inside the half-plane; the kernel is singular
     on the boundary.  The (points x atoms) kernel is formed one block of
-    points at a time, so memory stays O(_BLOCK_ENTRIES) for any number of
-    points and atoms.
+    points at a time in one buffer per call, so memory stays
+    O(_BLOCK_ENTRIES) for any number of points and atoms, and no block
+    frees a temporary that the next must fault in again.
     """
     x = m.x
     if ((x == 0) & (m.masses > 0)).any():
@@ -191,16 +193,18 @@ def balayage(m: AtomicMeasure, t) -> np.ndarray | float:
     x_sq = x * x
     rows = max(1, _BLOCK_ENTRIES // max(1, x.size))
     out = np.empty(t_arr.size)
+    block = np.empty((min(rows, t_arr.size), x.size))
     for i in range(0, t_arr.size, rows):
         t_rows = t_arr[i:i + rows, None]
+        kernel = block[:t_rows.shape[0]]
         if y is None:  # a real measure: (t - 0)^2 is t^2, one per row
-            kernel = t_rows * t_rows + x_sq
+            np.add(t_rows * t_rows, x_sq, out=kernel)
         else:
-            kernel = t_rows - y
+            np.subtract(t_rows, y, out=kernel)
             kernel *= kernel
             kernel += x_sq
         np.reciprocal(kernel, out=kernel)
-        out[i:i + rows] = kernel @ weights
+        np.matmul(kernel, weights, out=out[i:i + rows])
     return out if np.ndim(t) else float(out[0])
 
 
@@ -213,10 +217,10 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
     transforms of e^(-zt), t^(n-1) e^(-zt) and t^(-alpha) e^(-zt) are
     constants times (z + s)^(-r), so every single-kernel embedding is one
     such sum.  The squared distances are formed in real arithmetic, one
-    block of (points x atoms) at a time; a block holds at most
-    _BLOCK_ENTRIES entries, so memory stays O(_BLOCK_ENTRIES) whatever the
-    number of points and atoms.  Atoms of mass 0 are left out, so one at a
-    point adds 0, not 0 * inf.
+    block of (points x atoms) at a time in one buffer per call; a block
+    holds at most _BLOCK_ENTRIES entries, so memory stays O(_BLOCK_ENTRIES)
+    whatever the number of points and atoms.  Atoms of mass 0 are left out,
+    so one at a point adds 0, not 0 * inf.
 
     On a real measure (float-stored, ``m.y`` None: the measure decided its
     realness when it was built, so no imaginary part is scanned here) the
@@ -245,13 +249,15 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
         u, v, masses = u[held], None if real else v[held], masses[held]
     cols = min(max(1, u.size), _BLOCK_ENTRIES)
     rows = _BLOCK_ENTRIES // cols
-    sums = np.empty(z.size)
+    sums = np.zeros(z.size)
+    block = np.empty((1 if real else 2) * min(rows, z.size) * cols)
     for i in range(0, z.size, rows):
-        re, im = z.real[i:i + rows], z.imag[i:i + rows]
-        sums[i:i + rows] = sum(
-            _block_sums(re, im, u[k:k + cols], None if real else v[k:k + cols],
-                        masses[k:k + cols], power)
-            for k in range(0, u.size, cols))
+        re, im, out = z.real[i:i + rows], z.imag[i:i + rows], sums[i:i + rows]
+        for k in range(0, u.size, cols):
+            part = _block_sums(re, im, u[k:k + cols], None if real else v[k:k + cols],
+                               masses[k:k + cols], power, block, None if k else out)
+            if k:  # a further block of atoms, only where rows is 1
+                out += part
     if taylor is not None:
         sums += taylor
     return sums[back] if real else sums
@@ -368,18 +374,24 @@ def dyadic_kernel_sequence(m: AtomicMeasure, ns, p: float, q: float) -> np.ndarr
 
 
 def _block_sums(re: np.ndarray, im: np.ndarray, u: np.ndarray, v: np.ndarray | None,
-                masses: np.ndarray, power: float) -> np.ndarray:
-    """sum_k m_k |z + w_k|^(2 power) at z = re + i im over w_k = u_k + i v_k;
-    v is None for real atoms."""
-    d = re[:, None] + u
+                masses: np.ndarray, power: float, block: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """sum_k m_k |z + w_k|^(2 power) at z = re + i im over w_k = u_k + i v_k,
+    written to ``out`` if given; v is None for real atoms.  The squared
+    distances are formed in ``block``, a flat buffer of at least (1, or 2
+    for complex atoms) x points x atoms floats."""
+    entries = re.size * u.size
+    d = block[:entries].reshape(re.size, u.size)
+    np.add(re[:, None], u, out=d)
     d *= d
     if v is not None:
-        dy = im[:, None] + v
+        dy = block[entries:2 * entries].reshape(d.shape)
+        np.add(im[:, None], v, out=dy)
         dy *= dy
         d += dy
     elif im.any():  # rows on the axis add nothing
         d += (im * im)[:, None]
-    return _power_in_place(d, power) @ masses
+    return np.matmul(_power_in_place(d, power), masses, out=out)
 
 
 def _power_in_place(d: np.ndarray, power: float) -> np.ndarray:
@@ -592,17 +604,27 @@ def blaschke_products(points) -> tuple[np.ndarray, dict]:
     rows = max(1, _BLOCK_ENTRIES // n)
     # real points: numpy's complex quotient (Smith's form) in real arithmetic, bit for bit
     x = None if z.imag.any() else z.real
+    # the factors, and the reciprocals of real points' sums, then the copy
+    # that ``np.partition`` would make
+    block = np.empty((2, min(rows, n), n))
     for i in range(0, n, rows):
         zk = z[i:i + rows, None]
-        factors = (np.abs((z - zk) / (z + zk.conjugate())) if x is None
-                   else np.abs(x - zk.real) * (1.0 / (x + zk.real)))
+        factors, spare = block[0, :zk.size], block[1, :zk.size]
+        if x is None:
+            np.abs((z - zk) / (z + zk.conjugate()), out=factors)
+        else:
+            np.subtract(x, zk.real, out=factors)
+            np.abs(factors, out=factors)
+            np.add(x, zk.real, out=spare)
+            factors *= np.divide(1.0, spare, out=spare)
         factors[np.arange(zk.size), np.arange(i, i + zk.size)] = 1.0
-        degenerate = degenerate or bool((factors == 0).any())
-        products[i:i + rows] = np.prod(factors, axis=1)
-        min_factor[i:i + rows] = factors.min(axis=1)
+        degenerate = degenerate or not factors.all()
+        np.prod(factors, axis=1, out=products[i:i + rows])
+        np.min(factors, axis=1, out=min_factor[i:i + rows])
         if TAIL_WINDOW < n - 1:  # the window leaves other factors out
-            tail = np.partition(factors, TAIL_WINDOW, axis=1)[:, TAIL_WINDOW:]
-            tail_factor[i:i + rows] = np.prod(tail, axis=1)
+            np.copyto(spare, factors)
+            spare.partition(TAIL_WINDOW, axis=1)
+            np.prod(spare[:, TAIL_WINDOW:], axis=1, out=tail_factor[i:i + rows])
 
     proxy_terms = z.real / (1 + np.abs(z) ** 2)
     order = np.argsort(np.abs(z))

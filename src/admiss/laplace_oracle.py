@@ -114,11 +114,13 @@ def laplace_at(f: TestFunction, z) -> np.ndarray | complex:
     of f at z (scalar or array), Re z >= 0."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.zeros(z_arr.shape, dtype=complex)
+    shifted = np.empty_like(out)
     for c, n, lam in f.terms:
-        shifted = lam + z_arr
-        if (shifted == 0).any():
+        np.add(lam, z_arr, out=shifted)
+        if not shifted.all():
             raise ValueError("pole: lam + z = 0")
-        out += c * gamma(n) / shifted**n
+        shifted **= n
+        out += np.divide(c * gamma(n), shifted, out=shifted)
     return out if np.ndim(z) else complex(out[0])
 
 

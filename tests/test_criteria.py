@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -604,6 +605,58 @@ def test_staggered_phases_of_equal_mass_tie_exactly():
     got = _square_family_sup(m, lambda length: length, (0, 3), False)
     assert got == _square_family_sup_reference(m, lambda length: length, (0, 3), False)
     assert got[2] == {"n": 1, "interval": [0.0, 2.0]}
+
+
+def _staggered_level_masses_reference(m, lengths):
+    """Per level and phase, ``_heaviest_bin`` over the level's prefix of the x-order."""
+    xs, ms, order = m.x_order
+    ys = m.y[order]
+    masses = []
+    for length in lengths:
+        b = int(np.searchsorted(xs, length, side="left"))
+        mass = 0.0
+        for phase in (0.0, 0.5):
+            if b:
+                bins = np.floor(ys[:b] / length - phase).astype(np.int64)
+                mass = max(mass, criteria._heaviest_bin(bins, ms[:b])[1])
+        masses.append(mass)
+    return masses
+
+
+# heights up to 1e6 at lengths down to 2^-8 spread a level's bins wider than
+# 4 b + 64 (the unique path); +-0 and masses of 0 sit on the bin edges
+_STAGGERED_Y = st.one_of(_ATOM_Y, st.just(-0.0), st.floats(-1e6, 1e6))
+_STAGGERED_ATOMS = st.lists(
+    st.tuples(_ATOM_X, _STAGGERED_Y, st.one_of(st.sampled_from([0.0, 0.1, 0.7, 1.3]),
+                                                st.floats(0.0, 4.0))),
+    min_size=1, max_size=40)
+
+
+@given(atoms=_STAGGERED_ATOMS, n_min=st.integers(-8, 3), span=st.integers(0, 16))
+@example(atoms=[(0.1, 1e6, 0.7), (0.2, -1e6, 0.1), (0.3, 0.0, 1.3), (0.3, 0.5, 0.1)], n_min=-8,
+         span=16)
+@example(atoms=[(0.5, -0.0, 0.7), (0.5, 0.0, 0.1), (1.5, 0.25, 0.0), (0.0, -0.5, 0.1)], n_min=-2,
+         span=4)
+@settings(max_examples=200, deadline=None)
+def test_staggered_level_masses_match_a_heaviest_bin_per_level_bit_for_bit(atoms, n_min, span):
+    x, y, masses = (np.array(column) for column in zip(*atoms))
+    m = AtomicMeasure._at_checked_locations(x + 1j * y, masses)
+    lengths = [2.0**n for n in range(n_min, n_min + span + 1)]
+    want = np.array(_staggered_level_masses_reference(m, lengths)).tobytes()
+    # runs of segments of the default size, and of one or two segments each
+    for entries in (criteria._BLOCK_ENTRIES, 3):
+        with mock.patch.object(criteria, "_BLOCK_ENTRIES", entries):
+            assert np.array(criteria._staggered_level_masses(m, lengths)).tobytes() == want
+
+
+def test_staggered_level_masses_keep_the_unique_path_for_sparse_bins():
+    # two atoms 2e6 apart at |I| = 2^-8 span 5e8 bins: beyond 4 b + 64
+    m = AtomicMeasure.from_atoms([(0.1 + 1e6j, 0.7), (0.2 - 1e6j, 0.1), (0.3, 1.3)])
+    lengths = [2.0**n for n in range(-8, 9)]
+    with mock.patch.object(criteria, "_heaviest_bin", wraps=criteria._heaviest_bin) as spy:
+        got = criteria._staggered_level_masses(m, lengths)
+    assert spy.called
+    assert got == _staggered_level_masses_reference(m, lengths)
 
 
 @pytest.mark.parametrize("location", [0.5, 0.5 + 0.25j], ids=["real", "complex"])

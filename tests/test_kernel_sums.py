@@ -440,7 +440,8 @@ def test_powers_past_the_bound_are_summed_densely():
 
 def _block_reference(z, m, power):
     # the dense path in one block
-    return halfplane._block_sums(z.real, z.imag, m.x, m.y, m.masses, power)
+    return halfplane._block_sums(z.real, z.imag, m.x, m.y, m.masses, power,
+                                 np.empty(2 * z.size * len(m)))
 
 
 @pytest.mark.parametrize("power", [-2.0, -1.0, -0.5, 0.5, 1.0])

@@ -18,13 +18,17 @@ called ``halfplane.kernel_sums`` on a real-stored measure, the one call
 whose sums may round differently between checkouts.
 
 The script prints one line per run whose manifest or exit code differs,
-marked ``FLIP`` when an exit code or a verdict differs, then the count of
-identical manifests, the count of flips and the largest relative
-difference between two floats at the same place in two manifests.  It
-exits 1 on any flip; on any difference in a run that called no real-measure
-kernel sum in either checkout (those must be identical); and, in the other
-runs, on a float more than ``FLOAT_RTOL`` apart or on any other field that
-differs (a witness, a key, a string).  Else it exits 0.
+marked ``FLIP`` when an exit code or a verdict differs, with the paths of
+the keys that only the second manifest has (added) or only the first
+(removed); then the count of identical manifests, of manifests identical
+apart from added keys, of flips, and the largest relative difference between
+two floats at the same place in two manifests.  Values are compared over the
+keys both manifests have.  It exits 1 on any flip; on any removed key; on
+any difference in a value of a run that called no real-measure kernel sum in
+either checkout (those must be identical); and, in the other runs, on a
+float more than ``FLOAT_RTOL`` apart or on any other value that differs (a
+witness, a string, a list's length).  Else it exits 0, so a run that only
+gains a key passes.
 """
 
 from __future__ import annotations
@@ -131,9 +135,12 @@ ARGVS = _argvs()
 # whether it called ``kernel_sums`` on a real-stored measure); the modules
 # that import ``kernel_sums`` by name are pointed at the recording wrapper
 _RUNNER = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, pkgutil, sys
+import admiss
 from admiss import halfplane
 from admiss.cli import main
+for info in pkgutil.iter_modules(admiss.__path__):  # cli imports some only when called
+    importlib.import_module("admiss." + info.name)
 summed, real = halfplane.kernel_sums, []
 def kernel_sums(points, m, power):
     real.append(m.y is None)
@@ -193,33 +200,91 @@ def field_pairs(a, b, name):
             yield from field_pairs(x, y, name)
 
 
-def main() -> int:
-    if len(sys.argv) != 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    first, second = (run_all(Path(arg).resolve()) for arg in sys.argv[1:])
-    identical, flips, failed, worst = 0, 0, 0, 0.0
-    for argv, (code_a, man_a, real_a), (code_b, man_b, real_b) in zip(ARGVS, first, second):
-        same_text = json.dumps(man_a, sort_keys=True) == json.dumps(man_b, sort_keys=True)
-        same = code_a == code_b and same_text
-        identical += same
-        moved = 0.0 if same_text else drift(man_a, man_b)
+def key_changes(a, b, path: str = "") -> tuple[list[str], list[str]]:
+    """Paths of the keys that only b has (added) and that only a has
+    (removed), in the dicts at the same place in both trees."""
+    added, removed = [], []
+    if isinstance(a, dict) and isinstance(b, dict):
+        def at(key):
+            return f"{path}.{key}" if path else key
+
+        added += [at(key) for key in sorted(b.keys() - a.keys())]
+        removed += [at(key) for key in sorted(a.keys() - b.keys())]
+        pairs = [(at(key), a[key], b[key]) for key in sorted(a.keys() & b.keys())]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        pairs = []
+    for where, x, y in pairs:
+        more_added, more_removed = key_changes(x, y, where)
+        added += more_added
+        removed += more_removed
+    return added, removed
+
+
+def shared(a, b):
+    """(a, b) without the keys that only one of them has, at every depth."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        pairs = {key: shared(a[key], b[key]) for key in a if key in b}
+        return ({key: x for key, (x, _) in pairs.items()},
+                {key: y for key, (_, y) in pairs.items()})
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [shared(x, y) for x, y in zip(a, b)]
+        return [x for x, _ in pairs], [y for _, y in pairs]
+    return a, b
+
+
+def compare(argvs, first, second) -> tuple[list[str], int]:
+    """The lines to print and the exit code for two checkouts' (exit code,
+    manifest, real-measure kernel sum called) of every argv.
+
+    A manifest that only gains keys, with every other value identical, reads
+    "identical apart from added keys" and passes; a removed key fails, as a
+    changed value does.
+    """
+    lines = []
+    identical, gained, flips, failed, worst = 0, 0, 0, 0, 0.0
+    for argv, (code_a, man_a, real_a), (code_b, man_b, real_b) in zip(argvs, first, second):
+        if code_a == code_b and json.dumps(man_a, sort_keys=True) == json.dumps(man_b,
+                                                                                sort_keys=True):
+            identical += 1
+            continue
+        added, removed = key_changes(man_a, man_b)
+        common_a, common_b = shared(man_a, man_b)
+        same_values = (json.dumps(common_a, sort_keys=True)
+                       == json.dumps(common_b, sort_keys=True))
+        moved = 0.0 if same_values else drift(common_a, common_b)
         if moved < math.inf:
             worst = max(worst, moved)
         flip = code_a != code_b or any(a != b for a, b in field_pairs(man_a, man_b, "verdict"))
         flips += flip
         kernel = real_a or real_b
-        fails = flip or (moved > FLOAT_RTOL if kernel else not same)
+        fails = flip or bool(removed) or (moved > FLOAT_RTOL if kernel else not same_values)
         failed += fails
-        if not same:
-            kind = "FLIP" if flip else "differs" if fails else "drifts"
-            print(f"{kind} (exit {code_a} vs {code_b}, relative {moved:.3g}"
-                  f"{'' if kernel else ', no real-measure kernel sum'}): "
-                  f"admiss {' '.join(argv)}")
-    print(f"{identical} of {len(ARGVS)} manifests identical apart from wall_clock; "
-          f"{flips} with an exit code or verdict flip; {failed} failing; "
-          f"largest relative float difference {worst:.3g}")
-    return 1 if failed else 0
+        only_added = not (fails or removed) and same_values and code_a == code_b
+        gained += only_added
+        kind = ("FLIP" if flip else "differs" if fails else
+                "identical apart from added keys" if only_added else "drifts")
+        keys = "".join(f"; {label} keys {', '.join(paths)}"
+                       for label, paths in (("added", added), ("removed", removed)) if paths)
+        lines.append(f"{kind} (exit {code_a} vs {code_b}, relative {moved:.3g}"
+                     f"{'' if kernel else ', no real-measure kernel sum'}{keys}): "
+                     f"admiss {' '.join(argv)}")
+    lines.append(f"{identical} of {len(argvs)} manifests identical apart from wall_clock; "
+                 f"{gained} identical apart from added keys; "
+                 f"{flips} with an exit code or verdict flip; {failed} failing; "
+                 f"largest relative float difference {worst:.3g}")
+    return lines, 1 if failed else 0
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    first, second = (run_all(Path(arg).resolve()) for arg in sys.argv[1:])
+    lines, code = compare(ARGVS, first, second)
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":
