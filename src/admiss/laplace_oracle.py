@@ -117,9 +117,9 @@ def laplace_at(f: TestFunction, z) -> np.ndarray | complex:
     shifted = np.empty_like(out)
     for c, n, lam in f.terms:
         np.add(lam, z_arr, out=shifted)
-        if not shifted.all():
+        if not shifted.all():  # some lam + z is 0
             raise ValueError("pole: lam + z = 0")
-        shifted **= n
+        shifted **= n  # in place, by the path ``shifted ** n`` takes
         out += np.divide(c * gamma(n), shifted, out=shifted)
     return out if np.ndim(z) else complex(out[0])
 
