@@ -157,10 +157,7 @@ def _emit(manifest: dict, reports: list[CriterionReport], fmt: str, out_path: st
 
 def _load_system_arg(args) -> tuple[DiagonalSystem, dict]:
     config, entry = _load_json_arg(args.system)
-    system = load_system(config)
-    if args.modes is not None:
-        system = system.with_modes(args.modes)
-    return system, entry
+    return load_system(config, args.modes), entry
 
 
 def cmd_check(args) -> int:

@@ -223,17 +223,16 @@ def _heaviest_bins(ys: np.ndarray, ms: np.ndarray, sizes: np.ndarray, lengths: n
     """
     starts = np.cumsum(sizes) - sizes
     atom = np.arange(sizes.sum()) - np.repeat(starts, sizes)
-    bins = np.floor(ys[atom] / np.repeat(lengths, sizes)
-                    - np.repeat(phases, sizes)).astype(np.int64)
+    bins = np.floor(ys[atom] / np.repeat(lengths, sizes) - np.repeat(phases, sizes))
     low = np.minimum.reduceat(bins, starts)
     spans = [high - lo + 1 for lo, high in
              zip(low.tolist(), np.maximum.reduceat(bins, starts).tolist())]
     dense = [span <= 4 * size + 64 for span, size in zip(spans, sizes.tolist())]
-    room = np.array([span if counts else 0 for span, counts in zip(spans, dense)])
+    room = np.array([int(span) if counts else 0 for span, counts in zip(spans, dense)])
     dense = np.array(dense)
     base = np.cumsum(room) - room
     counted = np.repeat(dense, sizes)
-    keys = bins[counted] - np.repeat(low[dense], sizes[dense])
+    keys = (bins[counted] - np.repeat(low[dense], sizes[dense])).astype(np.int64)
     keys += np.repeat(base[dense], sizes[dense])
     sums = np.bincount(keys, weights=ms[atom[counted]], minlength=int(room.sum()))
     heaviest = iter(np.maximum.reduceat(sums, base[dense]).tolist())
@@ -255,7 +254,7 @@ def _scanned_level(m: AtomicMeasure, n: int, length: float, denom: float, symmet
     else:
         found = []
         for phase in (0.0, 0.5):
-            bins = np.floor(y[inside] / length - phase).astype(np.int64)
+            bins = np.floor(y[inside] / length - phase)
             k, mass = _heaviest_bin(bins, m.masses[inside])
             found.append((k + phase, mass))
     best, witness = 0.0, None
@@ -266,18 +265,22 @@ def _scanned_level(m: AtomicMeasure, n: int, length: float, denom: float, symmet
     return best, witness
 
 
-def _heaviest_bin(bins: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
-    """(bin, total weight) of the heaviest bin, the lowest bin on ties."""
-    b_min = int(bins.min())
-    span = int(bins.max()) - b_min + 1
+def _heaviest_bin(bins: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """(bin, total weight) of the heaviest bin, the lowest bin on ties.
+
+    The bins are whole float64s: a key past 2^63 would wrap in int64, so
+    only a dense span's offsets from its lowest key, which are exact, are
+    cast to count them."""
+    b_min = float(bins.min())
+    span = float(bins.max()) - b_min + 1
     if span <= 4 * bins.size + 64:
-        sums = np.bincount(bins - b_min, weights=weights, minlength=span)
+        sums = np.bincount((bins - b_min).astype(np.int64), weights=weights, minlength=int(span))
         k = int(np.argmax(sums))
         return b_min + k, float(sums[k])
     uniq, inv = np.unique(bins, return_inverse=True)
     sums = np.bincount(inv, weights=weights)
     k = int(np.argmax(sums))
-    return int(uniq[k]), float(sums[k])
+    return float(uniq[k]), float(sums[k])
 
 
 def c1_zen_carleson(m: AtomicMeasure, zen: RadialMeasure,

@@ -50,8 +50,8 @@ __all__ = [
 def __getattr__(name: str):
     """``halfplane.quad``, bound on first use: nothing in the package calls
     scipy's ``quad``, but the benchmark's span tracer wraps this name, so
-    scipy is imported only when something asks for it.  ROADMAP items 8
-    and 9 retarget the tracer's ``halfplane.quad`` metrics at the
+    scipy is imported only when something asks for it.  ROADMAP items 6
+    and 10 retarget the tracer's ``halfplane.quad`` metrics at the
     Gauss-Kronrod integrator and then delete this binding."""
     if name == "quad":
         from scipy.integrate import quad

@@ -310,7 +310,7 @@ def _space_norm(f: TestFunction, space: InputSpace) -> tuple[float, bool]:
     if space.kind == "sobolev":
         return math.sqrt(_sobolev_surrogate_sq(f, space.beta)[0]), True
     if space.kind == "weightedL2":
-        moment = WeightFunction(space.measure, "unchecked").poly_exp_moment
+        moment = WeightFunction(space.measure).poly_exp_moment
     elif space.kind == "powerL2":
         a = space.alpha
 
@@ -410,7 +410,7 @@ def kernel_condition_sweep(sys: DiagonalSystem, space: InputSpace,
     elif space.kind == "sobolev":
         n = math.floor(space.beta + 0.5) + 1
     elif space.kind == "weightedL2":
-        n = WeightFunction(space.measure, "unchecked").resolvent_power(minimum=1)
+        n = WeightFunction(space.measure).resolvent_power(minimum=1)
     elif space.kind == "powerL2":
         n = 1 - space.alpha
     else:

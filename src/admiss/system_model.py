@@ -41,15 +41,12 @@ class DiagonalSystem:
 
     ``eigenvalues`` and ``coeffs`` accept any sequence and are stored as
     read-only 1-d arrays, each float64 when none of its entries has an
-    imaginary part and complex128 otherwise.  ``generator`` is an optional
-    symbolic tag (e.g. ``"heat1d"``) from which ``with_modes`` rebuilds the
-    system at another truncation (the CLI's ``--modes``).
+    imaginary part and complex128 otherwise.
     """
 
     eigenvalues: np.ndarray
     coeffs: np.ndarray
     q: float
-    generator: str | None = None
 
     def __post_init__(self):
         lam = _frozen_array(self.eigenvalues, "eigenvalues")
@@ -91,12 +88,6 @@ class DiagonalSystem:
         sys = cls(*args)
         object.__setattr__(sys, "_measure", measure)
         return sys
-
-    def with_modes(self, modes: int) -> "DiagonalSystem":
-        """Rematerialize a tagged system at a different truncation."""
-        if self.generator == "heat1d":
-            return heat_system(modes)
-        raise ValueError(f"cannot regenerate system without a known generator tag: {self.generator!r}")
 
 
 def _finite_real_bounds(values: np.ndarray) -> tuple[float, float] | None:
@@ -281,10 +272,7 @@ def heat_system(modes: int) -> DiagonalSystem:
     At most ``MAX_MODES`` modes, so a generator config or ``--modes`` cannot
     ask for an allocation that exhausts memory.
     """
-    if modes < 1:
-        raise ValueError(f"number of modes must be >= 1, got {modes}")
-    if modes > MAX_MODES:
-        raise ValueError(f"number of modes {modes} exceeds the cap of {MAX_MODES}")
+    _check_modes(modes)
     x = np.arange(1, modes + 1, dtype=float)
     x *= x
     x *= math.pi**2
@@ -293,7 +281,15 @@ def heat_system(modes: int) -> DiagonalSystem:
         arr.setflags(write=False)
     # the measure's atoms are x itself and its masses |1|^2 = 1 the coefficients
     measure = AtomicMeasure._at_checked_locations(x, coeffs, x_ascending=True)
-    return DiagonalSystem._with_measure(measure, eig, coeffs, 2.0, "heat1d")
+    return DiagonalSystem._with_measure(measure, eig, coeffs, 2.0)
+
+
+def _check_modes(modes: int) -> None:
+    """Refuse a truncation K outside 1 <= K <= ``MAX_MODES``."""
+    if modes < 1:
+        raise ValueError(f"number of modes must be >= 1, got {modes}")
+    if modes > MAX_MODES:
+        raise ValueError(f"number of modes {modes} exceeds the cap of {MAX_MODES}")
 
 
 def dual_system(sys: DiagonalSystem, obs_coeffs) -> DiagonalSystem:
@@ -323,11 +319,13 @@ def max_sector_angle(m: AtomicMeasure) -> float:
     return float(np.abs(np.angle(m.locations[m.masses > 0])).max())
 
 
-def load_system(config: dict | str) -> DiagonalSystem:
-    """Build a system from its JSON config.
+def load_system(config: dict | str, modes: int | None = None) -> DiagonalSystem:
+    """Build a system from its JSON config, once.
 
     Schema: {"eigenvalues": [[re, im], ...], "coeffs": [[re, im], ...], "q": number}
-    or {"generator": "heat1d", "modes": K}.
+    or {"generator": "heat1d", "modes": K}.  ``modes`` (the CLI's ``--modes``)
+    replaces a generator config's K, which is still checked but never built;
+    an explicit config is refused with it before anything is built.
     """
     if isinstance(config, str):
         config = json.loads(config)
@@ -335,10 +333,14 @@ def load_system(config: dict | str) -> DiagonalSystem:
         name = config["generator"]
         if name != "heat1d":
             raise ValueError(f"unknown system generator {name!r}")
-        modes = config_float(config, "modes")
-        if not modes.is_integer():
+        k = config_float(config, "modes")
+        if not k.is_integer():
             raise ValueError(f"config field 'modes' must be an integer, got {config['modes']!r}")
-        return heat_system(int(modes))
+        _check_modes(int(k))
+        return heat_system(int(k) if modes is None else modes)
+    if modes is not None:
+        raise ValueError(f"--modes {modes} needs a generator config; "
+                         "an explicit system has the modes it lists")
     for key in ("eigenvalues", "coeffs", "q"):
         if key not in config:
             raise ValueError(f"system config missing required field {key!r}")

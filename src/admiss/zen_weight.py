@@ -120,16 +120,9 @@ def delta2_constant(m: RadialMeasure) -> float:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Evaluation rule for w(t), t > 0, with closed-form components.
-
-    provenance is "hardy" for a pure Dirac at 0, "bergman-<alpha>" for a pure
-    power density, "mixture" for closed-form sums, and "unchecked" for a rule
-    built without the doubling check of ``weight`` (the oracle's closed-form
-    norms).
-    """
+    """Evaluation rule for w(t), t > 0, with closed-form components."""
 
     measure: RadialMeasure
-    provenance: str
 
     def __call__(self, t) -> np.ndarray | float:
         t = np.asarray(t, dtype=float)
@@ -191,13 +184,7 @@ def weight(m: RadialMeasure) -> WeightFunction:
             "measure fails the doubling condition (nu[0, r) vanishes below the "
             "first atom); the weight integral is not controlled"
         )
-    if m.atom_at_zero > 0 and not m.has_density and not m.atoms:
-        prov = "hardy"
-    elif m.has_density and m.atom_at_zero == 0 and not m.atoms:
-        prov = f"bergman-{m.density_alpha:g}"
-    else:
-        prov = "mixture"
-    return WeightFunction(m, prov)
+    return WeightFunction(m)
 
 
 def nu_square_mass(m: RadialMeasure, interval_length: float) -> float:

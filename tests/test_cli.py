@@ -439,3 +439,45 @@ def test_modes_above_cap_refused_before_allocation(system, modes, capsys, monkey
     code = main(["check", "--system", system, "--space", '{"kind":"Lp","p":1.5}', *modes])
     assert code == 1
     assert "exceeds the cap of 10000000" in capsys.readouterr().err
+
+
+def test_modes_truncate_the_generator_config_before_its_one_build(capsys, monkeypatch):
+    # a config of 10^7 modes with --modes 100 builds only the 100 modes
+    arange = np.arange
+    stops = []
+
+    def recorded_arange(*args, **kwargs):
+        stops.append(max(args))
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr("admiss.system_model.np.arange", recorded_arange)
+    code = main(["check", "--system", '{"generator":"heat1d","modes":10000000}',
+                 "--space", '{"kind":"Lp","p":1.5}', "--modes", "100", "--format", "json"])
+    assert code != 1
+    assert stops and max(stops) <= 101
+    assert json.loads(capsys.readouterr().out)["modes"] == 100
+
+
+def test_modes_refused_for_an_explicit_system_before_it_is_built(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("an explicit system was built")
+
+    monkeypatch.setattr("admiss.system_model.DiagonalSystem", no_build)
+    system = '{"eigenvalues":[[-1,0],[-4,0]],"coeffs":[[1,0],[1,0]],"q":2}'
+    code = main(["check", "--system", system, "--space", '{"kind":"Lp","p":2}', "--modes", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "--modes" in captured.err
+
+
+@pytest.mark.parametrize("config_modes, message", [
+    ("2.7", "'modes' must be an integer"),
+    ("null", "'modes' must be a number"),
+    ("10000000000", "exceeds the cap of 10000000"),
+], ids=["fraction", "null", "above-cap"])
+def test_config_modes_checked_when_modes_replaces_them(config_modes, message, capsys):
+    system = f'{{"generator":"heat1d","modes":{config_modes}}}'
+    code = main(["check", "--system", system, "--space", '{"kind":"Lp","p":2}', "--modes", "50"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert message in captured.err

@@ -659,6 +659,22 @@ def test_staggered_level_masses_keep_the_unique_path_for_sparse_bins():
     assert got == _staggered_level_masses_reference(m, lengths)
 
 
+@pytest.mark.parametrize("space", [InputSpace("Lp", p=2.0), InputSpace("weightedL2", measure=hardy())],
+                         ids=["C2", "C1"])
+def test_staggered_bins_past_int64_stay_apart(space):
+    # at |I| = 2^-20 the heights +-1e20 .. 5e20 are bins past 2^63, where an
+    # int64 key wraps to INT64_MIN and the three unit atoms share one bin; as
+    # floats each keeps its own, and the lowest of the tied bins, y = -3e20,
+    # names the witness
+    sys_ = DiagonalSystem([-1e-7 + 1e20j, -1e-7 + 3e20j, -1e-7 - 5e20j], [1, 1, 1], 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = dispatch(sys_, space)[0]
+    assert report.criterion in ("C1", "C2")
+    assert report.constant == 2.0**20
+    assert report.witness["n"] == -20 and report.witness["interval"][0] == -3e20
+
+
 @pytest.mark.parametrize("location", [0.5, 0.5 + 0.25j], ids=["real", "complex"])
 def test_zero_ratio_names_the_symmetric_square_that_holds_mass(location):
     # 5e-324 / 1e300 rounds to 0 at every level: a symmetric square names the

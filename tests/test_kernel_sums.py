@@ -166,7 +166,7 @@ def _pre_sweep(sys, space, points_per_decade=10):
         n = math.floor(space.beta + 0.5) + 1
         kernels = [TestFunction.poly_exp(n, z) for z in grid]
     elif space.kind == "weightedL2":
-        n = WeightFunction(space.measure, "unchecked").resolvent_power(minimum=1)
+        n = WeightFunction(space.measure).resolvent_power(minimum=1)
         kernels = [TestFunction.poly_exp(n, z) for z in grid]
     else:
         kernels = [TestFunction.power_exp(space.alpha, z) for z in grid]
@@ -393,10 +393,10 @@ def _package_powers():
     # R1: -N for the weights' resolvent powers; R7: alpha - 1; the oracle at
     # q = 2: -N for its sweep orders (L^p, Sobolev up to beta = 2, weighted
     # L^2, powerL2 1 - alpha) and its Monte-Carlo members (N = 1)
-    r1 = {WeightFunction(zen, "unchecked").resolvent_power()
+    r1 = {WeightFunction(zen).resolvent_power()
           for zen in (hardy(), bergman(0.0), bergman(0.5), bergman(1.0), bergman(1.99))}
     sweep = {math.floor(beta + 0.5) + 1 for beta in (0.25, 0.5, 1.0, 2.0)}
-    sweep |= {WeightFunction(zen, "unchecked").resolvent_power(minimum=1)
+    sweep |= {WeightFunction(zen).resolvent_power(minimum=1)
               for zen in (hardy(), bergman(0.5))}
     alphas = (0.0, 0.25, 0.5, 0.9, 0.99)
     return sorted({-float(n) for n in r1 | sweep | {1}} | {a - 1 for a in alphas})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -42,9 +43,9 @@ def test_heat_measure_equals_the_generic_measure(modes):
 
 @pytest.mark.parametrize("build", [
     lambda: heat_system(50),
-    lambda: heat_system(3).with_modes(50),
+    lambda: load_system({"generator": "heat1d", "modes": 3}, 50),
     lambda: load_system({"generator": "heat1d", "modes": 50}),
-], ids=["heat_system", "with_modes", "load_system"])
+], ids=["heat_system", "load_system_modes", "load_system"])
 def test_heat_generators_build_the_measure_with_the_system(build):
     # the unit coefficients are the masses, and x ascends by construction
     h = build()
@@ -71,11 +72,15 @@ def test_heat_rejects_nonpositive_modes():
         heat_system(0)
 
 
-def test_with_modes_regenerates_heat():
-    assert heat_system(5).with_modes(7).modes == 7
-    plain = DiagonalSystem((-1 + 0j,), (1 + 0j,), 2.0)
-    with pytest.raises(ValueError):
-        plain.with_modes(3)
+def test_load_system_modes_replace_the_generator_truncation():
+    assert load_system({"generator": "heat1d", "modes": 5}, 7).modes == 7
+    explicit = {"eigenvalues": [[-1, 0]], "coeffs": [[1, 0]], "q": 2}
+    with pytest.raises(ValueError, match="--modes"):
+        load_system(explicit, 3)
+
+
+def test_system_has_no_fields_beyond_its_arrays_and_q():
+    assert [f.name for f in dataclasses.fields(DiagonalSystem)] == ["eigenvalues", "coeffs", "q"]
 
 
 def test_system_validation():

@@ -36,7 +36,6 @@ def _weight_by_quadrature(w, t: float) -> float:
 
 def test_hardy_weight_constant():
     w = weight(hardy())
-    assert w.provenance == "hardy"
     assert w(1.0) == pytest.approx(2 * math.pi)
     assert w(100.0) == pytest.approx(2 * math.pi)
 
@@ -168,12 +167,6 @@ def test_load_radial_measure_presets_and_schema():
     assert m.atom_at_zero == 2.0
     assert m.atoms == ((1.0, 3.0),)
     assert m.density_scale == 4.0
-
-
-def test_weight_mixture_provenance():
-    m = RadialMeasure(atom_at_zero=1.0, density_alpha=0.0, density_scale=1.0)
-    assert weight(m).provenance == "mixture"
-    assert weight(bergman(0.5)).provenance == "bergman-0.5"
 
 
 def test_weight_vectorized():

@@ -8,7 +8,10 @@ The runs of ``ARGVS`` are heat1d ``check`` and ``sweep`` at K = 10^3,
 and -20:40), the kernel-sums benchmark's ``check`` runs (weightedL2 hardy
 and bergman:0.5 at K = 5 10^3, powerL2 alpha = 0.25 and 0.5 at K = 10^5),
 ``oracle`` runs at K = 10^4 (L^p p = 1.5 and 3, powerL2 alpha = 0.5,
-weightedL2 hardy and bergman:0.5, Sobolev p = 2 and 3 at beta = 0.25), and ``check`` runs of two complex-stored spectra given
+weightedL2 hardy and bergman:0.5, Sobolev p = 2 and 3 at beta = 0.25),
+heat1d runs whose ``--modes`` replaces the config's K = 10^6 (``check`` and
+the L^p ``sweep`` over p at ``--modes 200000``, L^p p = 1.5 ``oracle`` at
+``--modes 10000``), and ``check`` runs of two complex-stored spectra given
 inline (``COMPLEX_SYSTEMS``) over spaces that run C1-C8, R1 and R7
 (``COMPLEX_SPACES``).  Each is made with ``--format json`` in one fresh
 interpreter per checkout that imports that checkout's ``src/``.  Its
@@ -65,6 +68,9 @@ KERNEL_CHECKS = (
     (100_000, {"kind": "powerL2", "alpha": 0.5}),
 )
 ORACLE_MODES = 10_000
+# the config's K of the ``--modes`` runs, and the K that ``--modes`` gives
+# ``check``/``sweep`` and ``oracle``
+CONFIG_MODES, CHECK_OVERRIDE, ORACLE_OVERRIDE = 1_000_000, 200_000, ORACLE_MODES
 ORACLE_SPACES = (
     {"kind": "Lp", "p": 1.5},
     {"kind": "Lp", "p": 3},
@@ -105,6 +111,13 @@ def _argvs() -> list[list[str]]:
     system = json.dumps({"generator": "heat1d", "modes": ORACLE_MODES})
     argvs += [["oracle", "--system", system, "--space", json.dumps(space), "--mix-size", "64",
                "--format", "json"] for space in ORACLE_SPACES]
+    system = json.dumps({"generator": "heat1d", "modes": CONFIG_MODES})
+    lp = json.dumps({"kind": "Lp", "p": 1.5})
+    override = ["--system", system, "--format", "json", "--modes"]
+    argvs += [["check", *override, str(CHECK_OVERRIDE), "--space", lp],
+              ["sweep", *override, str(CHECK_OVERRIDE), "--space", json.dumps(SWEEPS[0][0]),
+               "--param", SWEEPS[0][1], "--values", SWEEPS[0][2]],
+              ["oracle", *override, str(ORACLE_OVERRIDE), "--space", lp, "--mix-size", "64"]]
     argvs += [["check", "--system", json.dumps(system), "--format", "json", "--space",
                json.dumps(space)] for system in COMPLEX_SYSTEMS for space in COMPLEX_SPACES]
     return argvs
