@@ -27,7 +27,7 @@ def controllability_measure(sys: DiagonalSystem) -> tuple[AtomicMeasure, dict]:
     Refuses vanishing control coefficients and repeated eigenvalues: both make
     the mass formula singular and the underlying moment problem unsolvable.
     """
-    z = -sys.eigenvalues
+    z = sys.points
     return _interpolation_measure(z, z.real**2, sys.coeffs, "controllability measure",
                                   "control coefficient")
 
@@ -74,7 +74,7 @@ def sobolev_controllability(sys: DiagonalSystem, beta: float, targets=None,
     limiting case with trivial smoothness factors."""
     if beta < 0:
         raise ValueError("smoothness beta must be nonnegative")
-    z = -sys.eigenvalues
+    z = sys.points
     g = sys.coeffs if targets is None else np.asarray(targets, dtype=complex)
     if g.shape != z.shape:
         raise ValueError("one target value per eigenvalue required")

@@ -193,9 +193,11 @@ def _staggered_level_masses(m: AtomicMeasure, lengths: list[float]) -> list[floa
     # per phase (rows) and filled level: whether all its atoms share one bin
     scale = np.array(lengths)[filled]
     phases = np.array([[0.0], [0.5]])
-    y_low = np.minimum.accumulate(ys)[tops] / scale
-    y_high = np.maximum.accumulate(ys)[tops] / scale
-    one_bin = np.floor(y_low - phases) == np.floor(y_high - phases)
+    lows, highs = np.minimum.accumulate(ys)[tops], np.maximum.accumulate(ys)[tops]
+    with np.errstate(over="ignore"):  # overflowing keys: see _heaviest_height_bin
+        y_low, y_high = lows / scale, highs / scale
+    one_bin = ((np.floor(y_low - phases) == np.floor(y_high - phases)) & np.isfinite(y_low)
+               | (lows == highs))
     best = np.where(one_bin, np.cumsum(ms)[tops], 0.0)
     phase_of, level_of = np.nonzero(~one_bin)
     sizes = hi[filled][level_of]
@@ -223,7 +225,8 @@ def _heaviest_bins(ys: np.ndarray, ms: np.ndarray, sizes: np.ndarray, lengths: n
     """
     starts = np.cumsum(sizes) - sizes
     atom = np.arange(sizes.sum()) - np.repeat(starts, sizes)
-    bins = np.floor(ys[atom] / np.repeat(lengths, sizes) - np.repeat(phases, sizes))
+    with np.errstate(over="ignore"):  # an infinite key makes its segment sparse
+        bins = np.floor(ys[atom] / np.repeat(lengths, sizes) - np.repeat(phases, sizes))
     low = np.minimum.reduceat(bins, starts)
     spans = [high - lo + 1 for lo, high in
              zip(low.tolist(), np.maximum.reduceat(bins, starts).tolist())]
@@ -236,33 +239,65 @@ def _heaviest_bins(ys: np.ndarray, ms: np.ndarray, sizes: np.ndarray, lengths: n
     keys += np.repeat(base[dense], sizes[dense])
     sums = np.bincount(keys, weights=ms[atom[counted]], minlength=int(room.sum()))
     heaviest = iter(np.maximum.reduceat(sums, base[dense]).tolist())
-    return [next(heaviest) if counts else _heaviest_bin(bins[start:start + size], ms[:size])[1]
-            for counts, start, size in zip(dense.tolist(), starts.tolist(), sizes.tolist())]
+    return [next(heaviest) if counts else _heaviest_height_bin(ys[:size], ms[:size], length,
+                                                               phase)[2]
+            for counts, size, length, phase in zip(dense.tolist(), sizes.tolist(),
+                                                   lengths.tolist(), phases.tolist())]
 
 
 def _scanned_level(m: AtomicMeasure, n: int, length: float, denom: float, symmetric: bool,
                    part: str) -> tuple[float, dict | None]:
     """Ratio and witness of one dyadic length from a scan of every atom in
     storage order: a centred square's mass is one ``sum``, a staggered
-    bin's a ``bincount`` (``_heaviest_bin``), phase 0 first."""
+    bin's a ``bincount`` (``_heaviest_height_bin``), phase 0 first."""
     x_lo = length / 2 if part == "right_half" else 0.0
     inside = (m.x >= x_lo) & (m.x < length)
     y = np.zeros(len(m)) if m.y is None else m.y
     if symmetric:
         inside &= (y >= -length / 2) & (y < length / 2)
-        found = [(-0.5, float(m.masses[inside].sum()))]
+        found = [(-0.5 * length, 0.5 * length, float(m.masses[inside].sum()))]
     else:
-        found = []
-        for phase in (0.0, 0.5):
-            bins = np.floor(y[inside] / length - phase)
-            k, mass = _heaviest_bin(bins, m.masses[inside])
-            found.append((k + phase, mass))
+        found = [_heaviest_height_bin(y[inside], m.masses[inside], length, phase)
+                 for phase in (0.0, 0.5)]
     best, witness = 0.0, None
-    for lo, mass in found:
+    for lo, hi, mass in found:
         ratio = (math.inf if denom == 0 else mass / denom) if mass > 0 else 0.0
         if ratio > best:
-            best, witness = ratio, {"n": n, "interval": [lo * length, (lo + 1) * length]}
+            best, witness = ratio, {"n": n, "interval": [lo, hi]}
     return best, witness
+
+
+def _heaviest_height_bin(ys: np.ndarray, weights: np.ndarray, length: float,
+                         phase: float) -> tuple[float, float, float]:
+    """(lower end, upper end, weight) of the heaviest staggered bin
+    [(k + phase)|I|, (k + phase + 1)|I|), k = floor(y/|I| - phase), of the
+    heights ys, the lowest on ties (``_heaviest_bin``).
+
+    Where y/|I| overflows, |y| > 2^1024 |I|, distinct heights lie far more
+    than |I| apart: those atoms share a bin only with atoms of their own
+    height, and its ends round to that height.  Such bins lie below (y < 0)
+    or above every bin of a finite key."""
+    with np.errstate(over="ignore"):
+        bins = np.floor(ys / length - phase)
+    far = np.isinf(bins)
+    if not far.any():
+        k, mass = _heaviest_bin(bins, weights)
+        return (k + phase) * length, (k + phase + 1) * length, mass
+    heights, group = np.unique(ys[far], return_inverse=True)
+    sums = np.bincount(group, weights=weights[far])
+    below = int(np.searchsorted(heights, 0.0))  # the heights of the keys at -inf
+
+    def far_bin(lo: int, hi: int) -> tuple[float, float, float]:
+        i = lo + int(np.argmax(sums[lo:hi]))
+        return float(heights[i]), float(heights[i] + length), float(sums[i])
+
+    found = [far_bin(0, below)] if below else []  # in ascending order of bins
+    if not far.all():
+        k, mass = _heaviest_bin(bins[~far], weights[~far])
+        found.append(((k + phase) * length, (k + phase + 1) * length, mass))
+    if below < heights.size:
+        found.append(far_bin(below, heights.size))
+    return max(found, key=lambda bin_: bin_[2])  # the first of equal weights
 
 
 def _heaviest_bin(bins: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -424,7 +459,8 @@ def c5_sobolev_square(m: AtomicMeasure, p: float, q: float, beta: float,
         return CriterionReport("C5", math.inf, {"z": [0.0, 0.0]}, UNBOUNDED,
                                {"note": "atom at the origin has infinite Sobolev factor"})
     exponent = q / (p / (p - 1))
-    return _square_report("C5", m.transformed(factors), lambda length: length**exponent,
+    factors *= m.masses  # the weighted masses, in the array this criterion owns
+    return _square_report("C5", m._with_masses(factors), lambda length: length**exponent,
                           n_range, symmetric=True, exponent=exponent, beta=beta)
 
 
@@ -440,7 +476,8 @@ def c6_sobolev_balayage(m: AtomicMeasure, p: float, q: float, beta: float) -> Cr
         return CriterionReport("C6", math.inf, {"z": [0.0, 0.0]}, INCONCLUSIVE,
                                {"note": "atom at the origin has infinite Sobolev factor"})
     s = p / (p - q)
-    value, diag = balayage_norm(m.transformed(factors), s)
+    factors *= m.masses
+    value, diag = balayage_norm(m._with_masses(factors), s)
     verdict = BOUNDED if math.isfinite(value) and diag["converged"] else INCONCLUSIVE
     return CriterionReport("C6", value, {}, verdict,
                            {"balayage_diagnostics": diag, "beta": beta, "exponent": s,
@@ -475,7 +512,8 @@ def c8_shifted_carleson(m: AtomicMeasure, beta: float,
     if m.y is not None:
         factors = np.abs(factors)  # |1 + x| = 1 + x on the axis, x >= 0
     factors **= -2 * beta
-    return _square_report("C8", m.transformed(factors), lambda length: length, n_range,
+    factors *= m.masses
+    return _square_report("C8", m._with_masses(factors), lambda length: length, n_range,
                           symmetric=False, beta=beta)
 
 

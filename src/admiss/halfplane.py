@@ -247,10 +247,14 @@ def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
             taylor = _taylor_sums(z, centres, halves, moments, power)
     if not (held := masses > 0).all():
         u, v, masses = u[held], None if real else v[held], masses[held]
+    # BLAS takes no stride-0 vector (heat's unit masses): numpy's own loop
+    # would be slower and sum in another order
+    masses = np.ascontiguousarray(masses)
     cols = min(max(1, u.size), _BLOCK_ENTRIES)
     rows = _BLOCK_ENTRIES // cols
     sums = np.zeros(z.size)
-    block = np.empty((1 if real else 2) * min(rows, z.size) * cols)
+    layers = max(1 if real else 2, 1 + _power_layers(power))
+    block = np.empty(layers * min(rows, z.size) * cols)
     for i in range(0, z.size, rows):
         re, im, out = z.real[i:i + rows], z.imag[i:i + rows], sums[i:i + rows]
         for k in range(0, u.size, cols):
@@ -379,7 +383,8 @@ def _block_sums(re: np.ndarray, im: np.ndarray, u: np.ndarray, v: np.ndarray | N
     """sum_k m_k |z + w_k|^(2 power) at z = re + i im over w_k = u_k + i v_k,
     written to ``out`` if given; v is None for real atoms.  The squared
     distances are formed in ``block``, a flat buffer of at least (1, or 2
-    for complex atoms) x points x atoms floats."""
+    for complex atoms, or 1 + ``_power_layers(power)`` if more) x points x
+    atoms floats."""
     entries = re.size * u.size
     d = block[:entries].reshape(re.size, u.size)
     np.add(re[:, None], u, out=d)
@@ -391,38 +396,58 @@ def _block_sums(re: np.ndarray, im: np.ndarray, u: np.ndarray, v: np.ndarray | N
         d += dy
     elif im.any():  # rows on the axis add nothing
         d += (im * im)[:, None]
-    return np.matmul(_power_in_place(d, power), masses, out=out)
+    return np.matmul(_power_in_place(d, power, block[entries:]), masses, out=out)
 
 
-def _power_in_place(d: np.ndarray, power: float) -> np.ndarray:
+def _power_in_place(d: np.ndarray, power: float, spare: np.ndarray | None = None) -> np.ndarray:
     """d ** power, overwriting d.  When 4 power is a nonzero integer the power
     is formed from a reciprocal, at most two square roots and products, each
     about 1 ns per entry against about 4 ns for ``np.power`` at a general
-    exponent (x86-64, numpy 2.4)."""
+    exponent (x86-64, numpy 2.4).  The result is d or lies in ``spare``, a
+    flat buffer of at least ``_power_layers(power)`` times d.size floats (None:
+    new arrays), which also holds the roots and the odd powers that d, squared
+    in place, would lose."""
     quarters = 4 * power
     if quarters == 0 or quarters != round(quarters):
         return np.power(d, power, out=d)
     if power < 0:
         np.reciprocal(d, out=d)
     whole, rest = divmod(round(abs(quarters)), 4)
+    layers = (np.empty_like(d) if spare is None else
+              spare[i * d.size:(i + 1) * d.size].reshape(d.shape) for i in range(2))
     out = None
     if rest:
-        out = np.sqrt(d, out=d if whole == 0 else None)
+        out = np.sqrt(d, out=d if whole == 0 else next(layers))
         if rest == 1:
             np.sqrt(out, out=out)
         elif rest == 3:
-            out *= np.sqrt(out)
+            out *= np.sqrt(out, out=next(layers))
     # d ** whole by binary powering, squaring d in place
     while whole:
         if whole & 1:
             if out is None:
-                out = d if whole == 1 else d.copy()
+                out = d
+                if whole > 1:  # d is squared further: keep this power apart
+                    out = next(layers)
+                    np.copyto(out, d)
             else:
                 out *= d
         whole >>= 1
         if whole:
             d *= d
     return out
+
+
+def _power_layers(power: float) -> int:
+    """Arrays of d's size beside d that ``_power_in_place`` writes at this
+    power: a root beside d, a root of that root, or a copy of an odd power."""
+    quarters = 4 * power
+    if quarters == 0 or quarters != round(quarters):
+        return 0
+    whole, rest = divmod(round(abs(quarters)), 4)
+    if rest:
+        return (whole > 0) + (rest == 3)
+    return int(whole & (whole - 1) != 0)  # two or more bits set
 
 
 def _height_seeds(m: AtomicMeasure, lo: float, hi: float) -> np.ndarray:

@@ -363,7 +363,7 @@ def _embeddings(sys: DiagonalSystem, fs: list[TestFunction]) -> np.ndarray:
             coef[j, row[(n, lam)]] += c * gamma(n)
     rates = np.array([lam for _, lam in kernels])
     mu = spectral_measure(sys)
-    s = mu.locations
+    s, masses = mu.locations, np.ascontiguousarray(mu.masses)  # for BLAS, as in kernel_sums
     if mu.y is None and not (rates.imag.any() or coef.imag.any()):
         rates, coef = rates.real, coef.real
     # a block's table and the mixtures' values there hold _BLOCK_ENTRIES entries
@@ -379,7 +379,7 @@ def _embeddings(sys: DiagonalSystem, fs: list[TestFunction]) -> np.ndarray:
             mod_sq += values.imag * values.imag
         else:
             mod_sq = np.multiply(values, values, out=values)
-        total += _power_in_place(mod_sq, sys.q / 2) @ mu.masses[k:k + cols]
+        total += _power_in_place(mod_sq, sys.q / 2) @ masses[k:k + cols]
     out[mixtures] = total ** (1 / sys.q)
     return out
 

@@ -2,14 +2,17 @@
 
 A system is a finite truncation of a diagonal generator on ell^q: eigenvalues
 lambda_k in the open left half-plane and scalar control coefficients b_k.  The
-sign flip onto the right half-plane happens in exactly one place, the
-system's spectral measure (``spectral_measure``, built once per system), so
-every downstream module works with points z_k = -lambda_k, Re z_k > 0.
+sign flip onto the right half-plane happens once, when the system is built:
+it stores its points z_k = -lambda_k, Re z_k > 0, which are also the atoms of
+its spectral measure (``spectral_measure``, built once per system), so every
+downstream module works with them; ``eigenvalues`` is derived when read.
 
 Arrays are float64 when no entry has an imaginary part and complex128
 otherwise; realness is decided once, when a system or measure is built, and a
 real measure's ``y`` is None.  ``heat_system`` builds its measure with the
-system, on shared arrays: atoms n^2 pi^2, known to ascend, and unit masses.
+system on one K-long array: x = n^2 pi^2 is the points and the atoms, known
+to ascend, and its unit coefficients, the masses too, are a read-only
+broadcast of 1.0 that takes no memory.
 """
 
 from __future__ import annotations
@@ -35,59 +38,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DiagonalSystem:
     """Finite truncation of a diagonal semigroup system on ell^q.
 
-    ``eigenvalues`` and ``coeffs`` accept any sequence and are stored as
-    read-only 1-d arrays, each float64 when none of its entries has an
-    imaginary part and complex128 otherwise.
+    ``DiagonalSystem(eigenvalues, coeffs, q)``: ``eigenvalues`` and
+    ``coeffs`` accept any sequence.  The system stores read-only 1-d arrays,
+    each float64 when none of its entries has an imaginary part and
+    complex128 otherwise: its ``points`` z = -lambda and its ``coeffs``.
     """
 
-    eigenvalues: np.ndarray
+    points: np.ndarray  # z_k = -lambda_k, Re z_k > 0
     coeffs: np.ndarray
     q: float
 
-    def __post_init__(self):
-        lam = _frozen_array(self.eigenvalues, "eigenvalues")
-        b = _frozen_array(self.coeffs, "coeffs")
-        if lam.size != b.size:
+    def __init__(self, eigenvalues, coeffs, q: float):
+        self._set(_frozen_array(eigenvalues, "eigenvalues", negate=True),
+                  _frozen_array(coeffs, "coeffs"), q, eigenvalues)
+
+    def _set(self, points: np.ndarray, coeffs: np.ndarray, q: float, eigenvalues=None) -> None:
+        """Check the frozen arrays and q and store them; a refused point is
+        named by its eigenvalue as given (``eigenvalues``), or as -z."""
+        if points.size != coeffs.size:
             raise ValueError(
-                f"eigenvalues ({lam.size}) and coeffs ({b.size}) must have equal length"
+                f"eigenvalues ({points.size}) and coeffs ({coeffs.size}) must have equal length"
             )
-        if lam.size == 0:
+        if points.size == 0:
             raise ValueError("system must have at least one mode")
-        if self.q < 1:
-            raise ValueError(f"state exponent q must be >= 1, got {self.q}")
-        bounds = _finite_real_bounds(lam)
-        if bounds is None or bounds[1] >= 0:  # refuse, naming the first eigenvalue at fault
-            given = np.asarray(self.eigenvalues, dtype=complex)
+        if q < 1:
+            raise ValueError(f"state exponent q must be >= 1, got {q}")
+        bounds = _finite_real_bounds(points)
+        if bounds is None or bounds[0] <= 0:  # refuse, naming the first eigenvalue at fault
+            given = np.asarray(-points if eigenvalues is None else eigenvalues, dtype=complex)
             if not (given.real < 0).all():
                 k = int(np.argmax(~(given.real < 0)))
                 raise ValueError(f"eigenvalue {k} has Re lambda = {given[k].real}, must be < 0")
             _check_finite(given, "eigenvalue")
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "coeffs", b)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "q", q)
+
+    @classmethod
+    def _on_points(cls, points: np.ndarray, coeffs, q: float,
+                   measure: "AtomicMeasure | None" = None) -> "DiagonalSystem":
+        """``DiagonalSystem(-points, coeffs, q)`` on read-only points already
+        built, without negating them, checked as any other; a ``measure`` its
+        generator built from the same arrays is its spectral measure."""
+        sys = object.__new__(cls)
+        sys._set(points, _frozen_array(coeffs, "coeffs"), q)
+        if measure is not None:
+            object.__setattr__(sys, "_measure", measure)
+        return sys
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """lambda = -z, read-only, derived when first read."""
+        lam = np.negative(self.points)
+        lam.setflags(write=False)
+        return lam
 
     @property
     def modes(self) -> int:
-        return self.eigenvalues.size
+        return self.points.size
 
     @functools.cached_property
     def _measure(self) -> "AtomicMeasure":
-        """See ``spectral_measure``; the eigenvalues were checked finite with
-        Re lambda < 0, so their negatives need no second check."""
+        """See ``spectral_measure``; the points were checked finite with
+        Re z > 0, so they are its atoms with no second check."""
         masses = np.abs(self.coeffs)
         masses **= self.q
-        return AtomicMeasure._at_checked_locations(-self.eigenvalues, masses)
-
-    @classmethod
-    def _with_measure(cls, measure: "AtomicMeasure", *args) -> "DiagonalSystem":
-        """``DiagonalSystem(*args)``, checked as any other, holding the spectral
-        measure its generator built from the same arrays in place of ``_measure``."""
-        sys = cls(*args)
-        object.__setattr__(sys, "_measure", measure)
-        return sys
+        return AtomicMeasure._at_checked_locations(self.points, masses)
 
 
 def _finite_real_bounds(values: np.ndarray) -> tuple[float, float] | None:
@@ -103,6 +123,15 @@ def _finite_real_bounds(values: np.ndarray) -> tuple[float, float] | None:
     return float(lo), float(hi)
 
 
+def _bounds(values: np.ndarray) -> tuple:
+    """(min, max) of a non-empty 1-d array, read from its one element when
+    its stride is 0 (a broadcast), where a full pass costs more than on a
+    contiguous array."""
+    if values.strides == (0,):
+        return values[0], values[0]
+    return values.min(), values.max()
+
+
 def _check_finite(values: np.ndarray, name: str) -> None:
     """Raise naming the first non-finite entry: an infinite or NaN point has
     no dyadic level, and a criterion would drop it or file it wrongly."""
@@ -115,23 +144,27 @@ def _check_finite(values: np.ndarray, name: str) -> None:
 def _real_or_complex(values) -> np.ndarray:
     """``values`` as a float64 array when no entry has an imaginary part, else
     as complex128; a complex argument is scanned once for that.  A sequence
-    is read as complex, which numpy converts faster than it infers a dtype."""
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=complex)
+    is read into a new complex array, which numpy converts faster than it
+    infers a dtype."""
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=complex)
     if arr.dtype.kind in "biuf":
         return arr.astype(float, copy=False)
     arr = arr.astype(complex, copy=False)
     return arr if arr.imag.any() else arr.real.copy()
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
-    """Read-only 1-d float or complex array (``_real_or_complex``); a
-    writeable ndarray argument is copied so the caller's array is neither
-    frozen nor aliased."""
+def _frozen_array(values, name: str, negate: bool = False) -> np.ndarray:
+    """Read-only 1-d float or complex array (``_real_or_complex``), negated
+    if ``negate``; the caller's array is neither frozen, aliased when
+    writeable, nor negated: a new array is negated in place, the caller's
+    into a copy."""
     arr = _real_or_complex(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     aliased = isinstance(values, np.ndarray) and np.may_share_memory(arr, values)
-    if arr.flags.writeable and aliased:
+    if negate:
+        arr = np.negative(arr, out=None if aliased else arr)
+    elif arr.flags.writeable and aliased:
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -165,7 +198,7 @@ class AtomicMeasure:
         if loc.shape != mass.shape or loc.ndim != 1:
             raise ValueError("locations and masses must be 1-d arrays of equal length")
         if mass.size:
-            lo, hi = mass.min(), mass.max()
+            lo, hi = _bounds(mass)
             if lo < 0:
                 raise ValueError("atom masses must be nonnegative")
             if not hi < math.inf:  # NaN fails too
@@ -250,8 +283,13 @@ class AtomicMeasure:
     def transformed(self, mass_factors: np.ndarray) -> "AtomicMeasure":
         """New measure with per-atom mass multipliers (same locations, checked
         once when this measure was built)."""
-        m = AtomicMeasure._at_checked_locations(
-            self.locations, self.masses * np.asarray(mass_factors, dtype=float))
+        return self._with_masses(self.masses * np.asarray(mass_factors, dtype=float))
+
+    def _with_masses(self, masses: np.ndarray) -> "AtomicMeasure":
+        """``transformed`` to these masses, which are checked and frozen, not
+        copied: a caller that owns a product of factors and masses saves one
+        array of the measure's size."""
+        m = AtomicMeasure._at_checked_locations(self.locations, masses)
         object.__setattr__(m, "_source", self if self._source is None else self._source)
         return m
 
@@ -276,12 +314,11 @@ def heat_system(modes: int) -> DiagonalSystem:
     x = np.arange(1, modes + 1, dtype=float)
     x *= x
     x *= math.pi**2
-    eig, coeffs = np.negative(x), np.ones(modes)
-    for arr in (x, eig, coeffs):  # nothing else holds them: spare the copies
-        arr.setflags(write=False)
-    # the measure's atoms are x itself and its masses |1|^2 = 1 the coefficients
+    x.setflags(write=False)  # nothing else holds it: spare the copy
+    coeffs = np.broadcast_to(1.0, modes)  # read-only, stride 0
+    # x is the points and the atoms, and the masses |1|^2 = 1 the coefficients
     measure = AtomicMeasure._at_checked_locations(x, coeffs, x_ascending=True)
-    return DiagonalSystem._with_measure(measure, eig, coeffs, 2.0)
+    return DiagonalSystem._on_points(x, coeffs, 2.0, measure)
 
 
 def _check_modes(modes: int) -> None:
@@ -299,17 +336,17 @@ def dual_system(sys: DiagonalSystem, obs_coeffs) -> DiagonalSystem:
     this system together with the dual input space.
     """
     obs = np.asarray(obs_coeffs)
-    if obs.shape != sys.eigenvalues.shape:
+    if obs.shape != sys.points.shape:
         raise ValueError(f"obs_coeffs length {obs.size} != number of modes {sys.modes}")
     if sys.q == 1:
         raise ValueError("q = 1 has infinite conjugate exponent; out of numeric scope")
     q_dual = sys.q / (sys.q - 1)
-    return DiagonalSystem(sys.eigenvalues, obs, q_dual)
+    return DiagonalSystem._on_points(sys.points, obs, q_dual)
 
 
 def max_sector_angle(m: AtomicMeasure) -> float:
     """Max |arg z| over positive-mass atoms; inf if an atom sits at the origin."""
-    if not m.masses.size or m.masses.max() == 0:  # no positive mass
+    if not m.masses.size or _bounds(m.masses)[1] == 0:  # no positive mass
         return 0.0
     # an atom at the origin has Re z = 0, the least Re z can be
     if m.x.min() == 0 and ((m.masses > 0) & (m.locations == 0)).any():

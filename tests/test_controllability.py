@@ -95,3 +95,11 @@ def test_target_validation():
         sobolev_controllability(TWO_MODE, 1.0, targets=[0j, 1 + 0j])
     with pytest.raises(ValueError):
         sobolev_controllability(TWO_MODE, -1.0)
+
+
+def test_heat_interpolation_equals_the_generic_system():
+    # the measure reads heat's points as they are, and the generic system's
+    # negated eigenvalues: the same atoms bit for bit
+    h = heat_system(50)
+    generic = DiagonalSystem(h.eigenvalues, np.ones(50), 2.0)
+    assert interpolation_test(h).to_json() == interpolation_test(generic).to_json()

@@ -675,6 +675,91 @@ def test_staggered_bins_past_int64_stay_apart(space):
     assert report.witness["n"] == -20 and report.witness["interval"][0] == -3e20
 
 
+@pytest.mark.parametrize("run", [
+    lambda sys_: dispatch(sys_, InputSpace("Lp", p=2.0))[0],
+    lambda sys_: c1_zen_carleson(spectral_measure(sys_), hardy()),
+], ids=["C2", "C1"])
+@pytest.mark.parametrize("heights, mass", [((-1e303, -1.5e303), 1.0), ((-1e303, -1e303), 2.0)],
+                         ids=["apart", "equal"])
+def test_staggered_bins_whose_keys_overflow_stay_apart(run, heights, mass):
+    # at |I| = 2^-20, y/|I| overflows to inf at both heights: distinct heights
+    # lie far more than |I| apart, so each atom keeps its own bin (2^20) and
+    # only equal heights share one (2^21); the witness is the lower atom's
+    # bin, which rounds to [y, y] (z = -lambda flips the sign of Im lambda)
+    sys_ = DiagonalSystem([complex(-1e-7, h) for h in heights], [1, 1], 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run(sys_)
+    assert report.criterion in ("C1", "C2")
+    assert report.constant == mass * 2.0**20
+    assert report.witness == {"n": -20, "interval": [1e303, 1e303]}
+
+
+def _heaviest_height_bin_reference(ys, weights, length, phase):
+    """Bins keyed (-1, y) below, (0, floor(y/|I| - phase)) and (1, y) above
+    the finite keys, summed in storage order; the lowest key wins ties."""
+    sums = {}
+    for y, w in zip(ys.tolist(), weights.tolist()):
+        with np.errstate(over="ignore"):
+            k = float(np.floor(np.float64(y) / length - phase))
+        key = (0, k) if math.isfinite(k) else ((-1 if k < 0 else 1), y)
+        sums[key] = sums.get(key, 0.0) + w
+    key = min(sums, key=lambda key: (-sums[key], key))
+    if key[0]:
+        return key[1], key[1] + length, sums[key]
+    return (key[1] + phase) * length, (key[1] + phase + 1) * length, sums[key]
+
+
+@given(st.lists(st.tuples(st.sampled_from([-1.5e303, -1e303, -3.0, -0.5, 0.0, 0.25, 2.0, 1e303,
+                                           1.7e308]),
+                          st.sampled_from([0.0, 0.5, 1.0, 1.5])), min_size=1, max_size=12),
+       st.integers(-24, 2), st.sampled_from([0.0, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_heaviest_height_bin_orders_overflowing_keys_around_the_finite_ones(atoms, n, phase):
+    ys, weights = (np.array(column) for column in zip(*atoms))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = criteria._heaviest_height_bin(ys, weights, 2.0**n, phase)
+    assert got == _heaviest_height_bin_reference(ys, weights, 2.0**n, phase)
+
+
+@pytest.mark.parametrize("name", ["C5", "C6", "C8"])
+def test_weighted_criteria_read_the_transformed_measure(name):
+    # the criteria write the weighted masses into their factor array; the
+    # constants are those of the measure ``transformed`` by the factors
+    rng = np.random.default_rng(12)
+    m = AtomicMeasure(rng.uniform(0.01, 50.0, 400) + 1j * rng.uniform(-20.0, 20.0, 400),
+                      rng.uniform(0.0, 2.0, 400))
+    if name == "C8":
+        got = c8_shifted_carleson(m, 0.4)
+        want = _square_family_sup(m.transformed(np.abs(1.0 + m.locations) ** -0.8),
+                                  lambda length: length, criteria.DEFAULT_N_RANGE, False)[1]
+    else:
+        factors = criteria._sobolev_factors(m, 2.0, 0.5)
+        if name == "C5":
+            got = c5_sobolev_square(m, 1.5, 2.0, 0.5)
+            want = _square_family_sup(m.transformed(factors), lambda length: length ** (2 / 3),
+                                      criteria.DEFAULT_N_RANGE, True)[1]
+        else:
+            got = c6_sobolev_balayage(m, 3.0, 2.0, 0.5)
+            want = halfplane.balayage_norm(m.transformed(factors), 3.0)[0]
+    assert got.constant == want
+    assert m.masses.flags.writeable is False
+
+
+@pytest.mark.parametrize("space", [
+    InputSpace("Lp", p=1.3), InputSpace("Lp", p=3.0), InputSpace("weightedL2", measure=hardy()),
+    InputSpace("powerL2", alpha=0.5), InputSpace("sobolev", p=2.0, beta=0.5),
+], ids=["Lp1.3", "Lp3", "hardy", "powerL2", "sobolev"])
+def test_heat_system_reports_equal_the_generic_system(space):
+    # heat's points are its atoms and its stride-0 unit coefficients its
+    # masses; the generic system negates the eigenvalues and takes |b|^2
+    h = heat_system(3000)
+    generic = DiagonalSystem(h.eigenvalues, np.ones(h.modes), 2.0)
+    assert ([r.to_json() for r in dispatch(h, space)]
+            == [r.to_json() for r in dispatch(generic, space)])
+
+
 @pytest.mark.parametrize("location", [0.5, 0.5 + 0.25j], ids=["real", "complex"])
 def test_zero_ratio_names_the_symmetric_square_that_holds_mass(location):
     # 5e-324 / 1e300 rounds to 0 at every level: a symmetric square names the

@@ -532,3 +532,17 @@ def test_single_terms_share_one_kernel_sum_per_order():
     assert spy.call_count == 3  # orders 1, 2 and 1/2
     want = [_pre_embedding_value(sys_, f) for f in fs]
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)
+
+
+def test_heat_unit_masses_sum_as_contiguous_ones():
+    # heat's masses are a stride-0 broadcast of 1.0, which BLAS does not
+    # take; the dense rows and the oracle's mixture table sum them as the
+    # generic system's contiguous ones, bit for bit
+    h = heat_system(3000)
+    generic = DiagonalSystem(h.eigenvalues, np.ones(h.modes), 2.0)
+    z = np.array([-0.5 + 1j, 2.0 + 3j, -7.0])  # Re z < 0 stays off the Taylor bins
+    for power in (-1.0, -1.5, 0.3):
+        assert (kernel_sums(z, spectral_measure(h), power).tobytes()
+                == kernel_sums(z, spectral_measure(generic), power).tobytes())
+    f = TestFunction.mix([(1, 1, 1.0), (-2 + 1j, 2, 0.5 + 3j)])
+    assert embedding_value(h, f) == embedding_value(generic, f)

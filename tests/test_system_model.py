@@ -47,16 +47,18 @@ def test_heat_measure_equals_the_generic_measure(modes):
     lambda: load_system({"generator": "heat1d", "modes": 50}),
 ], ids=["heat_system", "load_system_modes", "load_system"])
 def test_heat_generators_build_the_measure_with_the_system(build):
-    # the unit coefficients are the masses, and x ascends by construction
+    # x is the points and the atoms, the unit coefficients (a read-only
+    # broadcast of 1.0) are the masses, and x ascends by construction
     h = build()
     m = spectral_measure(h)
-    assert m.masses is h.coeffs
+    assert m.locations is h.points and m.masses is h.coeffs
+    assert h.coeffs.strides == (0,) and not h.coeffs.flags.writeable
     assert vars(m)["x_ascending"] is True
     assert spectral_measure(h) is m
 
 
-def test_heat_system_and_measure_hold_three_arrays():
-    # eigenvalues, coefficients (the masses too) and x (the atoms), 8 MB each
+def test_heat_system_and_measure_hold_one_array():
+    # x, 8 MB: the points and the atoms; the coefficients take no memory
     tracemalloc.start()
     try:
         m = spectral_measure(heat_system(10**6))
@@ -64,7 +66,48 @@ def test_heat_system_and_measure_hold_three_arrays():
     finally:
         tracemalloc.stop()
     assert len(m) == 10**6
-    assert peak <= 3 * 8 * 10**6 + 10**6
+    assert peak <= 8 * 10**6 + 10**6
+
+
+def test_explicit_system_and_measure_hold_no_copy_of_the_eigenvalues():
+    # the points (the integer input, converted and negated in place), the
+    # coefficients' copy and the masses, 8 MB each; no eigenvalues beside them
+    modes = 10**6
+    lam, b = -np.arange(1, modes + 1), np.ones(modes)
+    tracemalloc.start()
+    try:
+        m = spectral_measure(DiagonalSystem(lam, b, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.x[-1] == modes
+    assert peak <= 3 * 8 * modes + 10**6
+
+
+@pytest.mark.parametrize("make", [
+    lambda: heat_system(5),
+    lambda: DiagonalSystem(np.array([-1.0, -2.5]), [1, 2], 2.0),
+    lambda: DiagonalSystem([-1 + 2j, -3 - 0.5j], [1, 1j], 3.0),
+    lambda: dual_system(heat_system(3), [1, 2, 3]),
+], ids=["heat", "real", "complex", "dual"])
+def test_eigenvalues_are_the_negated_points(make):
+    sys_ = make()
+    lam = sys_.eigenvalues
+    assert lam.dtype == sys_.points.dtype
+    assert lam.tobytes() == np.negative(sys_.points).tobytes()
+    assert not lam.flags.writeable and not sys_.points.flags.writeable
+    assert sys_.eigenvalues is lam
+
+
+def test_caller_arrays_are_never_negated():
+    for lam in (np.array([-1.0, -2.0]), np.array([-1 + 1j, -2 - 1j])):
+        for writeable in (True, False):
+            given = lam.copy()
+            given.setflags(write=writeable)
+            sys_ = DiagonalSystem(given, [1, 1], 2.0)
+            assert given.tobytes() == lam.tobytes() and given.flags.writeable is writeable
+            assert not np.may_share_memory(sys_.points, given)
+            assert sys_.eigenvalues.tobytes() == lam.tobytes()
 
 
 def test_heat_rejects_nonpositive_modes():
@@ -80,7 +123,8 @@ def test_load_system_modes_replace_the_generator_truncation():
 
 
 def test_system_has_no_fields_beyond_its_arrays_and_q():
-    assert [f.name for f in dataclasses.fields(DiagonalSystem)] == ["eigenvalues", "coeffs", "q"]
+    # the points z = -lambda, the coefficients and q; no generator tag
+    assert [f.name for f in dataclasses.fields(DiagonalSystem)] == ["points", "coeffs", "q"]
 
 
 def test_system_validation():
