@@ -221,7 +221,9 @@ def _heaviest_bins(ys: np.ndarray, ms: np.ndarray, sizes: np.ndarray, lengths: n
     ``_heaviest_bin`` counts them densely) is offset past the previous one's
     keys, so one ``bincount`` adds every bin's masses in the order
     ``_heaviest_bin`` would and ``maximum.reduceat`` takes each segment's
-    heaviest bin; a wider segment keeps ``_heaviest_bin``'s ``unique`` path.
+    heaviest bin; a wider segment, or one with a key that overflows to
+    +-inf, takes ``_heaviest_height_bin`` (``_heaviest_bin``'s ``unique``
+    path for its finite keys).
     """
     starts = np.cumsum(sizes) - sizes
     atom = np.arange(sizes.sum()) - np.repeat(starts, sizes)
