@@ -194,7 +194,7 @@ def _staggered_level_masses(m: AtomicMeasure, lengths: list[float]) -> list[floa
     scale = np.array(lengths)[filled]
     phases = np.array([[0.0], [0.5]])
     lows, highs = np.minimum.accumulate(ys)[tops], np.maximum.accumulate(ys)[tops]
-    with np.errstate(over="ignore"):  # overflowing keys: see _heaviest_height_bin
+    with np.errstate(over="ignore"):  # overflowing keys: see _heaviest_bins
         y_low, y_high = lows / scale, highs / scale
     one_bin = ((np.floor(y_low - phases) == np.floor(y_high - phases)) & np.isfinite(y_low)
                | (lows == highs))
@@ -205,7 +205,7 @@ def _staggered_level_masses(m: AtomicMeasure, lengths: list[float]) -> list[floa
     for run in np.split(np.arange(sizes.size), np.flatnonzero(np.diff(runs)) + 1):
         if run.size:
             best[phase_of[run], level_of[run]] = _heaviest_bins(
-                ys, ms, sizes[run], scale[level_of[run]], phases[phase_of[run], 0])
+                ys, ms, sizes[run], scale[level_of[run]], phases[phase_of[run], 0])[0]
     masses = [0.0] * len(lengths)
     for j, mass, mass_half in zip(filled.tolist(), *best.tolist()):
         masses[j] = max(max(0.0, mass), mass_half)
@@ -213,45 +213,64 @@ def _staggered_level_masses(m: AtomicMeasure, lengths: list[float]) -> list[floa
 
 
 def _heaviest_bins(ys: np.ndarray, ms: np.ndarray, sizes: np.ndarray, lengths: np.ndarray,
-                   phases: np.ndarray) -> list[float]:
-    """``_heaviest_bin``'s mass of each segment: the bins floor(y/length -
-    phase) of the first ``size`` atoms of ys, weighted by ms.
+                   phases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, lower ends, upper ends) of each segment's heaviest staggered bin.
 
-    Each segment whose bins span at most 4 size + 64 keys (where
-    ``_heaviest_bin`` counts them densely) is offset past the previous one's
-    keys, so one ``bincount`` adds every bin's masses in the order
-    ``_heaviest_bin`` would and ``maximum.reduceat`` takes each segment's
-    heaviest bin; a wider segment, or one with a key that overflows to
-    +-inf, takes ``_heaviest_height_bin`` (``_heaviest_bin``'s ``unique``
-    path for its finite keys).
+    Segment i bins the first sizes[i] >= 1 atoms of ys, weighted by ms, at
+    |I| = lengths[i] and phase = phases[i]: key k = floor(y/|I| - phase), bin
+    [(k + phase)|I|, (k + phase + 1)|I|), the lowest bin on ties.  Where y/|I|
+    overflows, |y| > 2^1024 |I|, distinct heights lie far more than |I| apart:
+    such an atom shares a bin only with atoms of its own height, that bin lies
+    below (y < 0) or above every bin of a finite key, and its ends y and
+    y + |I| round to y.
+
+    A dense segment (finite keys spanning at most 4 size + 64) counts its keys
+    as offsets from its lowest; any other ranks its distinct keys (-inf keys
+    by height, finite keys, +inf keys by height).  Each segment's slots follow
+    the previous one's, so one ``bincount`` adds every bin's weights in input
+    order and ``reduceat`` takes each segment's heaviest bin.  Keys stay
+    float64: one past 2^63 would wrap in int64.
     """
     starts = np.cumsum(sizes) - sizes
     atom = np.arange(sizes.sum()) - np.repeat(starts, sizes)
-    with np.errstate(over="ignore"):  # an infinite key makes its segment sparse
-        bins = np.floor(ys[atom] / np.repeat(lengths, sizes) - np.repeat(phases, sizes))
-    low = np.minimum.reduceat(bins, starts)
-    spans = [high - lo + 1 for lo, high in
-             zip(low.tolist(), np.maximum.reduceat(bins, starts).tolist())]
-    dense = [span <= 4 * size + 64 for span, size in zip(spans, sizes.tolist())]
-    room = np.array([int(span) if counts else 0 for span, counts in zip(spans, dense)])
-    dense = np.array(dense)
+    ys = ys[atom]
+    # an overflowing key, or a span past the floats, makes its segment ranked
+    # (its offsets are replaced)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bins = np.floor(ys / np.repeat(lengths, sizes) - np.repeat(phases, sizes))
+        low = np.minimum.reduceat(bins, starts)
+        span = np.maximum.reduceat(bins, starts) - low + 1
+        keys = (bins - np.repeat(low, sizes)).astype(np.int64)
+    dense = span <= 4 * sizes + 64
+    if not dense.all():  # ranked by segment, key, then height where the key is +-inf
+        at = np.flatnonzero(~np.repeat(dense, sizes))
+        segment = np.repeat(np.arange(sizes.size), sizes)[at]
+        heights = np.where(np.isinf(bins[at]), ys[at], 0.0)
+        kinds, rank = np.unique(np.stack((segment, bins[at], heights)), axis=1, return_inverse=True)
+        keys[at] = rank - np.searchsorted(kinds[0], segment)  # rank within the segment
+    room = np.maximum.reduceat(keys, starts) + 1
     base = np.cumsum(room) - room
-    counted = np.repeat(dense, sizes)
-    keys = (bins[counted] - np.repeat(low[dense], sizes[dense])).astype(np.int64)
-    keys += np.repeat(base[dense], sizes[dense])
-    sums = np.bincount(keys, weights=ms[atom[counted]], minlength=int(room.sum()))
-    heaviest = iter(np.maximum.reduceat(sums, base[dense]).tolist())
-    return [next(heaviest) if counts else _heaviest_height_bin(ys[:size], ms[:size], length,
-                                                               phase)[2]
-            for counts, size, length, phase in zip(dense.tolist(), sizes.tolist(),
-                                                   lengths.tolist(), phases.tolist())]
+    keys += np.repeat(base, sizes)
+    sums = np.bincount(keys, weights=ms[atom], minlength=int(room.sum()))
+    weights = np.maximum.reduceat(sums, base)
+    reach = np.where(sums == np.repeat(weights, room), np.arange(sums.size), sums.size)
+    # an atom of each segment's heaviest bin (the weights are >= 0, so that
+    # bin holds an atom)
+    holder = np.empty(sums.size, np.int64)
+    holder[keys] = np.arange(keys.size)
+    held = holder[np.minimum.reduceat(reach, base)]
+    k, far = bins[held], np.isinf(bins[held])
+    with np.errstate(over="ignore"):  # an end past 2^1024 is inf
+        lows = np.where(far, ys[held], (k + phases) * lengths)
+        highs = np.where(far, ys[held] + lengths, (k + phases + 1) * lengths)
+    return weights, lows, highs
 
 
 def _scanned_level(m: AtomicMeasure, n: int, length: float, denom: float, symmetric: bool,
                    part: str) -> tuple[float, dict | None]:
     """Ratio and witness of one dyadic length from a scan of every atom in
-    storage order: a centred square's mass is one ``sum``, a staggered
-    bin's a ``bincount`` (``_heaviest_height_bin``), phase 0 first."""
+    storage order: a centred square's mass is one ``sum``, the staggered
+    bins one ``_heaviest_bins`` call of two segments, phase 0 first."""
     x_lo = length / 2 if part == "right_half" else 0.0
     inside = (m.x >= x_lo) & (m.x < length)
     y = np.zeros(len(m)) if m.y is None else m.y
@@ -259,65 +278,16 @@ def _scanned_level(m: AtomicMeasure, n: int, length: float, denom: float, symmet
         inside &= (y >= -length / 2) & (y < length / 2)
         found = [(-0.5 * length, 0.5 * length, float(m.masses[inside].sum()))]
     else:
-        found = [_heaviest_height_bin(y[inside], m.masses[inside], length, phase)
-                 for phase in (0.0, 0.5)]
+        sizes = np.full(2, np.count_nonzero(inside))  # a scanned level holds mass
+        weights, lows, highs = _heaviest_bins(y[inside], m.masses[inside], sizes,
+                                              np.full(2, length), np.array([0.0, 0.5]))
+        found = zip(lows.tolist(), highs.tolist(), weights.tolist())
     best, witness = 0.0, None
     for lo, hi, mass in found:
         ratio = (math.inf if denom == 0 else mass / denom) if mass > 0 else 0.0
         if ratio > best:
             best, witness = ratio, {"n": n, "interval": [lo, hi]}
     return best, witness
-
-
-def _heaviest_height_bin(ys: np.ndarray, weights: np.ndarray, length: float,
-                         phase: float) -> tuple[float, float, float]:
-    """(lower end, upper end, weight) of the heaviest staggered bin
-    [(k + phase)|I|, (k + phase + 1)|I|), k = floor(y/|I| - phase), of the
-    heights ys, the lowest on ties (``_heaviest_bin``).
-
-    Where y/|I| overflows, |y| > 2^1024 |I|, distinct heights lie far more
-    than |I| apart: those atoms share a bin only with atoms of their own
-    height, and its ends round to that height.  Such bins lie below (y < 0)
-    or above every bin of a finite key."""
-    with np.errstate(over="ignore"):
-        bins = np.floor(ys / length - phase)
-    far = np.isinf(bins)
-    if not far.any():
-        k, mass = _heaviest_bin(bins, weights)
-        return (k + phase) * length, (k + phase + 1) * length, mass
-    heights, group = np.unique(ys[far], return_inverse=True)
-    sums = np.bincount(group, weights=weights[far])
-    below = int(np.searchsorted(heights, 0.0))  # the heights of the keys at -inf
-
-    def far_bin(lo: int, hi: int) -> tuple[float, float, float]:
-        i = lo + int(np.argmax(sums[lo:hi]))
-        return float(heights[i]), float(heights[i] + length), float(sums[i])
-
-    found = [far_bin(0, below)] if below else []  # in ascending order of bins
-    if not far.all():
-        k, mass = _heaviest_bin(bins[~far], weights[~far])
-        found.append(((k + phase) * length, (k + phase + 1) * length, mass))
-    if below < heights.size:
-        found.append(far_bin(below, heights.size))
-    return max(found, key=lambda bin_: bin_[2])  # the first of equal weights
-
-
-def _heaviest_bin(bins: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """(bin, total weight) of the heaviest bin, the lowest bin on ties.
-
-    The bins are whole float64s: a key past 2^63 would wrap in int64, so
-    only a dense span's offsets from its lowest key, which are exact, are
-    cast to count them."""
-    b_min = float(bins.min())
-    span = float(bins.max()) - b_min + 1
-    if span <= 4 * bins.size + 64:
-        sums = np.bincount((bins - b_min).astype(np.int64), weights=weights, minlength=int(span))
-        k = int(np.argmax(sums))
-        return b_min + k, float(sums[k])
-    uniq, inv = np.unique(bins, return_inverse=True)
-    sums = np.bincount(inv, weights=weights)
-    k = int(np.argmax(sums))
-    return float(uniq[k]), float(sums[k])
 
 
 def c1_zen_carleson(m: AtomicMeasure, zen: RadialMeasure,

@@ -615,7 +615,7 @@ def blaschke_products(points) -> tuple[np.ndarray, dict]:
     nearest neighbours, so its truncated value is untrustworthy.  Repeated
     points give a zero product and are flagged as degenerate.
     """
-    z = np.asarray([complex(p) for p in points])
+    z = np.asarray(points, dtype=complex)
     n = z.size
     if n == 0:
         raise ValueError("empty point sequence")

@@ -538,6 +538,11 @@ def isometry_check(zen: RadialMeasure, f: TestFunction) -> float:
     return _isometry(zen, f)[0]
 
 
+# the largest family ``empirical_ratio`` draws: each member costs a norm
+# quadrature and a row of the mixtures' kernel table (about 0.24 ms at K = 10^4)
+MAX_FAMILY_SIZE = 1024
+
+
 def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
                     seed: int, diagnostics: dict | None = None) -> float:
     """Monte-Carlo LOWER bound on the embedding norm: max of
@@ -550,10 +555,13 @@ def empirical_ratio(sys: DiagonalSystem, space: InputSpace, family_size: int,
     rate 1, matching the kernel sweep at that point.  A member whose norm
     quadrature did not converge is skipped, so the result stays a lower
     bound; with none left it is 0.  The number of members used is stored
-    under ``members_used`` in ``diagnostics`` when one is given.
+    under ``members_used`` in ``diagnostics`` when one is given.  A family
+    of more than ``MAX_FAMILY_SIZE`` members is refused.
     """
     if family_size < 1:
         raise ValueError("family size must be >= 1")
+    if family_size > MAX_FAMILY_SIZE:
+        raise ValueError(f"family size {family_size} exceeds the cap of {MAX_FAMILY_SIZE}")
     j_cap = int(math.ceil(math.log2(100 * float(spectral_measure(sys).x.max()))))
     members, denoms = [], []
     for i in range(family_size):

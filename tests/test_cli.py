@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from admiss.cli import main
-from admiss.laplace_oracle import TestFunction, _isometry
+from admiss.laplace_oracle import MAX_FAMILY_SIZE, TestFunction, _isometry
 from admiss.zen_weight import hardy
 
 HEAT = json.dumps({"generator": "heat1d", "modes": 10000})
@@ -439,6 +439,19 @@ def test_modes_above_cap_refused_before_allocation(system, modes, capsys, monkey
     code = main(["check", "--system", system, "--space", '{"kind":"Lp","p":1.5}', *modes])
     assert code == 1
     assert "exceeds the cap of 10000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [MAX_FAMILY_SIZE + 1, 10**8])
+def test_mix_size_above_cap_refused_before_any_member(size, capsys, monkeypatch):
+    # each member costs a norm quadrature: above the cap none is drawn
+    def no_member(*args, **kwargs):
+        raise AssertionError("a member was drawn above the cap")
+
+    monkeypatch.setattr("admiss.laplace_oracle._space_norm", no_member)
+    code = main(["oracle", "--system", SMALL_HEAT, "--space", '{"kind":"Lp","p":1.5}',
+                 "--mix-size", str(size)])
+    assert code == 1
+    assert f"exceeds the cap of {MAX_FAMILY_SIZE}" in capsys.readouterr().err
 
 
 def test_modes_truncate_the_generator_config_before_its_one_build(capsys, monkeypatch):

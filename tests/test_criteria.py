@@ -608,7 +608,9 @@ def test_staggered_phases_of_equal_mass_tie_exactly():
 
 
 def _staggered_level_masses_reference(m, lengths):
-    """Per level and phase, ``_heaviest_bin`` over the level's prefix of the x-order."""
+    """Per level and phase, the heaviest bin floor(y/|I| - phase) of the
+    level's prefix of the x-order: ``np.unique`` numbers the bins and
+    ``bincount`` adds each bin's masses in that order."""
     xs, ms, order = m.x_order
     ys = m.y[order]
     masses = []
@@ -617,8 +619,8 @@ def _staggered_level_masses_reference(m, lengths):
         mass = 0.0
         for phase in (0.0, 0.5):
             if b:
-                bins = np.floor(ys[:b] / length - phase).astype(np.int64)
-                mass = max(mass, criteria._heaviest_bin(bins, ms[:b])[1])
+                _, bins = np.unique(np.floor(ys[:b] / length - phase), return_inverse=True)
+                mass = max(mass, float(np.bincount(bins, weights=ms[:b]).max()))
         masses.append(mass)
     return masses
 
@@ -650,12 +652,15 @@ def test_staggered_level_masses_match_a_heaviest_bin_per_level_bit_for_bit(atoms
 
 
 def test_staggered_level_masses_keep_the_unique_path_for_sparse_bins():
-    # two atoms 2e6 apart at |I| = 2^-8 span 5e8 bins: beyond 4 b + 64
+    # two atoms 2e6 apart at |I| = 2^-2 span 8e6 bins: beyond 4 b + 64, so
+    # that level's segments rank their keys
     m = AtomicMeasure.from_atoms([(0.1 + 1e6j, 0.7), (0.2 - 1e6j, 0.1), (0.3, 1.3)])
     lengths = [2.0**n for n in range(-8, 9)]
-    with mock.patch.object(criteria, "_heaviest_bin", wraps=criteria._heaviest_bin) as spy:
-        got = criteria._staggered_level_masses(m, lengths)
-    assert spy.called
+    xs, _, order = m.x_order
+    ys = m.y[order]
+    prefixes = [(int(np.searchsorted(xs, length)), length) for length in lengths]
+    assert any(np.ptp(np.floor(ys[:b] / length)) + 1 > 4 * b + 64 for b, length in prefixes if b)
+    got = criteria._staggered_level_masses(m, lengths)
     assert got == _staggered_level_masses_reference(m, lengths)
 
 
@@ -713,14 +718,25 @@ def _heaviest_height_bin_reference(ys, weights, length, phase):
 @given(st.lists(st.tuples(st.sampled_from([-1.5e303, -1e303, -3.0, -0.5, 0.0, 0.25, 2.0, 1e303,
                                            1.7e308]),
                           st.sampled_from([0.0, 0.5, 1.0, 1.5])), min_size=1, max_size=12),
-       st.integers(-24, 2), st.sampled_from([0.0, 0.5]))
+       st.lists(st.tuples(st.integers(1, 12), st.integers(-24, 2), st.sampled_from([0.0, 0.5])),
+                min_size=1, max_size=6))
+# one call of dense (|y| <= 3), wide (1e303 at |I| = 4) and overflowing
+# (|y| >= 1e303 at |I| = 2^-24) segments
+@example([(-3.0, 1.0), (2.0, 0.5), (1e303, 1.0), (-1.5e303, 1.5), (-1e303, 1.5), (0.25, 0.0)],
+         [(2, 0, 0.5), (3, 2, 0.0), (5, -24, 0.5), (6, -1, 0.0), (3, -24, 0.0)])
 @settings(max_examples=300, deadline=None)
-def test_heaviest_height_bin_orders_overflowing_keys_around_the_finite_ones(atoms, n, phase):
+def test_heaviest_height_bin_orders_overflowing_keys_around_the_finite_ones(atoms, segments):
+    # each segment is a prefix of the atoms, binned at its own length and phase
     ys, weights = (np.array(column) for column in zip(*atoms))
+    sizes, ns, phases = (np.array(column) for column in zip(*segments))
+    sizes = np.minimum(sizes, ys.size)
+    lengths = 2.0**ns
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = criteria._heaviest_height_bin(ys, weights, 2.0**n, phase)
-    assert got == _heaviest_height_bin_reference(ys, weights, 2.0**n, phase)
+        got = criteria._heaviest_bins(ys, weights, sizes, lengths, phases)
+    want = [_heaviest_height_bin_reference(ys[:size], weights[:size], length, phase)
+            for size, length, phase in zip(sizes.tolist(), lengths.tolist(), phases.tolist())]
+    assert list(zip(*(column.tolist() for column in got))) == [(w, lo, hi) for lo, hi, w in want]
 
 
 @pytest.mark.parametrize("name", ["C5", "C6", "C8"])

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from admiss import halfplane
 from admiss.laplace_oracle import (
+    MAX_FAMILY_SIZE,
     TestFunction,
     _fft_derivative_norm,
     _kernel_norms,
@@ -271,6 +272,15 @@ def test_empirical_ratio_monotone_in_family_size():
     sys100 = heat_system(100)
     vals = [empirical_ratio(sys100, space, m, seed=0) for m in (1, 4, 16)]
     assert vals[0] <= vals[1] <= vals[2]
+
+
+def test_empirical_ratio_takes_families_up_to_the_cap():
+    space = InputSpace("Lp", p=1.5)
+    sys50 = heat_system(50)
+    diagnostics = {}
+    at_cap = empirical_ratio(sys50, space, MAX_FAMILY_SIZE, seed=0, diagnostics=diagnostics)
+    assert diagnostics["members_used"] == MAX_FAMILY_SIZE
+    assert at_cap >= empirical_ratio(sys50, space, 64, seed=0)
 
 
 def test_empirical_ratio_m1_matches_kernel_point():

@@ -13,12 +13,15 @@ heat1d runs whose ``--modes`` replaces the config's K = 10^6 (``check`` and
 the L^p ``sweep`` over p at ``--modes 200000``, L^p p = 1.5 ``oracle`` at
 ``--modes 10000``), and ``check`` runs of two complex-stored spectra given
 inline (``COMPLEX_SYSTEMS``) over spaces that run C1-C8, R1 and R7
-(``COMPLEX_SPACES``).  Each is made with ``--format json`` in one fresh
-interpreter per checkout that imports that checkout's ``src/``.  Its
-stdout is the run's manifest; ``wall_clock``, the one field that differs
-between reruns, is dropped.  The interpreter also records whether the run
-called ``halfplane.kernel_sums`` on a real-stored measure, the one call
-whose sums may round differently between checkouts.
+(``COMPLEX_SPACES``), and ``check`` runs whose staggered squares rank their
+bin keys (``RANKED_SYSTEMS``: bins too wide to count densely, and keys
+y/|I| that overflow) over L^p p = 2 and weightedL2 hardy (C2 and C1).
+Each is made with ``--format json`` in one fresh interpreter per checkout
+that imports that checkout's ``src/``.  Its stdout is the run's manifest;
+``wall_clock``, the one field that differs between reruns, is dropped.  The
+interpreter also records whether the run called ``halfplane.kernel_sums`` on
+a real-stored measure, the one call whose sums may round differently
+between checkouts.
 
 The script prints one line per run whose manifest or exit code differs,
 marked ``FLIP`` when an exit code or a verdict differs, with the paths of
@@ -91,6 +94,13 @@ COMPLEX_SPACES = (
     {"kind": "sobolev", "p": 2, "beta": 0.5},
     {"kind": "sobolev", "p": 3, "beta": 0.5},
 )
+# unit coefficients, q = 2, eigenvalues (re, im): one whose staggered bins
+# span far more keys than atoms (Im lambda = +-1e6), and one whose keys
+# y/|I| overflow to +-inf
+RANKED_SYSTEMS = tuple({"eigenvalues": eigenvalues, "coeffs": [[1, 0]] * len(eigenvalues), "q": 2}
+                       for eigenvalues in ([[-0.1, -1e6], [-0.2, 1e6], [-0.3, 0]],
+                                           [[-1e-7, -1e303], [-1e-7, -1.5e303]]))
+RANKED_SPACES = ({"kind": "Lp", "p": 2}, {"kind": "weightedL2", "measure": "hardy"})
 # largest relative difference of two floats at the same place that passes,
 # in a run that called a real-measure kernel sum
 FLOAT_RTOL = 1e-13
@@ -120,6 +130,8 @@ def _argvs() -> list[list[str]]:
               ["oracle", *override, str(ORACLE_OVERRIDE), "--space", lp, "--mix-size", "64"]]
     argvs += [["check", "--system", json.dumps(system), "--format", "json", "--space",
                json.dumps(space)] for system in COMPLEX_SYSTEMS for space in COMPLEX_SPACES]
+    argvs += [["check", "--system", json.dumps(system), "--format", "json", "--space",
+               json.dumps(space)] for system in RANKED_SYSTEMS for space in RANKED_SPACES]
     return argvs
 
 
