@@ -42,7 +42,8 @@ def _interpolation_measure(z: np.ndarray, numerators: np.ndarray, g: np.ndarray,
     if diagnostics["degenerate"]:
         raise ValueError(f"{name} undefined: repeated eigenvalues")
     masses = numerators / (np.abs(g) ** 2 * products**2)
-    return AtomicMeasure(z, masses), diagnostics
+    # z are a checked system's points; the masses are checked
+    return AtomicMeasure._at_checked_locations(z, masses), diagnostics
 
 
 def _carleson_with_gate(m: AtomicMeasure, blaschke_diag: dict, name: str,

@@ -555,13 +555,6 @@ _NO_CHARACTERIZATION = {
 }
 
 
-def _measure_and_sector(sys: DiagonalSystem) -> tuple[AtomicMeasure, bool]:
-    """The spectral measure and the sector gate: max |arg z| over its
-    positive-mass atoms is below pi/2."""
-    mu = spectral_measure(sys)
-    return mu, mu.sector_angle < math.pi / 2
-
-
 def run_criterion(name: str, sys: DiagonalSystem, space: InputSpace,
                   n_range=DEFAULT_N_RANGE) -> CriterionReport:
     """Run the registered criterion ``name``; a space of another kind, or a
@@ -569,7 +562,8 @@ def run_criterion(name: str, sys: DiagonalSystem, space: InputSpace,
     entry = REGISTRY[name]
     if space.kind != entry.kind:
         raise ValueError(f"criterion {name} applies to {entry.kind} spaces, got {space.kind}")
-    mu, sectorial = _measure_and_sector(sys)
+    mu = spectral_measure(sys)
+    sectorial = mu.sector_angle < math.pi / 2
     if not entry.applies(space, sys.q, sectorial):
         raise ValueError(
             f"hypothesis violated: {name} needs {entry.hypothesis}, got q = {sys.q:g} "
@@ -592,7 +586,8 @@ def dispatch(sys: DiagonalSystem, space: InputSpace,
     """
     if space.kind not in {c.kind for c in REGISTRY.values()}:
         raise ValueError(f"unknown space kind {space.kind!r}")
-    mu, sectorial = _measure_and_sector(sys)
+    mu = spectral_measure(sys)
+    sectorial = mu.sector_angle < math.pi / 2
     reports = [c.run(sys, mu, space, n_range) for c in REGISTRY.values()
                if c.kind == space.kind and c.applies(space, sys.q, sectorial)]
     if not reports:

@@ -450,11 +450,12 @@ def _power_layers(power: float) -> int:
     return int(whole & (whole - 1) != 0)  # two or more bits set
 
 
-def _height_seeds(m: AtomicMeasure, lo: float, hi: float) -> np.ndarray:
-    """Breakpoints y_h -+ x_h 2^j, j = 0, 1, ..., around every atom height y_h,
-    out to the next height (or to lo / hi beyond the outermost heights), where
-    x_h = min_k (x_k + |y_k - y_h|) is the narrowest width an atom shows at
-    that height: its own narrowest atom's, or a narrower one's close by.
+def _height_seeds(x: np.ndarray, y: np.ndarray | None, lo: float, hi: float) -> np.ndarray:
+    """Breakpoints y_h -+ x_h 2^j, j = 0, 1, ..., around every height y_h of
+    the atoms x + iy (y None: all at height 0), out to the next height (or to
+    lo / hi beyond the outermost heights), where x_h = min_k (x_k + |y_k - y_h|)
+    is the narrowest width an atom shows at that height: its own narrowest
+    atom's, or a narrower one's close by.
 
     A peak of width x_h at the end of a panel much longer than x_h falls
     between the Gauss-Kronrod nodes, so both rules read ~0 and agree; the
@@ -463,12 +464,10 @@ def _height_seeds(m: AtomicMeasure, lo: float, hi: float) -> np.ndarray:
     resolve every wider one centred at the same height, so a spectrum on one
     line (a single height) gets O(log) seeds, not O(K log).
     """
-    pos = m.masses > 0
-    x = m.x[pos]
-    if m.y is None:  # a real measure: one height, 0 (its callers hold positive mass)
+    if y is None:  # one height, 0
         heights, width = np.zeros(1), np.array([x.min()])
     else:
-        heights, which = np.unique(m.y[pos], return_inverse=True)
+        heights, which = np.unique(y, return_inverse=True)
         width = np.full(heights.size, np.inf)
         np.minimum.at(width, which, x)
         # min_k (x_k + |y_k - y_h|) as a running min from each side
@@ -571,9 +570,9 @@ def balayage_norm(m: AtomicMeasure, lebesgue_exponent: float) -> tuple[float, di
     if m.total_mass == 0:
         return 0.0, {"note": "zero measure", "abserr": 0.0, "converged": True}
     pos = m.masses > 0
-    heights = np.zeros(1) if m.y is None else np.unique(m.y[pos])
+    x, y = m.x[pos], None if m.y is None else m.y[pos]
+    heights = np.zeros(1) if y is None else np.unique(y)
     peak = float(balayage(m, heights).max())  # raises on an atom with Re z = 0
-    x = m.x[pos]
     width = float(x.min())
     tail = 1e-3 * _EPSABS
     d = math.exp((math.log(2 / ((2 * s - 1) * width * tail))
@@ -581,14 +580,14 @@ def balayage_norm(m: AtomicMeasure, lebesgue_exponent: float) -> tuple[float, di
     lo, hi = heights[0] - d, heights[-1] + d
     integral, error, converged = _integrate_with_breaks(
         lambda t: (balayage(m, t) / peak) ** s / width, lo, hi,
-        np.concatenate((heights, _height_seeds(m, lo, hi))))
+        np.concatenate((heights, _height_seeds(x, y, lo, hi))))
     error += tail
     value = peak * (width * integral) ** (1 / s)
     # first-order propagation through the 1/s root; an integral of 0 only
     # bounds the norm
     abserr = peak * (width * error) ** (1 / s) if integral == 0 else value * error / (s * integral)
-    if m.y is not None:
-        abserr = max(abserr, value * np.finfo(float).eps * float((np.abs(m.y[pos]) / x).max()))
+    if y is not None:
+        abserr = max(abserr, value * np.finfo(float).eps * float((np.abs(y) / x).max()))
     return value, {"peak": peak, "abserr": abserr, "converged": converged}
 
 

@@ -18,6 +18,7 @@ dispatch from a space to the norm of a test function.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from admiss.report import (
     spectral_grid,
 )
 from admiss.spaces import InputSpace
-from admiss.system_model import AtomicMeasure, DiagonalSystem, spectral_measure
+from admiss.system_model import DiagonalSystem, spectral_measure
 from admiss.zen_weight import RadialMeasure, WeightFunction, gamma
 
 __all__ = [
@@ -58,7 +59,7 @@ __all__ = [
 @dataclass(frozen=True)
 class TestFunction:
     """A finite sum f(t) = sum_m c_m t^(N_m - 1) e^(-lam_m t) of terms
-    (c, N, lam) with real order N > 0 and Re lam > 0.
+    (c, N, lam) with real order N > 0 and finite lam, Re lam > 0.
 
     The Laplace transform of a term is c Gamma(N) / (lam + z)^N, so the
     exponential (N = 1), the polynomial kernel (integer N) and the power
@@ -78,8 +79,8 @@ class TestFunction:
         for _, n, lam in terms:
             if not n > 0:
                 raise ValueError(f"kernel order N must be positive, got {n}")
-            if not lam.real > 0:
-                raise ValueError("kernel rate must have positive real part")
+            if not (lam.real > 0 and cmath.isfinite(lam)):  # its pole seeds quadratures
+                raise ValueError(f"kernel rate must be finite with positive real part, got {lam}")
         object.__setattr__(self, "terms", terms)
 
     @classmethod
@@ -186,9 +187,8 @@ def _sobolev_tail_ok(f: TestFunction, beta: float) -> bool:
 def _pole_breaks(lam: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Breaks for an integral of |Lf(x + iy)| over y: the pole heights
     -Im lam and their ``_height_seeds`` at the widths Re lam."""
-    poles = AtomicMeasure(lam.conjugate(), np.ones(lam.size))
-    heights = np.zeros(1) if poles.y is None else poles.y
-    return np.concatenate((heights, _height_seeds(poles, lo, hi)))
+    y = -lam.imag if lam.imag.any() else None
+    return np.concatenate((np.zeros(1) if y is None else y, _height_seeds(lam.real, y, lo, hi)))
 
 
 def _sobolev_surrogate_sq(f: TestFunction, beta: float) -> tuple[float, float]:

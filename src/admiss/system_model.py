@@ -53,12 +53,18 @@ class DiagonalSystem:
     q: float
 
     def __init__(self, eigenvalues, coeffs, q: float):
-        self._set(_frozen_array(eigenvalues, "eigenvalues", negate=True),
-                  _frozen_array(coeffs, "coeffs"), q, eigenvalues)
+        points = _frozen_array(eigenvalues, "eigenvalues", negate=True)
+        self._set(points, _frozen_array(coeffs, "coeffs"), q)
+        bounds = _finite_real_bounds(points)
+        if bounds is None or bounds[0] <= 0:  # refuse, naming the first eigenvalue at fault
+            given = np.asarray(eigenvalues, dtype=complex)
+            if not (given.real < 0).all():
+                k = int(np.argmax(~(given.real < 0)))
+                raise ValueError(f"eigenvalue {k} has Re lambda = {given[k].real}, must be < 0")
+            _check_finite(given, "eigenvalue")
 
-    def _set(self, points: np.ndarray, coeffs: np.ndarray, q: float, eigenvalues=None) -> None:
-        """Check the frozen arrays and q and store them; a refused point is
-        named by its eigenvalue as given (``eigenvalues``), or as -z."""
+    def _set(self, points: np.ndarray, coeffs: np.ndarray, q: float) -> None:
+        """Check the frozen arrays' lengths and q, and store them."""
         if points.size != coeffs.size:
             raise ValueError(
                 f"eigenvalues ({points.size}) and coeffs ({coeffs.size}) must have equal length"
@@ -67,13 +73,6 @@ class DiagonalSystem:
             raise ValueError("system must have at least one mode")
         if q < 1:
             raise ValueError(f"state exponent q must be >= 1, got {q}")
-        bounds = _finite_real_bounds(points)
-        if bounds is None or bounds[0] <= 0:  # refuse, naming the first eigenvalue at fault
-            given = np.asarray(-points if eigenvalues is None else eigenvalues, dtype=complex)
-            if not (given.real < 0).all():
-                k = int(np.argmax(~(given.real < 0)))
-                raise ValueError(f"eigenvalue {k} has Re lambda = {given[k].real}, must be < 0")
-            _check_finite(given, "eigenvalue")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "q", q)
@@ -81,9 +80,9 @@ class DiagonalSystem:
     @classmethod
     def _on_points(cls, points: np.ndarray, coeffs, q: float,
                    measure: "AtomicMeasure | None" = None) -> "DiagonalSystem":
-        """``DiagonalSystem(-points, coeffs, q)`` on read-only points already
-        built, without negating them, checked as any other; a ``measure`` its
-        generator built from the same arrays is its spectral measure."""
+        """``DiagonalSystem(-points, coeffs, q)`` on read-only points known
+        finite with Re z > 0, neither negated nor checked again; a ``measure``
+        its generator built from the same arrays is its spectral measure."""
         sys = object.__new__(cls)
         sys._set(points, _frozen_array(coeffs, "coeffs"), q)
         if measure is not None:
@@ -106,7 +105,8 @@ class DiagonalSystem:
         """See ``spectral_measure``; the points were checked finite with
         Re z > 0, so they are its atoms with no second check."""
         masses = np.abs(self.coeffs)
-        masses **= self.q
+        with np.errstate(over="ignore"):  # an infinite mass is refused by its check
+            masses **= self.q
         return AtomicMeasure._at_checked_locations(self.points, masses)
 
 
@@ -271,7 +271,15 @@ class AtomicMeasure:
 
     @functools.cached_property
     def sector_angle(self) -> float:
-        return max_sector_angle(self)  # the sector gate's, taken once per measure
+        """Max |arg z| over positive-mass atoms; inf if an atom sits at the origin."""
+        if not self.masses.size or _bounds(self.masses)[1] == 0:  # no positive mass
+            return 0.0
+        # an atom at the origin has Re z = 0, the least Re z can be
+        if self.x.min() == 0 and ((self.masses > 0) & (self.locations == 0)).any():
+            return math.inf
+        if self.y is None:  # a real measure: no angle to take
+            return 0.0
+        return float(np.abs(np.angle(self.locations[self.masses > 0])).max())
 
     @property
     def total_mass(self) -> float:
@@ -344,18 +352,6 @@ def dual_system(sys: DiagonalSystem, obs_coeffs) -> DiagonalSystem:
     return DiagonalSystem._on_points(sys.points, obs, q_dual)
 
 
-def max_sector_angle(m: AtomicMeasure) -> float:
-    """Max |arg z| over positive-mass atoms; inf if an atom sits at the origin."""
-    if not m.masses.size or _bounds(m.masses)[1] == 0:  # no positive mass
-        return 0.0
-    # an atom at the origin has Re z = 0, the least Re z can be
-    if m.x.min() == 0 and ((m.masses > 0) & (m.locations == 0)).any():
-        return math.inf
-    if m.y is None:  # a real measure: no angle to take
-        return 0.0
-    return float(np.abs(np.angle(m.locations[m.masses > 0])).max())
-
-
 def load_system(config: dict | str, modes: int | None = None) -> DiagonalSystem:
     """Build a system from its JSON config, once.
 
@@ -378,11 +374,8 @@ def load_system(config: dict | str, modes: int | None = None) -> DiagonalSystem:
     if modes is not None:
         raise ValueError(f"--modes {modes} needs a generator config; "
                          "an explicit system has the modes it lists")
-    for key in ("eigenvalues", "coeffs", "q"):
-        if key not in config:
-            raise ValueError(f"system config missing required field {key!r}")
-    return DiagonalSystem(_complex_pairs(config["eigenvalues"], "eigenvalues"),
-                          _complex_pairs(config["coeffs"], "coeffs"), config_float(config, "q"))
+    return DiagonalSystem(_complex_pairs(config, "eigenvalues"), _complex_pairs(config, "coeffs"),
+                          config_float(config, "q"))
 
 
 def config_field(config: dict, key: str):
@@ -393,17 +386,20 @@ def config_field(config: dict, key: str):
 
 
 def config_float(config: dict, key: str, default: float | None = None) -> float:
-    """``float`` of a config field, or a ``ValueError`` that names the field."""
+    """``float`` of a config field, or a ``ValueError`` that names the field;
+    a JSON boolean is not a number, though ``float`` reads it as 1 or 0."""
     value = config_field(config, key) if default is None else config.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"config field {key!r} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"config field {key!r} must be a number, got {value!r}")
 
 
-def _complex_pairs(pairs, name: str) -> np.ndarray:
-    """Complex array from a JSON list of [re, im] pairs."""
-    arr = np.asarray(pairs, dtype=float)
+def _complex_pairs(config: dict, name: str) -> np.ndarray:
+    """Complex array from the config field ``name``, a JSON list of [re, im] pairs."""
+    arr = np.asarray(config_field(config, name), dtype=float)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:

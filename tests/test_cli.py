@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,8 +337,13 @@ def test_grid_outside_float_range_is_usage_error(grid, capsys):
     (SMALL_HEAT, '{"kind":"weightedL2","measure":{"density":5}}', "'density'"),
     (SMALL_HEAT, '{"kind":"weightedL2","measure":{"atoms":5}}', "'atoms'"),
     (SMALL_HEAT, '{"kind":"weightedL2","measure":{"atoms":[[1,null]]}}', "'atoms'"),
+    # JSON booleans are not numbers, though float() reads them as 1 and 0
+    ('{"generator":"heat1d","modes":true}', '{"kind":"Lp","p":2}', "'modes'"),
+    ('{"eigenvalues":[[-1,0]],"coeffs":[[1,0]],"q":true}', '{"kind":"Lp","p":2}', "'q'"),
+    (SMALL_HEAT, '{"kind":"sobolev","p":3,"beta":true}', "'beta'"),
 ], ids=["modes-null", "modes-fraction", "p-null", "beta-list", "measure-number",
-        "density-alpha-string", "density-number", "atoms-number", "atoms-null-mass"])
+        "density-alpha-string", "density-number", "atoms-number", "atoms-null-mass",
+        "modes-bool", "q-bool", "beta-bool"])
 def test_wrong_typed_config_value_is_usage_error(system, space, field, capsys):
     code = main(["check", "--system", system, "--space", space, "--grid=-10:40"])
     captured = capsys.readouterr()
@@ -350,7 +356,9 @@ def test_wrong_typed_config_value_is_usage_error(system, space, field, capsys):
     ('{"generator":"heat1d"}', '{"kind":"Lp","p":2}', "modes"),
     (SMALL_HEAT, '{"kind":"Lp"}', "p"),
     (SMALL_HEAT, '{"kind":"weightedL2"}', "measure"),
-], ids=["modes", "p", "measure"])
+    ('{"eigenvalues":[[-1,0]],"coeffs":[[1,0]]}', '{"kind":"Lp","p":2}', "q"),
+    ('{"eigenvalues":[[-1,0]],"q":2}', '{"kind":"Lp","p":2}', "coeffs"),
+], ids=["modes", "p", "measure", "q", "coeffs"])
 def test_check_names_a_missing_config_field(system, space, field, capsys):
     code = main(["check", "--system", system, "--space", space, "--grid=-10:40"])
     captured = capsys.readouterr()
@@ -370,6 +378,16 @@ def test_sweep_names_a_missing_config_field(capsys):
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
         assert code == 3
         assert [row[3] for row in rows] == [f"error: config field '{field}' is missing"] * 2
+
+
+def test_overflowing_mass_is_one_error_line(capsys):
+    # |1e300|^2 overflows to an infinite mass: one error line, no numpy warning
+    system = '{"eigenvalues":[[-1,0]],"coeffs":[[1e300,0]],"q":2}'
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["check", "--system", system, "--space", '{"kind":"Lp","p":2}'])
+    assert code == 1 and caught == []
+    assert capsys.readouterr().err == "error: atom masses must be finite\n"
 
 
 def test_config_file_must_hold_an_object(heat_file, tmp_path, capsys):

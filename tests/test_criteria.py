@@ -367,8 +367,6 @@ ROUTES = {
 def test_dispatch_follows_the_registry():
     from admiss.cli import _build_parser
     from admiss.criteria import REGISTRY
-    from admiss.system_model import max_sector_angle
-
     modes = np.arange(1, 21)
     spectra = {True: -(modes**2) + 0j,
                # |Im| / |Re| >= 9e15: the angle rounds to pi/2 and the gate fails
@@ -380,7 +378,7 @@ def test_dispatch_follows_the_registry():
     for (kind, p, q, sectorial), expected in ROUTES.items():
         sys_ = DiagonalSystem(spectra[sectorial], np.ones(modes.size), q)
         mu = spectral_measure(sys_)
-        assert (max_sector_angle(mu) < math.pi / 2) == sectorial
+        assert (mu.sector_angle < math.pi / 2) == sectorial
         space = spaces[kind](p)
         names = [r.criterion for r in dispatch(sys_, space, n_range=(-10, 30))]
         admitted = [name for name, c in REGISTRY.items()

@@ -312,7 +312,8 @@ def test_balayage_narrow_atom_beside_a_wide_height(x):
 def test_height_seeds_grow_with_heights_not_atoms():
     # heat1d's atoms share the height 0: one geometric ladder each way
     m = spectral_measure(heat_system(10_000))
-    assert halfplane._height_seeds(m, -1e12, 1e12).size <= 2 * math.ceil(math.log2(1e12 / math.pi**2))
+    seeds = halfplane._height_seeds(m.x, m.y, -1e12, 1e12)
+    assert seeds.size <= 2 * math.ceil(math.log2(1e12 / math.pi**2))
 
 
 def test_balayage_integral_warns_when_unconverged(monkeypatch):

@@ -257,6 +257,14 @@ def test_isometry_mixture_with_separated_poles(zen, rate):
     assert isometry_check(zen, TestFunction.mix([(1, 2, 1), (1, 2, rate)])) < 1e-10
 
 
+@pytest.mark.parametrize("rate", [complex(1, math.nan), complex(1, math.inf),
+                                  complex(math.inf, 0), complex(0, 1)])
+def test_test_function_refuses_a_non_finite_rate(rate):
+    # a non-finite pole would seed the isometry's quadrature
+    with pytest.raises(ValueError, match="kernel rate must be finite with positive real part"):
+        TestFunction.exp(rate)
+
+
 def test_isometry_power_kernel_slow_tail():
     # |Lf(iy)|^2 decays like |y|^(-1.4): the y-tail is bounded, not cut off
     assert isometry_check(hardy(), TestFunction.power_exp(0.3, 1.0)) < 1e-10

@@ -18,7 +18,7 @@ from admiss.criteria import (
     r7_fractional_resolvent,
 )
 from admiss.halfplane import dyadic_kernel_sequence, kernel_sums
-from admiss.system_model import AtomicMeasure, heat_system, max_sector_angle, spectral_measure
+from admiss.system_model import AtomicMeasure, heat_system, spectral_measure
 from admiss.zen_weight import bergman, hardy
 
 MODES = (7, 300, 5000)
@@ -71,7 +71,7 @@ def test_kernel_sums_equal_on_both_storages(modes):
     ns = np.arange(-20, 41)
     np.testing.assert_allclose(dyadic_kernel_sequence(mu, ns, 3.0, 2.0),
                                dyadic_kernel_sequence(cplx, ns, 3.0, 2.0), rtol=RTOL, atol=0)
-    assert max_sector_angle(mu) == max_sector_angle(cplx) == 0.0
+    assert mu.sector_angle == cplx.sector_angle == 0.0
 
 
 @pytest.mark.parametrize("modes", MODES)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from admiss import system_model
 from admiss.system_model import (
     AtomicMeasure,
     DiagonalSystem,
     dual_system,
     heat_system,
     load_system,
-    max_sector_angle,
     spectral_measure,
 )
 
@@ -145,6 +145,25 @@ def test_system_refuses_non_finite_eigenvalues(bad):
         DiagonalSystem((-1 + 0j, bad, -2 + 0j), (1, 1, 1), 2.0)
 
 
+def test_points_are_checked_once_where_they_enter(monkeypatch):
+    # heat1d's n^2 pi^2 and a dual system's inherited points are known good
+    calls = []
+    checked = system_model._finite_real_bounds
+    monkeypatch.setattr(system_model, "_finite_real_bounds",
+                        lambda values: calls.append(values.size) or checked(values))
+    heat = heat_system(1000)
+    dual_system(heat, np.ones(1000))
+    assert calls == []
+    DiagonalSystem((-1 + 0j, -2 + 1j), (1, 1), 2.0)
+    assert calls == [2]
+
+
+def test_overflowing_mass_is_refused_without_a_warning():
+    # |1e300|^2 overflows: the finite-mass check names it, under -W error too
+    with pytest.raises(ValueError, match="atom masses must be finite"):
+        spectral_measure(DiagonalSystem([-1.0], [1e300], 2.0))
+
+
 @pytest.mark.parametrize("bad", [complex(math.inf, 0), complex(1, -math.inf),
                                  complex(math.nan, 1), complex(1, math.nan)])
 def test_measure_refuses_non_finite_locations(bad):
@@ -255,7 +274,7 @@ def test_max_sector_angle_ignores_zero_mass():
                                       ([1 + 0j, 1 + 5j], [1.0, 1.0], math.atan2(5, 1)),
                                       ([0j], [1.0], math.inf)]:
         mu = AtomicMeasure(np.array(locations), np.array(masses))
-        assert max_sector_angle(mu) == angle
+        assert mu.sector_angle == angle
 
 
 def test_dual_system_exponent():

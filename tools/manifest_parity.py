@@ -11,7 +11,10 @@ and bergman:0.5 at K = 5 10^3, powerL2 alpha = 0.25 and 0.5 at K = 10^5),
 weightedL2 hardy and bergman:0.5, Sobolev p = 2 and 3 at beta = 0.25),
 heat1d runs whose ``--modes`` replaces the config's K = 10^6 (``check`` and
 the L^p ``sweep`` over p at ``--modes 200000``, L^p p = 1.5 ``oracle`` at
-``--modes 10000``), and ``check`` runs of two complex-stored spectra given
+``--modes 10000``), heat1d runs at K = 10^3 that seed quadratures
+(``oracle --isometry`` for the ``ISOMETRY_PRESETS``, whose Zen norms break at
+the poles' seeds, and a Sobolev p = 3 ``check``, whose C6 seeds the balayage
+of a real measure), and ``check`` runs of two complex-stored spectra given
 inline (``COMPLEX_SYSTEMS``) over spaces that run C1-C8, R1 and R7
 (``COMPLEX_SPACES``), and ``check`` runs whose staggered squares rank their
 bin keys (``RANKED_SYSTEMS``: bins too wide to count densely, and keys
@@ -85,6 +88,10 @@ ORACLE_SPACES = (
     {"kind": "sobolev", "p": 3, "beta": 0.25},
     {"kind": "weightedL2", "measure": "bergman:0.5"},
 )
+# the isometry self-tests' weight presets, and a space whose C6 runs on
+# heat1d's real measure
+ISOMETRY_PRESETS = ("hardy", "bergman:1")
+REAL_BALAYAGE_SPACE = {"kind": "sobolev", "p": 3, "beta": 0.5}
 COMPLEX_SPACES = (
     {"kind": "Lp", "p": 1.5},
     {"kind": "Lp", "p": 2},
@@ -128,6 +135,11 @@ def _argvs() -> list[list[str]]:
               ["sweep", *override, str(CHECK_OVERRIDE), "--space", json.dumps(SWEEPS[0][0]),
                "--param", SWEEPS[0][1], "--values", SWEEPS[0][2]],
               ["oracle", *override, str(ORACLE_OVERRIDE), "--space", lp, "--mix-size", "64"]]
+    system = json.dumps({"generator": "heat1d", "modes": HEAT_MODES[0]})
+    argvs += [["oracle", "--system", system, "--isometry", preset, "--format", "json"]
+              for preset in ISOMETRY_PRESETS]
+    argvs.append(["check", "--system", system, "--format", "json", "--space",
+                  json.dumps(REAL_BALAYAGE_SPACE)])
     argvs += [["check", "--system", json.dumps(system), "--format", "json", "--space",
                json.dumps(space)] for system in COMPLEX_SYSTEMS for space in COMPLEX_SPACES]
     argvs += [["check", "--system", json.dumps(system), "--format", "json", "--space",
