@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -261,6 +262,7 @@ def cmd_oracle(args) -> int:
     return EXIT_INCONCLUSIVE if reports[0].verdict == "fail" else EXIT_BOUNDED
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="admiss",

@@ -7,11 +7,13 @@ strip is half-open, S_n = { 2^(n-1) < Re z <= 2^n }.
 ``kernel_sums`` is the one primitive behind every single-kernel spectral sum
 of the package, sum_k m_k |z + w_k|^(2 power) over the atoms w_k and masses
 m_k of a measure: the resolvent criteria R1 and R7 and their pointwise
-quotients, the dyadic kernel sequence (``dyadic_kernel_sequence``), and the
-oracle's kernel sweep and single-kernel embedding values.  On a real measure
-at -4 <= power < 0 (R1, R7 and the oracle's kernels at q = 2) a point sums
-geometric bins of atoms from their Taylor moments, cached on the measure,
-to within 2^-53 of each bin's sum: O(bins), not O(atoms).
+quotients, the dyadic kernel sequence (``dyadic_kernel_sequence``), the
+oracle's kernel sweep and single-kernel embedding values, and the Poisson
+balayage (``balayage``: power -1 at the points -i t, over masses m_k x_k / pi).
+On a real measure at -4 <= power < 0 (R1, R7, the balayage and the oracle's
+kernels at q = 2) a point sums geometric bins of atoms from their Taylor
+moments, cached on the measure, to within 2^-53 of each bin's sum: O(bins),
+not O(atoms).
 
 ``balayage_norm`` is the one balayage quadrature, and ``balayage_integral``
 is its s = 1 case.  It uses a vectorised adaptive Gauss-Kronrod 10/21 rule
@@ -50,8 +52,8 @@ __all__ = [
 def __getattr__(name: str):
     """``halfplane.quad``, bound on first use: nothing in the package calls
     scipy's ``quad``, but the benchmark's span tracer wraps this name, so
-    scipy is imported only when something asks for it.  ROADMAP items 6
-    and 10 retarget the tracer's ``halfplane.quad`` metrics at the
+    scipy is imported only when something asks for it.  ROADMAP items 9
+    and 13 retarget the tracer's ``halfplane.quad`` metrics at the
     Gauss-Kronrod integrator and then delete this binding."""
     if name == "quad":
         from scipy.integrate import quad
@@ -61,10 +63,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# entries of one (points x atoms) block in ``balayage``, ``kernel_sums`` and
-# ``blaschke_products``: 2 MB of float64 per temporary, which stays in cache (2^16
-# to 2^20 measured alike, 2^21 and 2^22 slower); each call allocates its block
-# buffers once.  ``criteria`` bins staggered squares in runs of this many atoms
+# entries of one (points x atoms) block in ``kernel_sums`` (and so
+# ``balayage``) and ``blaschke_products``: 2 MB of float64 per temporary,
+# which stays in cache (2^16 to 2^20 measured alike, 2^21 and 2^22 slower);
+# each call allocates its block buffers once.  ``criteria`` bins staggered
+# squares in runs of this many atoms
 _BLOCK_ENTRIES = 1 << 18
 # Taylor bins: ratio 9/7 (half-width / centre 1/8); most terms; fewest atoms
 # a bin expands (a bin costs a point up to _TAYLOR_TERMS terms; on heat
@@ -177,35 +180,19 @@ def balayage(m: AtomicMeasure, t) -> np.ndarray | float:
     """Poisson sweep S_mu(t) of the measure onto the boundary line.
 
     Every atom must lie strictly inside the half-plane; the kernel is singular
-    on the boundary.  The (points x atoms) kernel is formed one block of
-    points at a time in one buffer per call, so memory stays
-    O(_BLOCK_ENTRIES) for any number of points and atoms, and no block
-    frees a temporary that the next must fault in again.
+    on the boundary.  S_mu(t) = sum_k (m_k x_k / pi) / ((t - y_k)^2 + x_k^2)
+    is ``kernel_sums`` at the points -i t, power -1, over ``_poisson(m)``.
     """
-    x = m.x
-    if ((x == 0) & (m.masses > 0)).any():
-        raise ValueError("balayage undefined: atom with Re z = 0 makes the Poisson kernel singular")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    pos = m.masses > 0
-    x = x[pos]
-    y = None if m.y is None else m.y[pos]
-    weights = m.masses[pos] * x / math.pi
-    x_sq = x * x
-    rows = max(1, _BLOCK_ENTRIES // max(1, x.size))
-    out = np.empty(t_arr.size)
-    block = np.empty((min(rows, t_arr.size), x.size))
-    for i in range(0, t_arr.size, rows):
-        t_rows = t_arr[i:i + rows, None]
-        kernel = block[:t_rows.shape[0]]
-        if y is None:  # a real measure: (t - 0)^2 is t^2, one per row
-            np.add(t_rows * t_rows, x_sq, out=kernel)
-        else:
-            np.subtract(t_rows, y, out=kernel)
-            kernel *= kernel
-            kernel += x_sq
-        np.reciprocal(kernel, out=kernel)
-        np.matmul(kernel, weights, out=out[i:i + rows])
+    out = kernel_sums(-1j * np.asarray(t, dtype=float), _poisson(m), -1.0)
     return out if np.ndim(t) else float(out[0])
+
+
+def _poisson(m: AtomicMeasure) -> AtomicMeasure:
+    """The measure with masses m_k x_k / pi at the atoms of m, whose kernel
+    sums at power -1 are the Poisson sweep of m; it shares m's x-order."""
+    if ((m.x == 0) & (m.masses > 0)).any():
+        raise ValueError("balayage undefined: atom with Re z = 0 makes the Poisson kernel singular")
+    return m._with_masses(m.masses * m.x / math.pi)
 
 
 def kernel_sums(points, m: AtomicMeasure, power: float) -> np.ndarray:
@@ -387,15 +374,20 @@ def _block_sums(re: np.ndarray, im: np.ndarray, u: np.ndarray, v: np.ndarray | N
     atoms floats."""
     entries = re.size * u.size
     d = block[:entries].reshape(re.size, u.size)
-    np.add(re[:, None], u, out=d)
-    d *= d
-    if v is not None:
-        dy = block[entries:2 * entries].reshape(d.shape)
-        np.add(im[:, None], v, out=dy)
-        dy *= dy
-        d += dy
-    elif im.any():  # rows on the axis add nothing
-        d += (im * im)[:, None]
+    if v is not None and not re.any():  # rows on the imaginary axis: (re + u)^2 is u^2
+        np.add(im[:, None], v, out=d)
+        d *= d
+        d += u * u
+    else:
+        np.add(re[:, None], u, out=d)
+        d *= d
+        if v is not None:
+            dy = block[entries:2 * entries].reshape(d.shape)
+            np.add(im[:, None], v, out=dy)
+            dy *= dy
+            d += dy
+        elif im.any():  # rows on the real axis add nothing
+            d += (im * im)[:, None]
     return np.matmul(_power_in_place(d, power, block[entries:]), masses, out=out)
 
 
@@ -572,14 +564,15 @@ def balayage_norm(m: AtomicMeasure, lebesgue_exponent: float) -> tuple[float, di
     pos = m.masses > 0
     x, y = m.x[pos], None if m.y is None else m.y[pos]
     heights = np.zeros(1) if y is None else np.unique(y)
-    peak = float(balayage(m, heights).max())  # raises on an atom with Re z = 0
+    poisson = _poisson(m)  # one measure, so a real one builds its Taylor bins once
+    peak = float(kernel_sums(-1j * heights, poisson, -1.0).max())
     width = float(x.min())
     tail = 1e-3 * _EPSABS
     d = math.exp((math.log(2 / ((2 * s - 1) * width * tail))
                   + s * math.log(float(m.masses[pos] @ x) / (math.pi * peak))) / (2 * s - 1))
     lo, hi = heights[0] - d, heights[-1] + d
     integral, error, converged = _integrate_with_breaks(
-        lambda t: (balayage(m, t) / peak) ** s / width, lo, hi,
+        lambda t: (kernel_sums(-1j * t, poisson, -1.0) / peak) ** s / width, lo, hi,
         np.concatenate((heights, _height_seeds(x, y, lo, hi))))
     error += tail
     value = peak * (width * integral) ** (1 / s)
@@ -628,15 +621,15 @@ def blaschke_products(points) -> tuple[np.ndarray, dict]:
     rows = max(1, _BLOCK_ENTRIES // n)
     # real points: numpy's complex quotient (Smith's form) in real arithmetic, bit for bit
     x = None if z.imag.any() else z.real
-    # the factors, and the reciprocals of real points' sums, then the copy
-    # that ``np.partition`` would make
-    block = np.empty((2, min(rows, n), n))
+    # the factors, and the reciprocals of real points' sums
+    block = np.empty((1 if x is None else 2, min(rows, n), n))
     for i in range(0, n, rows):
         zk = z[i:i + rows, None]
-        factors, spare = block[0, :zk.size], block[1, :zk.size]
+        factors = block[0, :zk.size]
         if x is None:
             np.abs((z - zk) / (z + zk.conjugate()), out=factors)
         else:
+            spare = block[1, :zk.size]
             np.subtract(x, zk.real, out=factors)
             np.abs(factors, out=factors)
             np.add(x, zk.real, out=spare)
@@ -646,9 +639,8 @@ def blaschke_products(points) -> tuple[np.ndarray, dict]:
         np.prod(factors, axis=1, out=products[i:i + rows])
         np.min(factors, axis=1, out=min_factor[i:i + rows])
         if TAIL_WINDOW < n - 1:  # the window leaves other factors out
-            np.copyto(spare, factors)
-            spare.partition(TAIL_WINDOW, axis=1)
-            np.prod(spare[:, TAIL_WINDOW:], axis=1, out=tail_factor[i:i + rows])
+            factors.partition(TAIL_WINDOW, axis=1)
+            np.prod(factors[:, TAIL_WINDOW:], axis=1, out=tail_factor[i:i + rows])
 
     proxy_terms = z.real / (1 + np.abs(z) ** 2)
     order = np.argsort(np.abs(z))

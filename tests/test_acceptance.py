@@ -13,11 +13,13 @@ Each test prints one pass/fail line so the suite doubles as a checklist:
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from admiss import halfplane
 from admiss.controllability import controllability_measure, sobolev_controllability
 from admiss.criteria import (
     c1_zen_carleson,
@@ -120,6 +122,15 @@ def test_acceptance_3_balayage_conservation():
         worst = max(worst, err)
     ok = worst < 1e-8
     _verdictline(3, f"balayage mass conservation, worst {worst:.2e}", ok)
+
+
+def test_balayage_of_heat1d_conserves_mass_on_the_taylor_bins():
+    # gate 3's measures are complex and small, so it sees only the dense
+    # sums; a real measure at K = 10^4 sums its integrand from Taylor bins
+    mu = spectral_measure(heat_system(10_000))
+    with mock.patch.object(halfplane, "_taylor_sums", wraps=halfplane._taylor_sums) as spy:
+        assert abs(balayage_integral(mu) - mu.total_mass) <= 1e-10 * mu.total_mass
+    assert spy.called
 
 
 @pytest.fixture(scope="module")

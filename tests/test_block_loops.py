@@ -1,12 +1,15 @@
-"""The (points x atoms) block loops of ``balayage``, ``kernel_sums``,
-``blaschke_products`` and ``laplace_at`` write every block into one buffer
-per call.  Each must give the bytes of a frozen copy of the loop that formed
-fresh temporaries per block, at point counts below one block, of exactly
-one block and of one more than a multiple of the block's rows."""
+"""The (points x atoms) block loops of ``kernel_sums``, ``blaschke_products``
+and ``laplace_at`` write every block into one buffer per call.  Each must
+give the bytes of a frozen copy of the loop that formed fresh temporaries per
+block, at point counts below one block, of exactly one block and of one more
+than a multiple of the block's rows.  ``balayage`` has no loop of its own: it
+is a kernel sum, held to the frozen dense Poisson loop bit for bit on complex
+measures and within 1e-13 relative where a real measure takes the Taylor bins."""
 
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import pytest
 from admiss import halfplane
 from admiss.halfplane import _BLOCK_ENTRIES, balayage, blaschke_products, kernel_sums
 from admiss.laplace_oracle import TestFunction, laplace_at
-from admiss.system_model import AtomicMeasure
+from admiss.system_model import AtomicMeasure, heat_system, spectral_measure
 from admiss.zen_weight import gamma
 
 ATOMS = 1000
@@ -149,14 +152,37 @@ def _point_counts(m):
     return rows // 3, rows, 2 * rows + 1
 
 
+@pytest.fixture()
+def taylor_sums():
+    """``halfplane._taylor_sums``, wrapped to count its calls."""
+    with mock.patch.object(halfplane, "_taylor_sums", wraps=halfplane._taylor_sums) as spy:
+        yield spy
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want) / want))
+
+
 @pytest.mark.parametrize("stored", ["real", "complex"])
-def test_balayage_matches_the_fresh_block_loop(stored):
+def test_balayage_matches_the_fresh_block_loop(stored, taylor_sums):
     m = _measure(stored)
     rng = np.random.default_rng(5)
     for count in _point_counts(m):
         t = rng.uniform(-100.0, 100.0, count)
-        assert balayage(m, t).tobytes() == _balayage_frozen(m, t).tobytes()
+        got, want = balayage(m, t), _balayage_frozen(m, t)
+        if stored == "complex":
+            assert got.tobytes() == want.tobytes()
+        else:  # every count takes the Taylor bins; the frozen loop is the dense reference
+            assert _relative_gap(got, want) <= 1e-13
+    assert taylor_sums.call_count == (3 if stored == "real" else 0)
     assert balayage(m, 3.5) == _balayage_frozen(m, 3.5)
+
+
+def test_balayage_of_heat1d_matches_the_dense_loop(taylor_sums):
+    m = spectral_measure(heat_system(100_000))
+    t = np.concatenate(([0.0], np.logspace(-3, 12, 400)))
+    assert _relative_gap(balayage(m, t), _balayage_frozen(m, t)) <= 1e-13
+    assert taylor_sums.called
 
 
 @pytest.mark.parametrize("stored", ["real", "complex"])

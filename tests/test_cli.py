@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,3 +516,22 @@ def test_config_modes_checked_when_modes_replaces_them(config_modes, message, ca
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert message in captured.err
+
+
+def test_main_called_again_answers_as_a_fresh_process(capsys):
+    # the parser is built once per process: a usage error, a check and a
+    # sweep in one process each give the exit code and output of their own
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    runs = [["check", "--space", '{"kind":"Lp","p":2}'],
+            ["check", "--system", SMALL_HEAT, "--space", '{"kind":"Lp","p":1.5}'],
+            ["sweep", "--system", SMALL_HEAT, "--space", '{"kind":"Lp","p":2}',
+             "--param", "p", "--values", "1.2,2", "--grid=-10:40"]]
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "admiss.cli", *argv], env=env,
+                               capture_output=True, timeout=120)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()), argv
